@@ -23,7 +23,7 @@ from .forms import (
     write_matrix_market,
 )
 from .mesh import classify_boundary, refine
-from .reference import triangle_rule
+from .reference import MAX_QUAD_DEGREE, triangle_rule
 from .solvers import (
     SaddleFactorization,
     orthogonality_residual,
@@ -172,6 +172,15 @@ class LoopConfig:
             raise ValueError("bubble degree k must satisfy k > max(p, 2) or k <= p")
         if self.k < 1:
             raise ValueError("bubble degree k must be >= 1")
+        # error_norms integrates the enriched space at volume_degree + 2 = 2 max(p, k) + 6
+        max_k = (MAX_QUAD_DEGREE - 6) // 2
+        if self.k > max_k:
+            raise ValueError(
+                f"bubble degree k must be at most {max_k}: error norms need quadrature "
+                f"degree 2 max(p, k) + 6 <= {MAX_QUAD_DEGREE}"
+            )
+        if self.quad_degree is not None and self.quad_degree > MAX_QUAD_DEGREE:
+            raise ValueError(f"quad_degree must be at most {MAX_QUAD_DEGREE}")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("marking fraction theta must lie in (0, 1]")
         if self.mode not in ("energy", "goa", "uniform"):

@@ -15,20 +15,16 @@ import scipy.sparse.linalg
 from .forms import (
     assemble_mass,
     cell_quadrature,
-    facet_quadrature,
+    facet_basis,
     facet_degree,
+    facet_quadrature,
+    jump_tables,
     jump_weights,
+    normal_flux,
     volume_degree,
 )
 from .reference import edge_rule, triangle_rule
-from .spaces import (
-    DiscreteFunction,
-    build_space,
-    gradients_in_cells,
-    quad_values,
-    trial_lagrange,
-    values_in_cells,
-)
+from .spaces import DiscreteFunction, build_space, quad_values, trial_lagrange
 
 
 @dataclass(frozen=True)
@@ -45,21 +41,16 @@ class NormReport:
     sharp: float
 
 
-def _facet_values(fn, cells, pts):
-    nf, nq = pts.shape[:2]
-    flat_cells = np.repeat(cells, nq)
-    return values_in_cells(fn, flat_cells, pts.reshape(-1, 2)).reshape(nf, nq)
+def _boundary_table(space, rule):
+    """Basis values at boundary facet points seen from the owner, and their DoFs."""
+    cells = space.mesh.boundary_cells
+    return facet_basis(space, space.mesh.boundary_edges, cells, rule), space.cell_dofs[cells]
 
 
-def _facet_normal_jumps(fn, pts):
-    """Jump of grad(fn).n across interior facets at given facet points."""
-    mesh = fn.space.mesh
-    nf, nq = pts.shape[:2]
-    flat = pts.reshape(-1, 2)
-    gp = gradients_in_cells(fn, np.repeat(mesh.interior_plus, nq), flat)
-    gm = gradients_in_cells(fn, np.repeat(mesh.interior_minus, nq), flat)
-    jump = (gp - gm).reshape(nf, nq, 2)
-    return np.einsum("fqd,fd->fq", jump, mesh.interior_normals)
+def _contract(tables, fn):
+    """Per-facet point values (nf, nq) of fn from a basis table and its DoFs."""
+    table, dofs = tables
+    return np.matmul(table, fn.coefficients[dofs][:, :, None])[:, :, 0]
 
 
 def local_energy_products(fa, fb, data, degree=None, facet_deg=None):
@@ -78,32 +69,25 @@ def local_energy_products(fa, fb, data, degree=None, facet_deg=None):
 
     pts, w = cell_quadrature(mesh, vrule)
     va = quad_values(fa, vrule.points)
-    vb = quad_values(fb, vrule.points)
-    parts = sigma0 * np.einsum("cq,cq,cq->c", w, va, vb)
+    vb = va if fb is fa else quad_values(fb, vrule.points)
+    parts = sigma0 * (w * va * vb).sum(axis=1)
 
     if len(mesh.boundary_edges):
         epts, ew = facet_quadrature(mesh, mesh.boundary_edges, erule)
-        nf, nq = ew.shape
-        bn = np.einsum(
-            "fqd,fd->fq",
-            np.asarray(data.velocity(epts.reshape(-1, 2)), dtype=float).reshape(nf, nq, 2),
-            mesh.boundary_normals,
-        )
-        ba = _facet_values(fa, mesh.boundary_cells, epts)
-        bb = _facet_values(fb, mesh.boundary_cells, epts)
-        np.add.at(
-            parts,
-            mesh.boundary_cells,
-            0.5 * np.einsum("fq,fq,fq->f", ew * np.abs(bn), ba, bb),
-        )
+        bn = normal_flux(data.velocity, epts, mesh.boundary_normals)
+        tables = _boundary_table(space, erule)
+        ba = _contract(tables, fa)
+        bb = ba if fb is fa else _contract(tables, fb)
+        np.add.at(parts, mesh.boundary_cells, 0.5 * (ew * np.abs(bn) * ba * bb).sum(axis=1))
 
     if len(mesh.interior_edges):
         k_pen = data.require_penalty_order()
         gamma = jump_weights(mesh, data.velocity, k_pen, data.penalty_exponent, erule)
-        ipts, iw = facet_quadrature(mesh, mesh.interior_edges, erule)
-        ja = _facet_normal_jumps(fa, ipts)
-        jb = _facet_normal_jumps(fb, ipts)
-        contrib = gamma * np.einsum("fq,fq,fq->f", iw, ja, jb)
+        _, iw = facet_quadrature(mesh, mesh.interior_edges, erule)
+        tables = jump_tables(space, erule)
+        ja = _contract(tables, fa)
+        jb = ja if fb is fa else _contract(tables, fb)
+        contrib = gamma * (iw * ja * jb).sum(axis=1)
         np.add.at(parts, mesh.interior_plus, 0.5 * contrib)
         np.add.at(parts, mesh.interior_minus, 0.5 * contrib)
     return parts
@@ -138,23 +122,18 @@ def error_norms(u_h, exact, data, quad_degree=None):
     bnd_sq = 0.0
     if len(mesh.boundary_edges):
         epts, ew = facet_quadrature(mesh, mesh.boundary_edges, erule)
-        nf, enq = ew.shape
-        bn = np.einsum(
-            "fqd,fd->fq",
-            np.asarray(data.velocity(epts.reshape(-1, 2)), dtype=float).reshape(nf, enq, 2),
-            mesh.boundary_normals,
-        )
-        bdiff = -_facet_values(u_h, mesh.boundary_cells, epts)
+        bn = normal_flux(data.velocity, epts, mesh.boundary_normals)
+        bdiff = -_contract(_boundary_table(space, erule), u_h)
         if exact is not None:
-            bdiff = bdiff + np.asarray(exact(epts.reshape(-1, 2)), dtype=float).reshape(nf, enq)
+            bdiff = bdiff + np.asarray(exact(epts.reshape(-1, 2)), dtype=float).reshape(ew.shape)
         bnd_sq = 0.5 * np.einsum("fq,fq->", ew * np.abs(bn), bdiff**2)
 
     jump_sq = 0.0
     if len(mesh.interior_edges):
         k_pen = data.require_penalty_order()
         gamma = jump_weights(mesh, data.velocity, k_pen, data.penalty_exponent, erule)
-        ipts, iw = facet_quadrature(mesh, mesh.interior_edges, erule)
-        jd = _facet_normal_jumps(u_h, ipts)
+        _, iw = facet_quadrature(mesh, mesh.interior_edges, erule)
+        jd = _contract(jump_tables(space, erule), u_h)
         jump_sq = float(gamma @ np.einsum("fq,fq->f", iw, jd**2))
 
     triple = float(np.sqrt(sigma0 * l2_sq + bnd_sq + jump_sq))
@@ -181,7 +160,7 @@ def l2_project(u, target, quad_degree=None):
     nc, nq = w.shape
     uv = np.asarray(u(pts.reshape(-1, 2)), dtype=float).reshape(nc, nq)
     phi = target.local_basis.evaluate(rule.points)
-    local = np.einsum("cq,qi->ci", w * uv, phi)
+    local = np.matmul(w * uv, phi)
     rhs = np.zeros(target.dim)
     np.add.at(rhs, target.cell_dofs, local)
     try:

@@ -52,21 +52,33 @@ class RunConfig:
             return self.theta
         return 0.2 if self.mode == "goa" else 0.5
 
+    def loop_config(self):
+        """The adaptive-loop settings of this run."""
+        return LoopConfig(
+            p=self.p,
+            k=self.k,
+            theta=self.resolved_theta(),
+            mode=self.mode,
+            alpha=self.alpha,
+            max_dofs=self.max_dofs,
+            max_iters=self.max_iters,
+            sigma0=self.sigma0,
+            quad_degree=self.quad_degree,
+            outdir=self.outdir,
+            vtk=self.vtk,
+            dump_matrices=self.dump_matrices,
+        )
+
     def validate(self):
+        """Check the run-level keys here and the loop settings in LoopConfig."""
         if self.benchmark not in BENCHMARKS:
             raise ConfigError(f"unknown benchmark {self.benchmark!r}")
-        if self.mode not in ("energy", "goa", "uniform"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.p not in (1, 2, 3):
-            raise ConfigError("p must be 1, 2 or 3")
-        if not (self.k > max(self.p, 2) or self.k <= self.p):
-            raise ConfigError("k must satisfy k > max(p, 2) or k <= p")
-        if not 0.0 < self.resolved_theta() <= 1.0:
-            raise ConfigError("theta must lie in (0, 1]")
+        try:
+            self.loop_config().validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.delta <= 0.0:
             raise ConfigError("delta must be positive")
-        if self.max_dofs is None and self.max_iters is None:
-            raise ConfigError("one of --max-dofs / --max-iters is required")
         if self.mode == "goa" and self.benchmark != "exp2":
             raise ConfigError("goal-oriented mode requires the exp2 benchmark")
         return self
@@ -126,20 +138,7 @@ def run(config):
         return 1
 
     bench = get_benchmark(config.benchmark, delta=config.delta)
-    loop = LoopConfig(
-        p=config.p,
-        k=config.k,
-        theta=config.resolved_theta(),
-        mode=config.mode,
-        alpha=config.alpha,
-        max_dofs=config.max_dofs,
-        max_iters=config.max_iters,
-        sigma0=config.sigma0,
-        quad_degree=config.quad_degree,
-        outdir=config.outdir,
-        vtk=config.vtk,
-        dump_matrices=config.dump_matrices,
-    )
+    loop = config.loop_config()
     outdir = pathlib.Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "config.json", "w") as fh:

@@ -15,7 +15,9 @@ the mesh-dependent energy norm used by the residual representative.
 Matrix entries follow the convention ``A[i, j] = form(trial_j, test_i)``.
 
 All assembly loops are vectorized over cells and facets; matrices are
-returned in CSR format.
+returned in CSR format.  Bases are evaluated once per reference point set
+(the volume rule, or the six reference-facet cases of the edge rule) and
+gathered per cell or facet, so no physical point is pulled back.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .reference import edge_rule, triangle_rule
+from .reference import edge_rule, reference_facet_points, triangle_rule
 
 
 @dataclass
@@ -82,7 +84,7 @@ def facet_degree(*spaces):
 def cell_quadrature(mesh, rule):
     """Physical quadrature points (nc, nq, 2) and scaled weights (nc, nq)."""
     v0, J, _, det = mesh.affine
-    pts = v0[:, None, :] + np.einsum("cij,qj->cqi", J, rule.points)
+    pts = v0[:, None, :] + np.matmul(rule.points, J.transpose(0, 2, 1))
     return pts, det[:, None] * rule.weights[None, :]
 
 
@@ -96,25 +98,48 @@ def facet_quadrature(mesh, edge_ids, rule):
     return pts, w
 
 
-def _side_values(space, cells, pts):
-    """Basis values of a space on facet points seen from given cells."""
+def normal_flux(velocity, pts, normals):
+    """b.n at facet points (nf, nq, 2) for per-facet normals (nf, 2)."""
     nf, nq = pts.shape[:2]
-    flat = np.repeat(cells, nq)
-    xi = space.mesh.to_reference(flat, pts.reshape(-1, 2))
-    return space.local_basis.evaluate(xi).reshape(nf, nq, -1)
+    bvals = np.asarray(velocity(pts.reshape(-1, 2)), dtype=float).reshape(nf, nq, 2)
+    return np.matmul(bvals, normals[:, :, None])[:, :, 0]
 
 
-def _side_normal_gradients(space, cells, pts, normals):
-    """Normal components of basis gradients seen from given cells."""
+def facet_cases(mesh, edge_ids, cells):
+    """Reference-facet case 2 i + r of each (facet, cell) pair.
+
+    i is the local index of the facet in the cell; r = 1 when the cell
+    walks it ((i+1)%3 -> (i+2)%3) against the ``mesh.edges`` order.
+    """
+    local = np.argmax(mesh.cell_edges[cells] == edge_ids[:, None], axis=1)
+    against = mesh.cells[cells, (local + 1) % 3] > mesh.cells[cells, (local + 2) % 3]
+    return 2 * local + against
+
+
+def facet_basis(space, edge_ids, cells, rule, normals=None):
+    """Basis values (nf, nq, nloc) at edge-rule points, seen from given cells.
+
+    The local basis is tabulated on the six reference-facet cases and
+    gathered per facet.  With ``normals`` the result is the normal
+    component of the physical basis gradients instead.
+    """
     mesh = space.mesh
-    nf, nq = pts.shape[:2]
-    flat = np.repeat(cells, nq)
-    xi = mesh.to_reference(flat, pts.reshape(-1, 2))
-    gref = space.local_basis.gradient(xi).reshape(nf, nq, -1, 2)
+    basis = space.local_basis
+    case = facet_cases(mesh, edge_ids, cells)
+    xi = reference_facet_points(rule.points).reshape(-1, 2)
+    nq = len(rule.points)
+    if normals is None:
+        return basis.evaluate(xi).reshape(6, nq, basis.count)[case]
     _, _, Jinv, _ = mesh.affine
-    # n . (Jinv^T gref): contract the normal with Jinv once per facet
-    nJ = np.einsum("fed,fd->fe", Jinv[cells], normals)
-    return np.einsum("fe,fqie->fqi", nJ, gref)
+    # n . (Jinv^T gref) = (Jinv n) . gref: contract the normal with Jinv once per facet
+    nJ = np.matmul(Jinv[cells], normals[:, :, None])
+    gref = basis.gradient(xi).reshape(6, nq * basis.count, 2)
+    return np.matmul(gref[case], nJ).reshape(len(cells), nq, basis.count)
+
+
+def _facet_local(weights, vals_v, vals_u):
+    """Per-facet local matrices sum_q weights v_i u_j, shape (nf, nv, nu)."""
+    return np.matmul(vals_v.transpose(0, 2, 1) * weights[:, None, :], vals_u)
 
 
 def _scatter(local, row_dofs, col_dofs, shape):
@@ -144,7 +169,8 @@ def assemble_mass(trial, test, weight=None, degree=None):
         w = w * np.asarray(weight(pts.reshape(-1, 2)), dtype=float).reshape(nc, nq)
     phi_u = trial.local_basis.evaluate(rule.points)
     phi_v = test.local_basis.evaluate(rule.points)
-    local = np.einsum("cq,qi,qj->cij", w, phi_v, phi_u)
+    products = (phi_v[:, :, None] * phi_u[:, None, :]).reshape(len(phi_u), -1)
+    local = np.matmul(w, products).reshape(len(w), phi_v.shape[1], phi_u.shape[1])
     return _scatter(local, test.cell_dofs, trial.cell_dofs, (test.dim, trial.dim))
 
 
@@ -158,11 +184,13 @@ def assemble_advection(trial, test, velocity, degree=None):
     bvals = np.asarray(velocity(pts.reshape(-1, 2)), dtype=float).reshape(nc, nq, 2)
     _, _, Jinv, _ = mesh.affine
     # b . grad(test basis): pull b back through the affine map once
-    btilde = np.einsum("cqd,ced->cqe", bvals, Jinv)
+    wb = w[:, :, None] * np.matmul(bvals, Jinv.transpose(0, 2, 1))
     gref = test.local_basis.gradient(rule.points)
-    bg = np.einsum("cqe,qie->cqi", btilde, gref)
     phi_u = trial.local_basis.evaluate(rule.points)
-    local = -np.einsum("cq,cqi,qj->cij", w, bg, phi_u)
+    # reference-gradient x trial-value products per point and direction
+    products = gref.transpose(0, 2, 1)[:, :, :, None] * phi_u[:, None, None, :]
+    local = -np.matmul(wb.reshape(nc, -1), products.reshape(2 * nq, -1))
+    local = local.reshape(nc, gref.shape[1], phi_u.shape[1])
     return _scatter(local, test.cell_dofs, trial.cell_dofs, (test.dim, trial.dim))
 
 
@@ -182,15 +210,10 @@ def assemble_outflow(trial, test, velocity, bc, degree=None):
     owners = mesh.boundary_cells[sel]
     normals = mesh.boundary_normals[sel]
     pts, w = facet_quadrature(mesh, edge_ids, rule)
-    nf, nq = w.shape
-    bn = np.einsum(
-        "fqd,fd->fq",
-        np.asarray(velocity(pts.reshape(-1, 2)), dtype=float).reshape(nf, nq, 2),
-        normals,
-    )
-    vals_v = _side_values(test, owners, pts)
-    vals_u = _side_values(trial, owners, pts)
-    local = np.einsum("fq,fqi,fqj->fij", w * bn, vals_v, vals_u)
+    bn = normal_flux(velocity, pts, normals)
+    vals_v = facet_basis(test, edge_ids, owners, rule)
+    vals_u = vals_v if trial is test else facet_basis(trial, edge_ids, owners, rule)
+    local = _facet_local(w * bn, vals_v, vals_u)
     return _scatter(local, test.cell_dofs[owners], trial.cell_dofs[owners], shape)
 
 
@@ -202,15 +225,10 @@ def assemble_boundary_mass(trial, test, velocity, degree=None):
     edge_ids = mesh.boundary_edges
     owners = mesh.boundary_cells
     pts, w = facet_quadrature(mesh, edge_ids, rule)
-    nf, nq = w.shape
-    bn = np.einsum(
-        "fqd,fd->fq",
-        np.asarray(velocity(pts.reshape(-1, 2)), dtype=float).reshape(nf, nq, 2),
-        mesh.boundary_normals,
-    )
-    vals_v = _side_values(test, owners, pts)
-    vals_u = _side_values(trial, owners, pts)
-    local = np.einsum("fq,fqi,fqj->fij", w * np.abs(bn), vals_v, vals_u)
+    bn = normal_flux(velocity, pts, mesh.boundary_normals)
+    vals_v = facet_basis(test, edge_ids, owners, rule)
+    vals_u = vals_v if trial is test else facet_basis(trial, edge_ids, owners, rule)
+    local = _facet_local(w * np.abs(bn), vals_v, vals_u)
     return _scatter(
         local, test.cell_dofs[owners], trial.cell_dofs[owners], (test.dim, trial.dim)
     )
@@ -222,21 +240,18 @@ def assemble_boundary_mass(trial, test, velocity, degree=None):
 def jump_weights(mesh, velocity, k_pen, alpha, rule):
     """Per-interior-facet penalty gamma_e = h_e^2/k^alpha * max|b.n_e|."""
     pts, _ = facet_quadrature(mesh, mesh.interior_edges, rule)
-    nf, nq = pts.shape[:2]
-    bn = np.einsum(
-        "fqd,fd->fq",
-        np.asarray(velocity(pts.reshape(-1, 2)), dtype=float).reshape(nf, nq, 2),
-        mesh.interior_normals,
-    )
+    bn = normal_flux(velocity, pts, mesh.interior_normals)
     h_e = mesh.interior_lengths
     return h_e**2 / float(k_pen) ** alpha * np.abs(bn).max(axis=1)
 
 
-def _jump_tables(space, pts):
-    """Stacked normal-gradient jumps [plus side, -minus side] per facet."""
+def jump_tables(space, rule):
+    """Stacked normal-gradient jumps [plus side, -minus side] per interior facet."""
     mesh = space.mesh
-    gn_plus = _side_normal_gradients(space, mesh.interior_plus, pts, mesh.interior_normals)
-    gn_minus = _side_normal_gradients(space, mesh.interior_minus, pts, mesh.interior_normals)
+    gn_plus, gn_minus = (
+        facet_basis(space, mesh.interior_edges, cells, rule, mesh.interior_normals)
+        for cells in (mesh.interior_plus, mesh.interior_minus)
+    )
     jump = np.concatenate([gn_plus, -gn_minus], axis=2)
     dofs = np.hstack(
         [space.cell_dofs[mesh.interior_plus], space.cell_dofs[mesh.interior_minus]]
@@ -254,10 +269,10 @@ def assemble_jump_penalty(trial, test, data, degree=None):
     rule = edge_rule(degree if degree is not None else facet_degree(trial, test))
     k_pen = data.require_penalty_order()
     gamma = jump_weights(mesh, data.velocity, k_pen, data.penalty_exponent, rule)
-    pts, w = facet_quadrature(mesh, mesh.interior_edges, rule)
-    jump_v, dofs_v = _jump_tables(test, pts)
-    jump_u, dofs_u = _jump_tables(trial, pts)
-    local = np.einsum("fq,fqa,fqb->fab", gamma[:, None] * w, jump_v, jump_u)
+    _, w = facet_quadrature(mesh, mesh.interior_edges, rule)
+    jump_v, dofs_v = jump_tables(test, rule)
+    jump_u, dofs_u = (jump_v, dofs_v) if trial is test else jump_tables(trial, rule)
+    local = _facet_local(gamma[:, None] * w, jump_v, jump_u)
     return _scatter(local, dofs_v, dofs_u, shape)
 
 
@@ -306,7 +321,7 @@ def assemble_load(test, data, bc, degree=None, facet_deg=None):
     nc, nq = w.shape
     fv = np.asarray(data.source(pts.reshape(-1, 2)), dtype=float).reshape(nc, nq)
     phi = test.local_basis.evaluate(rule.points)
-    local = np.einsum("cq,qi->ci", w * fv, phi)
+    local = np.matmul(w * fv, phi)
     vec = np.zeros(test.dim)
     np.add.at(vec, test.cell_dofs, local)
 
@@ -317,16 +332,10 @@ def assemble_load(test, data, bc, degree=None, facet_deg=None):
         owners = mesh.boundary_cells[sel]
         normals = mesh.boundary_normals[sel]
         epts, ew = facet_quadrature(mesh, edge_ids, erule)
-        nf, nq = ew.shape
-        flat = epts.reshape(-1, 2)
-        bn = np.einsum(
-            "fqd,fd->fq",
-            np.asarray(data.velocity(flat), dtype=float).reshape(nf, nq, 2),
-            normals,
-        )
-        g = np.asarray(data.inflow_data(flat), dtype=float).reshape(nf, nq)
-        vals = _side_values(test, owners, epts)
-        local_e = -np.einsum("fq,fqi->fi", ew * bn * g, vals)
+        bn = normal_flux(data.velocity, epts, normals)
+        g = np.asarray(data.inflow_data(epts.reshape(-1, 2)), dtype=float).reshape(ew.shape)
+        vals = facet_basis(test, edge_ids, owners, erule)
+        local_e = -np.matmul((ew * bn * g)[:, None, :], vals)[:, 0]
         np.add.at(vec, test.cell_dofs[owners], local_e)
     return vec
 
@@ -424,7 +433,7 @@ def assemble_qoi(space, region, degree=None):
     rule = triangle_rule(degree if degree is not None else space.max_degree + 2)
     pts, w = cell_quadrature(mesh, rule)
     phi = space.local_basis.evaluate(rule.points)
-    local = np.einsum("cq,qi->ci", w[inside], phi)
+    local = np.matmul(w[inside], phi)
     vec = np.zeros(space.dim)
     np.add.at(vec, space.cell_dofs[inside], local)
     return vec / region.area

@@ -77,41 +77,33 @@ class Mesh:
 
     def _longest_edge_assignment(self):
         lengths = self._edge_lengths
-        ref = np.empty(len(self.cells), dtype=np.int8)
-        for c in range(len(self.cells)):
-            lmax = lengths[c].max()
-            candidates = np.flatnonzero(lengths[c] >= lmax * (1.0 - 1e-12))
-            # ties: lowest opposite global vertex index
-            ref[c] = candidates[np.argmin(self.cells[c, candidates])]
-        return ref
+        candidates = lengths >= lengths.max(axis=1, keepdims=True) * (1.0 - 1e-12)
+        # ties: lowest opposite global vertex index
+        opposite = np.where(candidates, self.cells, np.iinfo(np.int64).max)
+        return np.argmin(opposite, axis=1).astype(np.int8)
 
     def _build_connectivity(self):
-        nc = len(self.cells)
-        pairs = np.empty((nc * 3, 2), dtype=np.int64)
-        for i in range(3):
-            a = self.cells[:, (i + 1) % 3]
-            b = self.cells[:, (i + 2) % 3]
-            pairs[i * nc : (i + 1) * nc, 0] = np.minimum(a, b)
-            pairs[i * nc : (i + 1) * nc, 1] = np.maximum(a, b)
-        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        nc, nv = len(self.cells), len(self.vertices)
+        a = self.cells[:, [1, 2, 0]]  # local edge i runs (i+1)%3 -> (i+2)%3
+        b = self.cells[:, [2, 0, 1]]
+        # lexicographic order of (min, max) vertex pairs equals that of the key
+        keys, inverse = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                                  return_inverse=True)
+        edges = np.column_stack([keys // nv, keys % nv])
         self.edges = edges
-        self.cell_edges = inverse.reshape(3, nc).T.copy()  # (nc, 3)
+        self.cell_edges = inverse.reshape(nc, 3)
 
         ne = len(edges)
-        count = np.zeros(ne, dtype=np.int64)
-        first = np.full(ne, -1, dtype=np.int64)
+        flat = self.cell_edges.ravel()
+        count = np.bincount(flat, minlength=ne)
+        if np.any(count > 2):
+            raise ValueError(f"edge {int(np.argmax(count > 2))} shared by more than two cells")
+        # T+ is the incident cell with the smaller index
+        cell_of = np.repeat(np.arange(nc, dtype=np.int64), 3)
+        first = np.full(ne, nc, dtype=np.int64)
         second = np.full(ne, -1, dtype=np.int64)
-        # visit cells in index order so T+ gets the smaller cell index
-        for c in range(nc):
-            for i in range(3):
-                e = self.cell_edges[c, i]
-                if first[e] < 0:
-                    first[e] = c
-                elif second[e] < 0:
-                    second[e] = c
-                else:
-                    raise ValueError(f"edge {e} shared by more than two cells")
-                count[e] += 1
+        np.minimum.at(first, flat, cell_of)
+        np.maximum.at(second, flat, cell_of)
 
         interior = np.flatnonzero(count == 2)
         boundary = np.flatnonzero(count == 1)
@@ -234,17 +226,12 @@ def build_structured_mesh(n=None, grid_lines_x=None, grid_lines_y=None):
     xx, yy = np.meshgrid(gx, gy, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * nx + i
-
-    cells = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))  # below the diagonal
-            cells.append((v00, v11, v01))  # above the diagonal
-    return Mesh(vertices, np.array(cells, dtype=np.int64))
+    # vertex (i, j) has index j * nx + i; rectangles in row-major order, each
+    # split below, then above its diagonal
+    v00 = (np.arange(ny - 1)[:, None] * nx + np.arange(nx - 1)[None, :]).ravel()
+    v10, v01, v11 = v00 + 1, v00 + nx, v00 + nx + 1
+    cells = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    return Mesh(vertices, cells)
 
 
 def classify_boundary(mesh, velocity, tol=1e-12, quad_degree=11):

@@ -6,10 +6,14 @@ numbering "edge i is opposite vertex i".  Edge quadrature lives on the
 parameter interval ``[0, 1]``.
 
 Basis functions are stored as coefficient matrices over a monomial basis,
-so values and gradients can be evaluated at arbitrary points (needed for
-facet quadrature, where points differ per facet).
+so values and gradients can be evaluated at arbitrary points.  Assembly
+evaluates each basis once per reference point set: on a triangle rule,
+or on the six reference-facet cases of an edge rule
+(``reference_facet_points``).  Quadrature rules are cached per degree and
+their arrays are read-only.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +21,8 @@ import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 MAX_QUAD_DEGREE = 20
+
+_REFERENCE_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 #: Barycentric coordinates of the reference triangle evaluated symbolically:
 #: lam0 = 1 - x - y, lam1 = x, lam2 = y.
@@ -34,14 +40,15 @@ def _eval_monomials(exps, points):
 
 
 def _eval_monomial_gradients(exps, points):
+    """Monomial derivatives, shape (2, npoints, n_monomials): d/dx then d/dy."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = points[:, 0], points[:, 1]
-    out = np.zeros((len(points), len(exps), 2))
+    out = np.zeros((2, len(points), len(exps)))
     for j, (a, b) in enumerate(exps):
         if a:
-            out[:, j, 0] = a * x ** (a - 1) * y**b
+            out[0, :, j] = a * x ** (a - 1) * y**b
         if b:
-            out[:, j, 1] = b * x**a * y ** (b - 1)
+            out[1, :, j] = b * x**a * y ** (b - 1)
     return out
 
 
@@ -75,14 +82,14 @@ class ReferenceBasis:
 
     def gradient(self, points):
         """Basis gradients, shape (npoints, count, 2)."""
-        g = _eval_monomial_gradients(self._exps, points)
-        return np.einsum("nmd,mc->ncd", g, self._coeffs)
+        g = np.matmul(_eval_monomial_gradients(self._exps, points), self._coeffs)
+        return np.ascontiguousarray(g.transpose(1, 2, 0))
 
 
 def _lagrange_nodes(p):
     # Vertices, then (p-1) nodes per edge walking edge i from vertex
     # (i+1)%3 towards (i+2)%3, then interior nodes.
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    verts = _REFERENCE_VERTICES
     nodes = [verts[0], verts[1], verts[2]]
     for i in range(3):
         a, b = verts[(i + 1) % 3], verts[(i + 2) % 3]
@@ -160,11 +167,19 @@ class QuadratureRule:
     exact_degree: int
 
 
+def _frozen_rule(points, weights, exact_degree):
+    for arr in (points, weights):
+        arr.setflags(write=False)
+    return QuadratureRule(points, weights, exact_degree)
+
+
+@functools.lru_cache(maxsize=None)
 def triangle_rule(degree):
     """Conical-product Gauss rule on the reference triangle.
 
     Gauss-Jacobi (weight 1-x) in the first direction crossed with
     Gauss-Legendre in the collapsed direction; all weights positive.
+    Rules are cached per degree and shared, so their arrays are read-only.
     """
     if degree > MAX_QUAD_DEGREE:
         raise ValueError(f"triangle rule degree {degree} exceeds {MAX_QUAD_DEGREE}")
@@ -180,13 +195,30 @@ def triangle_rule(degree):
             pts[j * n + i, 0] = x[j]
             pts[j * n + i, 1] = (1.0 - x[j]) * s[i]
             wts[j * n + i] = (wj[j] / 4.0) * (wl[i] / 2.0)
-    return QuadratureRule(pts, wts, 2 * n - 1)
+    return _frozen_rule(pts, wts, 2 * n - 1)
 
 
+@functools.lru_cache(maxsize=None)
 def edge_rule(degree):
-    """Gauss-Legendre rule on the parameter interval [0, 1]."""
+    """Gauss-Legendre rule on the parameter interval [0, 1] (cached, read-only)."""
     if degree > MAX_QUAD_DEGREE:
         raise ValueError(f"edge rule degree {degree} exceeds {MAX_QUAD_DEGREE}")
     n = max(1, math.ceil((degree + 1) / 2))
     xl, wl = roots_legendre(n)
-    return QuadratureRule((1.0 + xl) / 2.0, wl / 2.0, 2 * n - 1)
+    return _frozen_rule((1.0 + xl) / 2.0, wl / 2.0, 2 * n - 1)
+
+
+def reference_facet_points(params):
+    """Edge-rule parameters mapped onto the six reference-facet cases.
+
+    Case ``2 * i + r`` walks local edge i from vertex (i+1)%3 to (i+2)%3
+    (r = 0) or backwards (r = 1).  Returns shape (6, len(params), 2).
+    """
+    t = np.asarray(params, dtype=float)[:, None]
+    out = np.empty((6, len(t), 2))
+    for i in range(3):
+        a = _REFERENCE_VERTICES[(i + 1) % 3]
+        b = _REFERENCE_VERTICES[(i + 2) % 3]
+        out[2 * i] = a + t * (b - a)
+        out[2 * i + 1] = b + t * (a - b)
+    return out

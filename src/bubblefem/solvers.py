@@ -18,7 +18,7 @@ from .spaces import DiscreteFunction
 
 
 class SolverError(RuntimeError):
-    """A direct factorization failed (singular or structurally broken)."""
+    """A direct solve failed: singular factor or a non-finite result."""
 
 
 def _factorize(matrix, label):
@@ -26,6 +26,12 @@ def _factorize(matrix, label):
         return splu(sp.csc_matrix(matrix))
     except RuntimeError as exc:  # SuperLU reports the zero pivot in its message
         raise SolverError(f"{label} factorization failed: {exc}") from exc
+
+
+def _require_finite(label, *values):
+    """Raise SolverError unless every solution entry and residual is finite."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise SolverError(f"{label} has a non-finite solution or residual")
 
 
 @dataclass
@@ -80,6 +86,7 @@ def solve_saddle(G, B, load, trial, test, factor=None):
     zeros = np.zeros(factor.n_trial)
     eps, u = factor.solve(load, zeros)
     kkt = factor.residual(eps, u, load, zeros)
+    _require_finite("saddle solve", eps, u, kkt)
     return SaddleSolution(
         epsilon=DiscreteFunction(test, eps),
         u=DiscreteFunction(trial, u),
@@ -102,6 +109,7 @@ def solve_adjoint(G, B, q_trial, q_test, B_full, trial, test, factor=None):
     kkt = factor.residual(nu, w, zeros, q_trial)
     rhs = q_test - B_full.T @ nu
     eps_star = _factorize(G, "gram").solve(rhs)
+    _require_finite("adjoint solve", nu, w, kkt, eps_star)
     return AdjointSolution(
         nu_star=DiscreteFunction(test, nu),
         w_star=DiscreteFunction(trial, w),
@@ -118,6 +126,7 @@ def solve_cip_enriched(B_full, load, space):
     """
     lu = _factorize(B_full, "enriched stabilized operator")
     theta = lu.solve(load)
+    _require_finite("enriched stabilized solve", theta)
     return DiscreteFunction(space, theta)
 
 

@@ -220,6 +220,24 @@ class TestAdaptiveLoop:
         with pytest.raises(ValueError):
             LoopConfig(mode="foo", max_iters=1).validate()
 
+    def test_rejects_k_beyond_quadrature_cap(self):
+        LoopConfig(k=7, max_iters=1).validate()
+        for k in (8, 9):
+            with pytest.raises(ValueError, match="at most 7"):
+                LoopConfig(k=k, max_iters=1).validate()
+        with pytest.raises(ValueError, match="quad_degree"):
+            LoopConfig(quad_degree=21, max_iters=1).validate()
+
+    def test_nan_source_raises_solver_error(self):
+        from dataclasses import replace
+
+        from bubblefem import SolverError
+
+        bench = experiment1(0.5)
+        bench = replace(bench, data=replace(bench.data, source=const(math.nan)))
+        with pytest.raises(SolverError, match="non-finite"):
+            adaptive_loop(bench, LoopConfig(max_iters=3))
+
     def test_csv_serialization(self, tmp_path):
         bench = experiment1(0.5)
         records = adaptive_loop(bench, LoopConfig(max_iters=2, saturation=False))

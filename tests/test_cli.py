@@ -132,6 +132,34 @@ class TestMain:
                      "--outdir", str(tmp_path / "x")])
         assert code == 1
 
+    @pytest.mark.parametrize("k", ["8", "9"])
+    def test_k_beyond_quadrature_cap_exits_1(self, tmp_path, capsys, k):
+        out = tmp_path / "k"
+        code = main(["run", "--benchmark", "exp1", "--k", k, "--max-iters", "1",
+                     "--outdir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert not (out / "config.json").exists()
+
+    def test_nan_source_exits_2(self, tmp_path, capsys, monkeypatch):
+        from dataclasses import replace
+
+        import bubblefem.cli
+        from bubblefem import get_benchmark
+
+        def nan_source(name, **kw):
+            bench = get_benchmark(name, **kw)
+            source = lambda x: np.full(len(np.atleast_2d(x)), np.nan)  # noqa: E731
+            return replace(bench, data=replace(bench.data, source=source))
+
+        monkeypatch.setattr(bubblefem.cli, "get_benchmark", nan_source)
+        code = main(["run", "--benchmark", "exp1", "--delta", "0.5", "--max-iters", "2",
+                     "--outdir", str(tmp_path / "nan")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "solver failure" in err and "Traceback" not in err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["run", "--benchmark", "not-a-benchmark", "--max-iters", "1"])

@@ -348,3 +348,57 @@ def test_matrix_market_roundtrip(tmp_path):
     write_matrix_market(path, M)
     back = sp.csr_matrix(scipy.io.mmread(path))
     assert abs(M - back).max() < 1e-12
+
+
+class TestFacetTables:
+    """Facet bases gathered from the six reference-facet cases, checked
+    against a direct pull-back of the physical facet points."""
+
+    @pytest.fixture(scope="class")
+    def mesh(self):
+        from bubblefem import refine
+
+        m = build_structured_mesh(3)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            m = refine(m, rng.choice(len(m.cells), size=len(m.cells) // 3, replace=False))
+        return m
+
+    @staticmethod
+    def sides(m):
+        return [
+            (m.interior_edges, m.interior_plus, m.interior_normals),
+            (m.interior_edges, m.interior_minus, m.interior_normals),
+            (m.boundary_edges, m.boundary_cells, m.boundary_normals),
+        ]
+
+    def test_all_six_cases_occur(self, mesh):
+        from bubblefem.forms import facet_cases
+
+        cases = np.concatenate([facet_cases(mesh, e, c) for e, c, _ in self.sides(mesh)])
+        assert set(cases.tolist()) == set(range(6))
+
+    @pytest.mark.parametrize(
+        "kind",
+        [trial_lagrange(1), trial_lagrange(2), trial_lagrange(3),
+         enriched(1, 3), enriched(2, 4), enriched(3, 5)],
+    )
+    def test_matches_pull_back(self, mesh, kind):
+        from bubblefem.forms import facet_basis, facet_degree, facet_quadrature
+        from bubblefem.reference import edge_rule
+
+        space = build_space(mesh, kind)
+        rule = edge_rule(facet_degree(space))
+        _, _, Jinv, _ = mesh.affine
+        for edge_ids, cells, normals in self.sides(mesh):
+            pts, _ = facet_quadrature(mesh, edge_ids, rule)
+            nf, nq = pts.shape[:2]
+            xi = mesh.to_reference(np.repeat(cells, nq), pts.reshape(-1, 2))
+            vals = space.local_basis.evaluate(xi).reshape(nf, nq, -1)
+            gref = space.local_basis.gradient(xi).reshape(nf, nq, -1, 2)
+            grad = np.einsum("fed,fqie->fqid", Jinv[cells], gref)
+            normal_grad = np.einsum("fqid,fd->fqi", grad, normals)
+
+            assert np.abs(facet_basis(space, edge_ids, cells, rule) - vals).max() < 1e-12
+            got = facet_basis(space, edge_ids, cells, rule, normals)
+            assert np.abs(got - normal_grad).max() < 1e-12 * np.abs(normal_grad).max()

@@ -193,6 +193,13 @@ class TestMeshInvariants:
         assert np.all(np.einsum("fd,fd->f", mids - plus_centroids, m.interior_normals) > 0)
         assert np.all(np.einsum("fd,fd->f", minus_centroids - mids, m.interior_normals) > 0)
 
+    def test_rejects_edge_shared_by_three_cells(self):
+        # three counterclockwise cells fanned around the edge (0, 1)
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, -1.0]])
+        cells = np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]])
+        with pytest.raises(ValueError, match="shared by more than two cells"):
+            Mesh(vertices, cells)
+
     def test_plus_cell_has_smaller_index(self):
         m = build_structured_mesh(4)
         assert np.all(m.interior_plus < m.interior_minus)

@@ -133,6 +133,15 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             edge_rule(25)
 
+    @pytest.mark.parametrize("make", [triangle_rule, edge_rule])
+    def test_cached_rule_is_shared_and_read_only(self, make):
+        rule = make(7)
+        assert make(7) is rule
+        with pytest.raises(ValueError):
+            rule.points[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+
 
 @pytest.mark.parametrize("p,k", [(1, 3), (1, 4), (2, 4)])
 def test_enriched_local_basis_independent(p, k):
