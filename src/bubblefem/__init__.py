@@ -34,7 +34,6 @@ from .forms import (
     assemble_jump_penalty,
     assemble_load,
     assemble_mass,
-    assemble_outflow,
     assemble_qoi,
     assemble_stabilized,
     write_matrix_market,

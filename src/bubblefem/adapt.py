@@ -22,7 +22,7 @@ from .forms import (
     cell_quadrature,
     write_matrix_market,
 )
-from .mesh import classify_boundary, refine
+from .mesh import refine
 from .reference import MAX_QUAD_DEGREE, triangle_rule
 from .solvers import (
     SaddleFactorization,
@@ -240,13 +240,12 @@ def adaptive_loop(bench, config):
     records = []
     it = 0
     while True:
-        bc = classify_boundary(mesh, data.velocity)
         trial = build_space(mesh, trial_lagrange(config.p))
         test = build_space(mesh, enriched(config.p, config.k))
         deg = config.quad_degree
         G = assemble_gram(test, data, degree=deg)
-        B = assemble_stabilized(trial, test, data, bc, degree=deg)
-        load = assemble_load(test, data, bc, degree=deg)
+        B = assemble_stabilized(trial, test, data, degree=deg)
+        load = assemble_load(test, data, degree=deg)
         factor = SaddleFactorization(G, B)
         sol = solve_saddle(G, B, load, trial, test, factor=factor)
 
@@ -256,7 +255,7 @@ def adaptive_loop(bench, config):
         if goa:
             q_trial = assemble_qoi(trial, bench.qoi_region)
             q_test = assemble_qoi(test, bench.qoi_region)
-            B_full = assemble_stabilized(test, test, data, bc, degree=deg)
+            B_full = assemble_stabilized(test, test, data, degree=deg)
             adj = solve_adjoint(G, B, q_trial, q_test, B_full, trial, test, factor=factor)
             indicators, goa_sq = goa_indicators(sol.epsilon, adj.eps_star, data, degree=deg)
             est_goa = math.sqrt(goa_sq)
@@ -273,7 +272,7 @@ def adaptive_loop(bench, config):
             err_triple = rep.triple
             if track_sat and dofs_total <= config.saturation_max_dofs:
                 if B_full is None:
-                    B_full = assemble_stabilized(test, test, data, bc, degree=deg)
+                    B_full = assemble_stabilized(test, test, data, degree=deg)
                 theta_h = solve_cip_enriched(B_full, load, test)
                 sat = error_norms(theta_h, bench.exact, data).triple / rep.triple
                 diff = DiscreteFunction(

@@ -14,13 +14,12 @@ import scipy.sparse.linalg
 
 from .forms import (
     assemble_mass,
+    boundary_flux,
     cell_quadrature,
     facet_basis,
     facet_degree,
-    facet_quadrature,
     jump_tables,
     jump_weights,
-    normal_flux,
     volume_degree,
 )
 from .reference import edge_rule, triangle_rule
@@ -73,21 +72,18 @@ def local_energy_products(fa, fb, data, degree=None, facet_deg=None):
     parts = sigma0 * (w * va * vb).sum(axis=1)
 
     if len(mesh.boundary_edges):
-        epts, ew = facet_quadrature(mesh, mesh.boundary_edges, erule)
-        bn = normal_flux(data.velocity, epts, mesh.boundary_normals)
+        _, ew, bn = boundary_flux(mesh, data.velocity, erule)
         tables = _boundary_table(space, erule)
         ba = _contract(tables, fa)
         bb = ba if fb is fa else _contract(tables, fb)
         np.add.at(parts, mesh.boundary_cells, 0.5 * (ew * np.abs(bn) * ba * bb).sum(axis=1))
 
     if len(mesh.interior_edges):
-        k_pen = data.require_penalty_order()
-        gamma = jump_weights(mesh, data.velocity, k_pen, data.penalty_exponent, erule)
-        _, iw = facet_quadrature(mesh, mesh.interior_edges, erule)
+        iw = jump_weights(mesh, data, erule)
         tables = jump_tables(space, erule)
         ja = _contract(tables, fa)
         jb = ja if fb is fa else _contract(tables, fb)
-        contrib = gamma * (iw * ja * jb).sum(axis=1)
+        contrib = (iw * ja * jb).sum(axis=1)
         np.add.at(parts, mesh.interior_plus, 0.5 * contrib)
         np.add.at(parts, mesh.interior_minus, 0.5 * contrib)
     return parts
@@ -121,8 +117,7 @@ def error_norms(u_h, exact, data, quad_degree=None):
 
     bnd_sq = 0.0
     if len(mesh.boundary_edges):
-        epts, ew = facet_quadrature(mesh, mesh.boundary_edges, erule)
-        bn = normal_flux(data.velocity, epts, mesh.boundary_normals)
+        epts, ew, bn = boundary_flux(mesh, data.velocity, erule)
         bdiff = -_contract(_boundary_table(space, erule), u_h)
         if exact is not None:
             bdiff = bdiff + np.asarray(exact(epts.reshape(-1, 2)), dtype=float).reshape(ew.shape)
@@ -130,11 +125,9 @@ def error_norms(u_h, exact, data, quad_degree=None):
 
     jump_sq = 0.0
     if len(mesh.interior_edges):
-        k_pen = data.require_penalty_order()
-        gamma = jump_weights(mesh, data.velocity, k_pen, data.penalty_exponent, erule)
-        _, iw = facet_quadrature(mesh, mesh.interior_edges, erule)
+        iw = jump_weights(mesh, data, erule)
         jd = _contract(jump_tables(space, erule), u_h)
-        jump_sq = float(gamma @ np.einsum("fq,fq->f", iw, jd**2))
+        jump_sq = float(np.einsum("fq,fq->", iw, jd**2))
 
     triple = float(np.sqrt(sigma0 * l2_sq + bnd_sq + jump_sq))
     semi = float(np.sqrt(semi_sq))

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .adapt import LoopConfig, adaptive_loop
+from .adapt import CSV_COLUMNS, LoopConfig, adaptive_loop
 from .benchmarks import BENCHMARKS, get_benchmark
 from .solvers import SolverError
 
@@ -111,10 +111,7 @@ def read_csv(path):
 
 
 def _summarize(records, config):
-    rows = [dict(zip(
-        ["iter", "dofs_trial", "dofs_test", "dofs_total", "est_energy",
-         "err_L2_rel", "err_triple", "err_qoi_rel", "saturation", "marked"],
-        rec.csv_row())) for rec in records]
+    rows = [dict(zip(CSV_COLUMNS, rec.csv_row())) for rec in records]
     lines = [
         f"benchmark: {config.benchmark}  mode: {config.mode}  "
         f"p={config.p} k={config.k} theta={config.resolved_theta():g}",

@@ -4,10 +4,15 @@ The stabilized advection-reaction operator combines four pieces:
 
 * reaction mass:      (mu v, w)
 * advection (adjoint form):  -(v, b . grad w)
-* outflow flux:       (b.n v, w) over outflow facets
+* outflow flux:       ((b.n)^+ v, w) over the whole boundary
 * gradient-jump penalty over interior facets with weight
   gamma_e = h_e^2 / k_pen^alpha * max|b.n_e|  (max over facet quadrature
   points).
+
+The load is ``(f, w) - ((b.n)^- g, w)_boundary`` with the inflow data g.
+Here (b.n)^+ = max(b.n, 0) and (b.n)^- = min(b.n, 0) are taken at each
+facet quadrature point, so the boundary splits into inflow and outflow
+pointwise, as in the continuous problem; no facet-wide label enters.
 
 The test-space inner product (Gram) matrix is
 ``sigma0 (v, w) + 1/2 (|b.n| v, w)_boundary + jump(v, w)`` which induces
@@ -158,20 +163,23 @@ def _check_same_mesh(trial, test):
 # -- volume terms -------------------------------------------------------------
 
 
-def assemble_mass(trial, test, weight=None, degree=None):
-    """Weighted mass matrix (weight v, w); weight None means 1."""
-    _check_same_mesh(trial, test)
-    mesh = trial.mesh
-    rule = triangle_rule(degree if degree is not None else volume_degree(trial, test))
-    pts, w = cell_quadrature(mesh, rule)
-    if weight is not None:
-        nc, nq = w.shape
-        w = w * np.asarray(weight(pts.reshape(-1, 2)), dtype=float).reshape(nc, nq)
+def _mass(trial, test, rule, w):
+    """Mass matrix for per-point scaled weights w (nc, nq) of a volume rule."""
     phi_u = trial.local_basis.evaluate(rule.points)
     phi_v = test.local_basis.evaluate(rule.points)
     products = (phi_v[:, :, None] * phi_u[:, None, :]).reshape(len(phi_u), -1)
     local = np.matmul(w, products).reshape(len(w), phi_v.shape[1], phi_u.shape[1])
     return _scatter(local, test.cell_dofs, trial.cell_dofs, (test.dim, trial.dim))
+
+
+def assemble_mass(trial, test, weight=None, degree=None):
+    """Weighted mass matrix (weight v, w); weight None means 1."""
+    _check_same_mesh(trial, test)
+    rule = triangle_rule(degree if degree is not None else volume_degree(trial, test))
+    pts, w = cell_quadrature(trial.mesh, rule)
+    if weight is not None:
+        w = w * np.asarray(weight(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
+    return _mass(trial, test, rule, w)
 
 
 def assemble_advection(trial, test, velocity, degree=None):
@@ -197,52 +205,48 @@ def assemble_advection(trial, test, velocity, degree=None):
 # -- boundary terms -----------------------------------------------------------
 
 
-def assemble_outflow(trial, test, velocity, bc, degree=None):
-    """Outflow flux block (b.n v, w) over facets labelled outflow."""
-    _check_same_mesh(trial, test)
-    mesh = trial.mesh
-    sel = np.flatnonzero(bc.outflow)
-    shape = (test.dim, trial.dim)
-    if len(sel) == 0:
-        return sp.csr_matrix(shape)
-    rule = edge_rule(degree if degree is not None else facet_degree(trial, test))
-    edge_ids = mesh.boundary_edges[sel]
-    owners = mesh.boundary_cells[sel]
-    normals = mesh.boundary_normals[sel]
-    pts, w = facet_quadrature(mesh, edge_ids, rule)
-    bn = normal_flux(velocity, pts, normals)
-    vals_v = facet_basis(test, edge_ids, owners, rule)
-    vals_u = vals_v if trial is test else facet_basis(trial, edge_ids, owners, rule)
-    local = _facet_local(w * bn, vals_v, vals_u)
-    return _scatter(local, test.cell_dofs[owners], trial.cell_dofs[owners], shape)
+def boundary_flux(mesh, velocity, rule):
+    """Edge-rule points, scaled weights and b.n on every boundary facet."""
+    pts, w = facet_quadrature(mesh, mesh.boundary_edges, rule)
+    return pts, w, normal_flux(velocity, pts, mesh.boundary_normals)
 
 
-def assemble_boundary_mass(trial, test, velocity, degree=None):
-    """(|b.n| v, w) over the whole boundary (the Gram boundary block)."""
+def _boundary_mass(trial, test, velocity, part, degree):
+    """(part(b.n) v, w) over the whole boundary, part applied pointwise."""
     _check_same_mesh(trial, test)
     mesh = trial.mesh
     rule = edge_rule(degree if degree is not None else facet_degree(trial, test))
     edge_ids = mesh.boundary_edges
     owners = mesh.boundary_cells
-    pts, w = facet_quadrature(mesh, edge_ids, rule)
-    bn = normal_flux(velocity, pts, mesh.boundary_normals)
+    _, w, bn = boundary_flux(mesh, velocity, rule)
     vals_v = facet_basis(test, edge_ids, owners, rule)
     vals_u = vals_v if trial is test else facet_basis(trial, edge_ids, owners, rule)
-    local = _facet_local(w * np.abs(bn), vals_v, vals_u)
+    local = _facet_local(w * part(bn), vals_v, vals_u)
     return _scatter(
         local, test.cell_dofs[owners], trial.cell_dofs[owners], (test.dim, trial.dim)
     )
 
 
+def assemble_boundary_mass(trial, test, velocity, degree=None):
+    """(|b.n| v, w) over the whole boundary (the Gram boundary block)."""
+    return _boundary_mass(trial, test, velocity, np.abs, degree)
+
+
 # -- interior penalty ---------------------------------------------------------
 
 
-def jump_weights(mesh, velocity, k_pen, alpha, rule):
-    """Per-interior-facet penalty gamma_e = h_e^2/k^alpha * max|b.n_e|."""
-    pts, _ = facet_quadrature(mesh, mesh.interior_edges, rule)
-    bn = normal_flux(velocity, pts, mesh.interior_normals)
+def jump_weights(mesh, data, rule):
+    """Penalty weights gamma_e w_q per (interior facet, edge-rule point).
+
+    gamma_e = h_e^2 / k_pen^alpha * max_q |b.n_e|, w_q the scaled
+    quadrature weights of the facet.
+    """
+    k_pen = data.require_penalty_order()
+    pts, w = facet_quadrature(mesh, mesh.interior_edges, rule)
+    bn = normal_flux(data.velocity, pts, mesh.interior_normals)
     h_e = mesh.interior_lengths
-    return h_e**2 / float(k_pen) ** alpha * np.abs(bn).max(axis=1)
+    gamma = h_e**2 / float(k_pen) ** data.penalty_exponent * np.abs(bn).max(axis=1)
+    return gamma[:, None] * w
 
 
 def jump_tables(space, rule):
@@ -267,34 +271,37 @@ def assemble_jump_penalty(trial, test, data, degree=None):
     if len(mesh.interior_edges) == 0:
         return sp.csr_matrix(shape)
     rule = edge_rule(degree if degree is not None else facet_degree(trial, test))
-    k_pen = data.require_penalty_order()
-    gamma = jump_weights(mesh, data.velocity, k_pen, data.penalty_exponent, rule)
-    _, w = facet_quadrature(mesh, mesh.interior_edges, rule)
+    weights = jump_weights(mesh, data, rule)
     jump_v, dofs_v = jump_tables(test, rule)
     jump_u, dofs_u = (jump_v, dofs_v) if trial is test else jump_tables(trial, rule)
-    local = _facet_local(gamma[:, None] * w, jump_v, jump_u)
+    local = _facet_local(weights, jump_v, jump_u)
     return _scatter(local, dofs_v, dofs_u, shape)
 
 
 # -- composed operators -------------------------------------------------------
 
 
-def assemble_stabilized(trial, test, data, bc, degree=None, facet_deg=None):
+def assemble_stabilized(trial, test, data, degree=None, facet_deg=None):
     """The full stabilized operator: reaction + advection + outflow + jump.
 
-    Entry (i, j) is the form applied to (trial_j, test_i).  Raises if the
-    reaction coefficient drops below the declared floor.
+    The outflow term is the boundary mass weighted by (b.n)^+ over the
+    whole boundary.  Entry (i, j) is the form applied to (trial_j,
+    test_i).  Raises if the reaction coefficient drops below the declared
+    floor.
     """
+    _check_same_mesh(trial, test)
     vol_deg = degree if degree is not None else volume_degree(trial, test)
     fac_deg = facet_deg if facet_deg is not None else facet_degree(trial, test)
     rule = triangle_rule(vol_deg)
-    pts, _ = cell_quadrature(trial.mesh, rule)
-    mu = np.asarray(data.reaction(pts.reshape(-1, 2)), dtype=float)
+    pts, w = cell_quadrature(trial.mesh, rule)
+    mu = np.asarray(data.reaction(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
     if mu.min() < data.reaction_floor - 1e-12:
         raise ValueError("reaction coefficient drops below the declared floor")
-    A = assemble_mass(trial, test, weight=data.reaction, degree=vol_deg)
+    A = _mass(trial, test, rule, w * mu)
     A = A + assemble_advection(trial, test, data.velocity, degree=vol_deg)
-    A = A + assemble_outflow(trial, test, data.velocity, bc, degree=fac_deg)
+    A = A + _boundary_mass(
+        trial, test, data.velocity, lambda bn: np.maximum(bn, 0.0), fac_deg
+    )
     A = A + assemble_jump_penalty(trial, test, data, degree=fac_deg)
     return A.tocsr()
 
@@ -313,30 +320,23 @@ def assemble_gram(test, data, degree=None, facet_deg=None):
     return G.tocsr()
 
 
-def assemble_load(test, data, bc, degree=None, facet_deg=None):
-    """Load vector (f, w) - (b.n g, w) over inflow facets."""
+def assemble_load(test, data, degree=None, facet_deg=None):
+    """Load vector (f, w) - ((b.n)^- g, w) over the whole boundary."""
     mesh = test.mesh
     rule = triangle_rule(degree if degree is not None else volume_degree(test))
     pts, w = cell_quadrature(mesh, rule)
-    nc, nq = w.shape
-    fv = np.asarray(data.source(pts.reshape(-1, 2)), dtype=float).reshape(nc, nq)
-    phi = test.local_basis.evaluate(rule.points)
-    local = np.matmul(w * fv, phi)
+    fv = np.asarray(data.source(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
+    local = np.matmul(w * fv, test.local_basis.evaluate(rule.points))
     vec = np.zeros(test.dim)
     np.add.at(vec, test.cell_dofs, local)
 
-    sel = np.flatnonzero(bc.inflow)
-    if len(sel):
-        erule = edge_rule(facet_deg if facet_deg is not None else facet_degree(test))
-        edge_ids = mesh.boundary_edges[sel]
-        owners = mesh.boundary_cells[sel]
-        normals = mesh.boundary_normals[sel]
-        epts, ew = facet_quadrature(mesh, edge_ids, erule)
-        bn = normal_flux(data.velocity, epts, normals)
-        g = np.asarray(data.inflow_data(epts.reshape(-1, 2)), dtype=float).reshape(ew.shape)
-        vals = facet_basis(test, edge_ids, owners, erule)
-        local_e = -np.matmul((ew * bn * g)[:, None, :], vals)[:, 0]
-        np.add.at(vec, test.cell_dofs[owners], local_e)
+    erule = edge_rule(facet_deg if facet_deg is not None else facet_degree(test))
+    owners = mesh.boundary_cells
+    epts, ew, bn = boundary_flux(mesh, data.velocity, erule)
+    g = np.asarray(data.inflow_data(epts.reshape(-1, 2)), dtype=float).reshape(ew.shape)
+    vals = facet_basis(test, mesh.boundary_edges, owners, erule)
+    local_e = -np.matmul((ew * np.minimum(bn, 0.0) * g)[:, None, :], vals)[:, 0]
+    np.add.at(vec, test.cell_dofs[owners], local_e)
     return vec
 
 

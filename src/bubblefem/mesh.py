@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .forms import facet_quadrature, normal_flux
 from .reference import edge_rule
 
 INFLOW = -1
@@ -240,16 +241,13 @@ def classify_boundary(mesh, velocity, tol=1e-12, quad_degree=11):
     A facet is inflow if b.n < -tol at every quadrature point, outflow
     if b.n > tol at every point, characteristic otherwise.  Returns an
     object with a per-facet ``labels`` array and convenience masks.
+
+    A reporting helper only: assembly splits the boundary pointwise by
+    the sign of b.n at its own facet quadrature points.
     """
-    rule = edge_rule(quad_degree)
-    pairs = mesh.edges[mesh.boundary_edges]
-    va = mesh.vertices[pairs[:, 0]]
-    vb = mesh.vertices[pairs[:, 1]]
-    pts = va[:, None, :] + rule.points[None, :, None] * (vb - va)[:, None, :]
-    nf, nq = pts.shape[:2]
-    bvals = np.asarray(velocity(pts.reshape(-1, 2)), dtype=float).reshape(nf, nq, 2)
-    bn = np.einsum("fqd,fd->fq", bvals, mesh.boundary_normals)
-    labels = np.zeros(nf, dtype=np.int8)
+    pts, _ = facet_quadrature(mesh, mesh.boundary_edges, edge_rule(quad_degree))
+    bn = normal_flux(velocity, pts, mesh.boundary_normals)
+    labels = np.zeros(len(bn), dtype=np.int8)
     labels[np.all(bn < -tol, axis=1)] = INFLOW
     labels[np.all(bn > tol, axis=1)] = OUTFLOW
     return BoundaryClassification(labels)

@@ -165,13 +165,12 @@ def test_criterion_1_galerkin_degeneration():
     for bench in (bf.experiment1(0.01), bf.experiment2()):
         data = replace(bench.data, penalty_order=1)
         mesh = bf.build_structured_mesh(8)
-        bc = bf.classify_boundary(mesh, data.velocity)
         trial = bf.build_space(mesh, bf.trial_lagrange(1))
         test = bf.build_space(mesh, bf.enriched(1, 1))  # k <= p: same space
         assert test.dim == trial.dim
         G = bf.assemble_gram(test, data)
-        B = bf.assemble_stabilized(trial, test, data, bc)
-        load = bf.assemble_load(test, data, bc)
+        B = bf.assemble_stabilized(trial, test, data)
+        load = bf.assemble_load(test, data)
         sol = bf.solve_saddle(G, B, load, trial, test)
         plain = bf.solve_cip_enriched(B, load, trial)
         eps_norm = math.sqrt(sol.epsilon.coefficients @ (G @ sol.epsilon.coefficients))
@@ -210,10 +209,9 @@ def test_criterion_3_coercivity_suite():
     bench1 = bf.experiment1(0.01)
     data1 = replace(bench1.data, penalty_order=3, gram_weight=bench1.data.reaction_floor)
     mesh = bench1.initial_mesh()
-    bc = bf.classify_boundary(mesh, data1.velocity)
     test = bf.build_space(mesh, bf.enriched(1, 3))
     G = bf.assemble_gram(test, data1)
-    B = bf.assemble_stabilized(test, test, data1, bc)
+    B = bf.assemble_stabilized(test, test, data1)
     for _ in range(100):
         v = rng.standard_normal(test.dim)
         v /= np.linalg.norm(v)
@@ -224,11 +222,10 @@ def test_criterion_3_coercivity_suite():
     bench2 = bf.experiment2()
     data2 = replace(bench2.data, penalty_order=3)
     mesh2 = bench2.initial_mesh()
-    bc2 = bf.classify_boundary(mesh2, data2.velocity)
     test2 = bf.build_space(mesh2, bf.enriched(1, 3))
     G2 = 0.5 * bf.assemble_boundary_mass(test2, test2, data2.velocity) + \
         bf.assemble_jump_penalty(test2, test2, data2)
-    B2 = bf.assemble_stabilized(test2, test2, data2, bc2)
+    B2 = bf.assemble_stabilized(test2, test2, data2)
     for _ in range(100):
         v = rng.standard_normal(test2.dim)
         v /= np.linalg.norm(v)

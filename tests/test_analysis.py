@@ -8,7 +8,6 @@ from bubblefem import (
     broken_lagrange,
     build_space,
     build_structured_mesh,
-    classify_boundary,
     enriched,
     error_norms,
     l2_project,

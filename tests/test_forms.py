@@ -13,7 +13,6 @@ from bubblefem import (
     assemble_jump_penalty,
     assemble_load,
     assemble_mass,
-    assemble_outflow,
     assemble_qoi,
     assemble_stabilized,
     build_space,
@@ -36,6 +35,11 @@ def const(value):
 
 def const_field(vec):
     return lambda x: np.tile(vec, (len(np.atleast_2d(x)), 1))
+
+
+def rotating_field(x):
+    x = np.atleast_2d(x)
+    return np.column_stack([x[:, 1] - 0.5, 0.5 - x[:, 0]])
 
 
 def make_data(velocity, mu=1.0, source=None, g=None, k_pen=3, **kw):
@@ -127,8 +131,7 @@ class TestStabilizedOperator:
         m = build_structured_mesh(1)
         space = build_space(m, trial_lagrange(1))
         data = make_data(const_field([1.0, 0.0]))
-        bc = classify_boundary(m, data.velocity)
-        got = assemble_stabilized(space, space, data, bc).toarray()
+        got = assemble_stabilized(space, space, data).toarray()
         assert np.abs(got - expected).max() < 1e-12
 
     def test_jump_vanishes_for_global_linear(self):
@@ -164,9 +167,26 @@ class TestStabilizedOperator:
             reaction_floor=1.0,
             penalty_order=3,
         )
-        bc = classify_boundary(m, data.velocity)
         with pytest.raises(ValueError):
-            assemble_stabilized(space, space, data, bc)
+            assemble_stabilized(space, space, data)
+
+    def test_reaction_evaluated_once_per_call(self):
+        # the floor check and the mass weight read the same evaluation
+        calls = []
+
+        def reaction(x):
+            calls.append(len(x))
+            return np.ones(len(x))
+
+        m = build_structured_mesh(2)
+        trial = build_space(m, trial_lagrange(1))
+        test = build_space(m, enriched(1, 3))
+        data = make_data(const_field([1.0, 0.0]))
+        data.reaction = reaction
+        assemble_stabilized(trial, test, data)
+        assert len(calls) == 1
+        assemble_stabilized(test, test, data)
+        assert len(calls) == 2
 
     def test_mesh_mismatch_rejected(self):
         m1, m2 = build_structured_mesh(1), build_structured_mesh(2)
@@ -223,42 +243,50 @@ class TestCoercivityAndSplit:
 
         data = replace(bench.data, penalty_order=3, gram_weight=bench.data.reaction_floor)
         m = bench.initial_mesh()
-        bc = classify_boundary(m, data.velocity)
         test = build_space(m, enriched(1, 3))
         G = assemble_gram(test, data)
-        B = assemble_stabilized(test, test, data, bc)
+        B = assemble_stabilized(test, test, data)
         rng = np.random.default_rng(12)
         for _ in range(100):
             v = rng.standard_normal(test.dim)
             v /= np.linalg.norm(v)
             assert v @ (B @ v) >= v @ (G @ v) - 1e-10
 
+    @staticmethod
+    def signed_flux(test, velocity):
+        """(b.n v, w)_boundary as 2 ((b.n)^+ v, w) - (|b.n| v, w).
+
+        The (b.n)^+ mass is the stabilized operator with zero reaction
+        minus its advection and jump parts.
+        """
+        data = make_data(velocity, mu=0.0)
+        outflow = (
+            assemble_stabilized(test, test, data)
+            - assemble_advection(test, test, velocity)
+            - assemble_jump_penalty(test, test, data)
+        )
+        return 2.0 * outflow - assemble_boundary_mass(test, test, velocity)
+
     def test_advective_split_identity(self):
         # -(v, b.grad v) = -1/2 (b.n v, v)_boundary for divergence-free b;
-        # exact under quadrature for the constant field
-        m = build_structured_mesh(3)
-        test = build_space(m, enriched(1, 3))
-        velocity = const_field([3.0, 1.0])
-        bc = classify_boundary(m, velocity)
-        Aadv = assemble_advection(test, test, velocity)
-        Babs = assemble_boundary_mass(test, test, velocity)
-        Bout = assemble_outflow(test, test, velocity, bc)
-        signed = 2.0 * Bout - Babs  # no characteristic facets for this field
+        # exact under quadrature for the constant field and for the linear
+        # rotating field, whose b.n changes sign inside 4 boundary facets
         rng = np.random.default_rng(13)
-        for _ in range(20):
-            v = rng.standard_normal(test.dim)
-            v /= np.linalg.norm(v)
-            assert abs(v @ (Aadv @ v) + 0.5 * (v @ (signed @ v))) < 1e-12
+        for n, velocity in ((3, const_field([3.0, 1.0])), (7, rotating_field)):
+            test = build_space(build_structured_mesh(n), enriched(1, 3))
+            Aadv = assemble_advection(test, test, velocity)
+            signed = self.signed_flux(test, velocity)
+            for _ in range(20):
+                v = rng.standard_normal(test.dim)
+                v /= np.linalg.norm(v)
+                assert abs(v @ (Aadv @ v) + 0.5 * (v @ (signed @ v))) < 1e-12
 
     def test_advective_split_curved_field(self):
         bench = experiment1(0.5)
         m = build_structured_mesh(4)
         test = build_space(m, enriched(1, 3))
-        bc = classify_boundary(m, bench.data.velocity)
         Aadv = assemble_advection(test, test, bench.data.velocity)
-        Babs = assemble_boundary_mass(test, test, bench.data.velocity)
-        Bout = assemble_outflow(test, test, bench.data.velocity, bc)
-        signed = 2.0 * Bout - Babs
+        signed = self.signed_flux(test, bench.data.velocity)
         rng = np.random.default_rng(14)
         for _ in range(10):
             v = rng.standard_normal(test.dim)
@@ -266,13 +294,56 @@ class TestCoercivityAndSplit:
             assert abs(v @ (Aadv @ v) + 0.5 * (v @ (signed @ v))) < 1e-7
 
 
+class TestMixedSignBoundary:
+    """The rotating field b = (y - 1/2, 1/2 - x) on the 7x7 grid changes the
+    sign of b.n inside 4 boundary facets; inflow and outflow must still be
+    split pointwise there."""
+
+    @pytest.fixture(scope="class")
+    def mesh(self):
+        m = build_structured_mesh(7)
+        assert np.count_nonzero(classify_boundary(m, rotating_field).characteristic) == 4
+        return m
+
+    def test_coercive_over_gram(self, mesh):
+        data = make_data(rotating_field, mu=1.0, gram_weight=1.0)
+        test = build_space(mesh, enriched(1, 3))
+        B = assemble_stabilized(test, test, data).toarray()
+        G = assemble_gram(test, data).toarray()
+        assert np.linalg.eigvalsh(0.5 * (B + B.T) - G).min() >= -1e-12
+
+    def test_load_weights_inflow_data_pointwise(self, mesh):
+        from bubblefem.forms import cell_quadrature, facet_degree, volume_degree
+        from bubblefem.reference import edge_rule, triangle_rule
+
+        source = lambda x: np.cos(np.atleast_2d(x)[:, 0]) + np.atleast_2d(x)[:, 1]
+        g = lambda x: 1.0 + np.atleast_2d(x)[:, 0] + 2.0 * np.atleast_2d(x)[:, 1] ** 2
+        data = make_data(rotating_field, source=source, g=g)
+        test = build_space(mesh, enriched(1, 3))
+        expected = np.zeros(test.dim)
+        # (f, w) on every cell
+        rule = triangle_rule(volume_degree(test))
+        pts, w = cell_quadrature(mesh, rule)
+        fv = source(pts.reshape(-1, 2)).reshape(w.shape)
+        np.add.at(expected, test.cell_dofs, (w * fv) @ test.local_basis.evaluate(rule.points))
+        # -((b.n)^- g, w), facet by facet, pulling each point back to its cell
+        erule = edge_rule(facet_degree(test))
+        for e, cell, n in zip(mesh.boundary_edges, mesh.boundary_cells, mesh.boundary_normals):
+            a, b = mesh.vertices[mesh.edges[e]]
+            x = a + erule.points[:, None] * (b - a)
+            bn = rotating_field(x) @ n
+            weight = erule.weights * np.linalg.norm(b - a) * np.minimum(bn, 0.0) * g(x)
+            phi = test.local_basis.evaluate(mesh.to_reference(np.full(len(x), cell), x))
+            np.add.at(expected, test.cell_dofs[cell], -weight @ phi)
+        assert np.abs(assemble_load(test, data) - expected).max() < 1e-12
+
+
 class TestLoad:
     def test_zero_data_gives_zero_vector(self):
         m = build_structured_mesh(2)
         test = build_space(m, enriched(1, 3))
         data = make_data(const_field([1.0, 0.0]))
-        bc = classify_boundary(m, data.velocity)
-        assert not assemble_load(test, data, bc).any()
+        assert not assemble_load(test, data).any()
 
     def test_goal_benchmark_support_on_inflow(self):
         bench = experiment2()
@@ -280,9 +351,8 @@ class TestLoad:
 
         data = replace(bench.data, penalty_order=3)
         m = bench.initial_mesh()
-        bc = classify_boundary(m, data.velocity)
         test = build_space(m, enriched(1, 3))
-        load = assemble_load(test, data, bc)
+        load = assemble_load(test, data)
         nonzero = np.flatnonzero(np.abs(load) > 1e-14)
         # only vertex DoFs sitting on the inflow {x=0} u {y=0} can see the data
         assert len(nonzero)
@@ -298,10 +368,9 @@ class TestLoad:
             source=lambda pts: 1.0 + lin(pts),
             g=lin,
         )
-        bc = classify_boundary(m, data.velocity)
         trial = build_space(m, trial_lagrange(1))
-        B = assemble_stabilized(trial, trial, data, bc)
-        load = assemble_load(trial, data, bc)
+        B = assemble_stabilized(trial, trial, data)
+        load = assemble_load(trial, data)
         u = solve_cip_enriched(B, load, trial)
         exact = m.vertices[:, 0] + m.vertices[:, 1]
         assert np.abs(u.coefficients - exact).max() < 1e-10

@@ -14,7 +14,6 @@ from bubblefem import (
     assemble_stabilized,
     build_space,
     build_structured_mesh,
-    classify_boundary,
     enriched,
     solve_adjoint,
     solve_cip_enriched,
@@ -45,18 +44,17 @@ def setup():
         reaction_floor=1.0,
         penalty_order=3,
     )
-    bc = classify_boundary(m, data.velocity)
     trial = build_space(m, trial_lagrange(1))
     test = build_space(m, enriched(1, 3))
     G = assemble_gram(test, data)
-    B = assemble_stabilized(trial, test, data, bc)
-    load = assemble_load(test, data, bc)
-    return m, data, bc, trial, test, G, B, load
+    B = assemble_stabilized(trial, test, data)
+    load = assemble_load(test, data)
+    return m, data, trial, test, G, B, load
 
 
 class TestSolveSaddle:
     def test_manufactured_exactness(self, setup):
-        m, data, bc, trial, test, G, B, load = setup
+        m, data, trial, test, G, B, load = setup
         sol = solve_saddle(G, B, load, trial, test)
         exact = m.vertices[:, 0] + m.vertices[:, 1]
         assert np.abs(sol.u.coefficients - exact).max() < 1e-10
@@ -65,7 +63,7 @@ class TestSolveSaddle:
         assert sol.kkt_residual < 1e-9 * (1.0 + np.abs(load).max())
 
     def test_zero_load(self, setup):
-        _, _, _, trial, test, G, B, _ = setup
+        _, _, trial, test, G, B, _ = setup
         sol = solve_saddle(G, B, np.zeros(test.dim), trial, test)
         assert not sol.u.coefficients.any()
         assert not sol.epsilon.coefficients.any()
@@ -73,25 +71,25 @@ class TestSolveSaddle:
     def test_galerkin_degeneration(self, setup):
         # k <= p: test space equals the trial space, residual vanishes and
         # the minimizer is the plain stabilized Galerkin solution
-        m, data, bc, trial, _, _, _, _ = setup
+        m, data, trial, _, _, _, _ = setup
         test_eq = build_space(m, enriched(1, 1))
         assert test_eq.dim == trial.dim
         G = assemble_gram(test_eq, data)
-        B = assemble_stabilized(trial, test_eq, data, bc)
-        load = assemble_load(test_eq, data, bc)
+        B = assemble_stabilized(trial, test_eq, data)
+        load = assemble_load(test_eq, data)
         sol = solve_saddle(G, B, load, trial, test_eq)
         plain = solve_cip_enriched(B, load, trial)
         assert np.sqrt(sol.epsilon.coefficients @ (G @ sol.epsilon.coefficients)) < 1e-10
         assert np.abs(sol.u.coefficients - plain.coefficients).max() < 1e-10
 
     def test_orthogonality(self, setup):
-        _, _, _, trial, test, G, B, load = setup
+        _, _, trial, test, G, B, load = setup
         sol = solve_saddle(G, B, load, trial, test)
         assert orthogonality_residual(B, sol.epsilon) <= 1e-9 * (1.0 + np.abs(load).max())
 
     def test_minimizer_optimality_fd(self, setup):
         # perturbing the minimizer never decreases 1/2 ||l - B u||^2 in G^-1
-        _, _, _, trial, test, G, B, load = setup
+        _, _, trial, test, G, B, load = setup
         sol = solve_saddle(G, B, load, trial, test)
         lu = spla.splu(sp.csc_matrix(G))
 
@@ -108,7 +106,7 @@ class TestSolveSaddle:
                 assert objective(sol.u.coefficients + delta * w) >= base - 1e-12 * (1 + abs(base))
 
     def test_factorization_determinism(self, setup):
-        _, _, _, trial, test, G, B, load = setup
+        _, _, trial, test, G, B, load = setup
         a = solve_saddle(G, B, load, trial, test)
         b = solve_saddle(G, B, load, trial, test)
         assert np.array_equal(a.u.coefficients, b.u.coefficients)
@@ -129,12 +127,11 @@ def goal_setup():
     bench = experiment2()
     data = replace(bench.data, penalty_order=3)
     m = bench.initial_mesh()
-    bc = classify_boundary(m, data.velocity)
     trial = build_space(m, trial_lagrange(1))
     test = build_space(m, enriched(1, 3))
     G = assemble_gram(test, data)
-    B = assemble_stabilized(trial, test, data, bc)
-    B_full = assemble_stabilized(test, test, data, bc)
+    B = assemble_stabilized(trial, test, data)
+    B_full = assemble_stabilized(test, test, data)
     q_trial = assemble_qoi(trial, bench.qoi_region)
     q_test = assemble_qoi(test, bench.qoi_region)
     return trial, test, G, B, B_full, q_trial, q_test
@@ -173,22 +170,22 @@ class TestSolveAdjoint:
 
 class TestCipEnriched:
     def test_manufactured_linear(self, setup):
-        m, data, bc, _, test, _, _, load = setup
-        B_full = assemble_stabilized(test, test, data, bc)
+        m, data, _, test, _, _, load = setup
+        B_full = assemble_stabilized(test, test, data)
         theta = solve_cip_enriched(B_full, load, test)
         exact = m.vertices[:, 0] + m.vertices[:, 1]
         assert np.abs(theta.coefficients[: test.n_trial] - exact).max() < 1e-10
         assert np.abs(theta.coefficients[test.n_trial :]).max() < 1e-9
 
     def test_zero_data(self, setup):
-        _, data, bc, _, test, _, _, _ = setup
-        B_full = assemble_stabilized(test, test, data, bc)
+        _, data, _, test, _, _, _ = setup
+        B_full = assemble_stabilized(test, test, data)
         theta = solve_cip_enriched(B_full, np.zeros(test.dim), test)
         assert not theta.coefficients.any()
 
     def test_residual_small(self, setup):
-        _, data, bc, _, test, _, _, load = setup
-        B_full = assemble_stabilized(test, test, data, bc)
+        _, data, _, test, _, _, load = setup
+        B_full = assemble_stabilized(test, test, data)
         theta = solve_cip_enriched(B_full, load, test)
         r = B_full @ theta.coefficients - load
         assert np.abs(r).max() <= 1e-9 * (1.0 + np.abs(load).max())
