@@ -42,22 +42,22 @@ class Indicators:
     total: float
 
 
-def energy_indicators(epsilon, data, degree=None, facet_deg=None):
+def energy_indicators(epsilon, data, degree=None):
     """Localized energy norm of the residual representative."""
-    parts = local_energy_products(epsilon, epsilon, data, degree, facet_deg)
+    parts = local_energy_products(epsilon, epsilon, data, degree)
     parts = np.maximum(parts, 0.0)  # guard roundoff on zero cells
     return Indicators(np.sqrt(parts), float(np.sqrt(parts.sum())))
 
 
-def goa_indicators(epsilon, eps_star, data, degree=None, facet_deg=None):
+def goa_indicators(epsilon, eps_star, data, degree=None):
     """Product indicators |||eps|||_T |||eps*|||_T and the scalar estimate.
 
     Returns (indicators, E^2) where E^2 = |(eps, eps*)| in the energy
     inner product.
     """
-    pa = np.maximum(local_energy_products(epsilon, epsilon, data, degree, facet_deg), 0.0)
-    pb = np.maximum(local_energy_products(eps_star, eps_star, data, degree, facet_deg), 0.0)
-    pab = local_energy_products(epsilon, eps_star, data, degree, facet_deg)
+    pa = np.maximum(local_energy_products(epsilon, epsilon, data, degree), 0.0)
+    pb = np.maximum(local_energy_products(eps_star, eps_star, data, degree), 0.0)
+    pab = local_energy_products(epsilon, eps_star, data, degree)
     eta = np.sqrt(pa) * np.sqrt(pb)
     return Indicators(eta, float(np.sqrt((eta**2).sum()))), float(abs(pab.sum()))
 
@@ -244,19 +244,18 @@ def adaptive_loop(bench, config):
         test = build_space(mesh, enriched(config.p, config.k))
         deg = config.quad_degree
         G = assemble_gram(test, data, degree=deg)
-        B = assemble_stabilized(trial, test, data, degree=deg)
+        # the test space nests the trial space first: B is B_full's trial block
+        B_full = assemble_stabilized(test, test, data, degree=deg)
+        B = B_full[:, : test.n_trial]
         load = assemble_load(test, data, degree=deg)
         factor = SaddleFactorization(G, B)
-        sol = solve_saddle(G, B, load, trial, test, factor=factor)
+        sol = solve_saddle(factor, load, trial, test)
 
-        B_full = None
         est_goa = math.nan
         err_qoi = math.nan
         if goa:
-            q_trial = assemble_qoi(trial, bench.qoi_region)
             q_test = assemble_qoi(test, bench.qoi_region)
-            B_full = assemble_stabilized(test, test, data, degree=deg)
-            adj = solve_adjoint(G, B, q_trial, q_test, B_full, trial, test, factor=factor)
+            adj = solve_adjoint(factor, q_test[: test.n_trial], q_test, B_full, trial, test)
             indicators, goa_sq = goa_indicators(sol.epsilon, adj.eps_star, data, degree=deg)
             est_goa = math.sqrt(goa_sq)
             if qoi_ref is not None:
@@ -271,8 +270,6 @@ def adaptive_loop(bench, config):
             err_l2_rel = rep.l2 / exact_l2
             err_triple = rep.triple
             if track_sat and dofs_total <= config.saturation_max_dofs:
-                if B_full is None:
-                    B_full = assemble_stabilized(test, test, data, degree=deg)
                 theta_h = solve_cip_enriched(B_full, load, test)
                 sat = error_norms(theta_h, bench.exact, data).triple / rep.triple
                 diff = DiscreteFunction(

@@ -52,7 +52,7 @@ def _contract(tables, fn):
     return np.matmul(table, fn.coefficients[dofs][:, :, None])[:, :, 0]
 
 
-def local_energy_products(fa, fb, data, degree=None, facet_deg=None):
+def local_energy_products(fa, fb, data, degree=None):
     """Per-cell contributions of the energy inner product (fa, fb).
 
     Interior-facet jump contributions split half to each neighbour, so
@@ -63,7 +63,7 @@ def local_energy_products(fa, fb, data, degree=None, facet_deg=None):
         raise ValueError("functions live on different spaces")
     mesh = space.mesh
     vrule = triangle_rule(degree if degree is not None else volume_degree(space))
-    erule = edge_rule(facet_deg if facet_deg is not None else facet_degree(space))
+    erule = edge_rule(facet_degree(space))
     sigma0 = data.effective_gram_weight
 
     pts, w = cell_quadrature(mesh, vrule)

@@ -79,6 +79,8 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.delta <= 0.0:
             raise ConfigError("delta must be positive")
+        if self.window < 2:
+            raise ConfigError("window must cover at least two rows")
         if self.mode == "goa" and self.benchmark != "exp2":
             raise ConfigError("goal-oriented mode requires the exp2 benchmark")
         return self

@@ -211,7 +211,7 @@ def boundary_flux(mesh, velocity, rule):
     return pts, w, normal_flux(velocity, pts, mesh.boundary_normals)
 
 
-def _boundary_mass(trial, test, velocity, part, degree):
+def _boundary_mass(trial, test, velocity, part, degree=None):
     """(part(b.n) v, w) over the whole boundary, part applied pointwise."""
     _check_same_mesh(trial, test)
     mesh = trial.mesh
@@ -281,7 +281,7 @@ def assemble_jump_penalty(trial, test, data, degree=None):
 # -- composed operators -------------------------------------------------------
 
 
-def assemble_stabilized(trial, test, data, degree=None, facet_deg=None):
+def assemble_stabilized(trial, test, data, degree=None):
     """The full stabilized operator: reaction + advection + outflow + jump.
 
     The outflow term is the boundary mass weighted by (b.n)^+ over the
@@ -291,7 +291,6 @@ def assemble_stabilized(trial, test, data, degree=None, facet_deg=None):
     """
     _check_same_mesh(trial, test)
     vol_deg = degree if degree is not None else volume_degree(trial, test)
-    fac_deg = facet_deg if facet_deg is not None else facet_degree(trial, test)
     rule = triangle_rule(vol_deg)
     pts, w = cell_quadrature(trial.mesh, rule)
     mu = np.asarray(data.reaction(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
@@ -299,28 +298,24 @@ def assemble_stabilized(trial, test, data, degree=None, facet_deg=None):
         raise ValueError("reaction coefficient drops below the declared floor")
     A = _mass(trial, test, rule, w * mu)
     A = A + assemble_advection(trial, test, data.velocity, degree=vol_deg)
-    A = A + _boundary_mass(
-        trial, test, data.velocity, lambda bn: np.maximum(bn, 0.0), fac_deg
-    )
-    A = A + assemble_jump_penalty(trial, test, data, degree=fac_deg)
+    A = A + _boundary_mass(trial, test, data.velocity, lambda bn: np.maximum(bn, 0.0))
+    A = A + assemble_jump_penalty(trial, test, data)
     return A.tocsr()
 
 
-def assemble_gram(test, data, degree=None, facet_deg=None):
+def assemble_gram(test, data, degree=None):
     """SPD inner-product matrix of the test space (symmetrized exactly)."""
     sigma0 = data.effective_gram_weight
     if sigma0 <= 0.0:
         raise ValueError("gram weight must be positive")
-    vol_deg = degree if degree is not None else volume_degree(test)
-    fac_deg = facet_deg if facet_deg is not None else facet_degree(test)
-    G = sigma0 * assemble_mass(test, test, degree=vol_deg)
-    G = G + 0.5 * assemble_boundary_mass(test, test, data.velocity, degree=fac_deg)
-    G = G + assemble_jump_penalty(test, test, data, degree=fac_deg)
+    G = sigma0 * assemble_mass(test, test, degree=degree)
+    G = G + 0.5 * assemble_boundary_mass(test, test, data.velocity)
+    G = G + assemble_jump_penalty(test, test, data)
     G = 0.5 * (G + G.T)
     return G.tocsr()
 
 
-def assemble_load(test, data, degree=None, facet_deg=None):
+def assemble_load(test, data, degree=None):
     """Load vector (f, w) - ((b.n)^- g, w) over the whole boundary."""
     mesh = test.mesh
     rule = triangle_rule(degree if degree is not None else volume_degree(test))
@@ -330,7 +325,7 @@ def assemble_load(test, data, degree=None, facet_deg=None):
     vec = np.zeros(test.dim)
     np.add.at(vec, test.cell_dofs, local)
 
-    erule = edge_rule(facet_deg if facet_deg is not None else facet_degree(test))
+    erule = edge_rule(facet_degree(test))
     owners = mesh.boundary_cells
     epts, ew, bn = boundary_flux(mesh, data.velocity, erule)
     g = np.asarray(data.inflow_data(epts.reshape(-1, 2)), dtype=float).reshape(ew.shape)

@@ -74,15 +74,14 @@ class SaddleFactorization:
         return max(np.abs(r1).max(initial=0.0), np.abs(r2).max(initial=0.0))
 
 
-def solve_saddle(G, B, load, trial, test, factor=None):
+def solve_saddle(factor, load, trial, test):
     """Minimize the residual of the load functional over the trial space.
 
+    ``factor`` is the SaddleFactorization of [[G, B], [B^T, 0]].
     Returns the minimizer ``u`` together with the residual representative
     ``epsilon`` satisfying ``(eps, v) + b(u, v) = l(v)`` for all test v
     and ``b(w, eps) = 0`` for all trial w.
     """
-    if factor is None:
-        factor = SaddleFactorization(G, B)
     zeros = np.zeros(factor.n_trial)
     eps, u = factor.solve(load, zeros)
     kkt = factor.residual(eps, u, load, zeros)
@@ -94,21 +93,19 @@ def solve_saddle(G, B, load, trial, test, factor=None):
     )
 
 
-def solve_adjoint(G, B, q_trial, q_test, B_full, trial, test, factor=None):
+def solve_adjoint(factor, q_trial, q_test, B_full, trial, test):
     """Solve the adjoint saddle problem and represent the adjoint residual.
 
-    The pair (nu*, w*) solves the primal left-hand side with right-hand
-    side [0; q]; the adjoint residual representative solves
-    ``(eps*, v)_G = q(v) - b(v, nu*)`` over the test space, which needs
-    the full test-by-test operator ``B_full``.
+    The pair (nu*, w*) solves the primal left-hand side, already factored
+    in ``factor``, with right-hand side [0; q]; the adjoint residual
+    representative solves ``(eps*, v)_G = q(v) - b(v, nu*)`` over the test
+    space, which needs the full test-by-test operator ``B_full``.
     """
-    if factor is None:
-        factor = SaddleFactorization(G, B)
     zeros = np.zeros(factor.n_test)
     nu, w = factor.solve(zeros, q_trial)
     kkt = factor.residual(nu, w, zeros, q_trial)
     rhs = q_test - B_full.T @ nu
-    eps_star = _factorize(G, "gram").solve(rhs)
+    eps_star = _factorize(factor.G, "gram").solve(rhs)
     _require_finite("adjoint solve", nu, w, kkt, eps_star)
     return AdjointSolution(
         nu_star=DiscreteFunction(test, nu),

@@ -5,9 +5,12 @@ Space kinds:
 * ``trial_lagrange(p)`` -- continuous Lagrange space of degree p;
 * ``bubble(k)`` -- per-cell interior bubbles of degree k (k >= 3);
 * ``enriched(p, k)`` -- the sum of the two, with nested numbering: the
-  first ``dim(trial)`` DoFs coincide with the trial space, so a trial
-  function injects by zero-padding.  For k <= p the bubble block is
-  empty and the enriched space degenerates to the trial space;
+  first ``n_trial = dim(trial)`` DoFs, and the leading local basis
+  functions, coincide with the trial space, so a trial function injects
+  by zero-padding, and the adaptive loop reads the operator B and the
+  trial QoI vector as the leading trial block (columns or entries
+  ``[:n_trial]``) of their test-space versions.  For k <= p the bubble
+  block is empty and the enriched space degenerates to the trial space;
 * ``broken_lagrange(p)`` -- elementwise Lagrange space without
   continuity, kept minimal to support Oswald-interpolation tests.
 

@@ -171,7 +171,7 @@ def test_criterion_1_galerkin_degeneration():
         G = bf.assemble_gram(test, data)
         B = bf.assemble_stabilized(trial, test, data)
         load = bf.assemble_load(test, data)
-        sol = bf.solve_saddle(G, B, load, trial, test)
+        sol = bf.solve_saddle(bf.SaddleFactorization(G, B), load, trial, test)
         plain = bf.solve_cip_enriched(B, load, trial)
         eps_norm = math.sqrt(sol.epsilon.coefficients @ (G @ sol.epsilon.coefficients))
         diff = np.abs(sol.u.coefficients - plain.coefficients).max()

@@ -200,6 +200,36 @@ class TestAdaptiveLoop:
         assert all(math.isfinite(r.err_qoi_rel) for r in records)
         assert all(r.kkt_residual < 1e-9 for r in records)
 
+    @pytest.mark.parametrize(
+        "bench, config",
+        [
+            (experiment1(0.01), LoopConfig(max_iters=2, saturation=True)),
+            (experiment2(), LoopConfig(mode="goa", theta=0.2, max_iters=2)),
+        ],
+        ids=["exp1-energy-saturation", "exp2-goa"],
+    )
+    def test_one_test_space_assembly_per_iteration(self, monkeypatch, bench, config):
+        # B and q_trial are the trial blocks of B_full and q_test, so each
+        # iteration assembles the operator and the QoI on the test space only
+        import bubblefem.adapt as adapt
+
+        calls = {"assemble_stabilized": [], "assemble_qoi": []}
+        for name, seen in calls.items():
+            original = getattr(adapt, name)
+
+            def counted(space, *args, _original=original, _seen=seen, **kwargs):
+                _seen.append(space.kind.family)
+                return _original(space, *args, **kwargs)
+
+            monkeypatch.setattr(adapt, name, counted)
+        records = adaptive_loop(bench, config)
+        assert len(records) == 3
+        if config.mode == "energy":
+            assert math.isfinite(records[-1].saturation)
+        assert calls["assemble_stabilized"] == ["enriched"] * len(records)
+        goa = config.mode == "goa"
+        assert calls["assemble_qoi"] == ["enriched"] * (len(records) if goa else 0)
+
     def test_stop_on_max_dofs(self):
         bench = experiment1(0.5)
         records = adaptive_loop(bench, LoopConfig(max_dofs=600, saturation=False))

@@ -142,6 +142,17 @@ class TestMain:
         assert "configuration error" in err and "Traceback" not in err
         assert not (out / "config.json").exists()
 
+    @pytest.mark.parametrize("window", ["0", "1"])
+    def test_window_below_two_exits_1(self, tmp_path, capsys, window):
+        # a slope needs two rows, so such a window would leave summary.txt without slopes
+        out = tmp_path / "w"
+        code = main(["run", "--benchmark", "exp1", "--window", window, "--max-iters", "1",
+                     "--outdir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "window" in err
+        assert not (out / "config.json").exists()
+
     def test_nan_source_exits_2(self, tmp_path, capsys, monkeypatch):
         from dataclasses import replace
 

@@ -471,3 +471,54 @@ class TestFacetTables:
             assert np.abs(facet_basis(space, edge_ids, cells, rule) - vals).max() < 1e-12
             got = facet_basis(space, edge_ids, cells, rule, normals)
             assert np.abs(got - normal_grad).max() < 1e-12 * np.abs(normal_grad).max()
+
+
+class TestTrialNesting:
+    """The enriched test space numbers the trial space first, so the trial
+    block of every test-space operator is the trial-space operator; the
+    adaptive loop reads B and q_trial off B_full and q_test this way."""
+
+    @pytest.fixture(scope="class", params=["exp1", "exp2"])
+    def problem(self, request):
+        from bubblefem import refine
+
+        if request.param == "exp1":
+            bench, region = experiment1(0.01), Rectangle(0.25, 0.75, 0.5, 0.875)
+        else:
+            bench = experiment2()
+            region = bench.qoi_region
+        m = bench.initial_mesh()
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            m = refine(m, rng.choice(len(m.cells), size=len(m.cells) // 3, replace=False))
+        return m, bench.data, region
+
+    @staticmethod
+    def pattern(A, tol):
+        A = A.tocoo()
+        big = np.abs(A.data) > tol
+        return set(zip(A.row[big].tolist(), A.col[big].tolist()))
+
+    @pytest.mark.parametrize("p, k", [(1, 3), (2, 4), (3, 5), (2, 2)])
+    def test_trial_block_of_test_space_operators(self, problem, p, k):
+        from dataclasses import replace
+
+        m, data, region = problem
+        data = replace(data, penalty_order=k)
+        trial = build_space(m, trial_lagrange(p))
+        test = build_space(m, enriched(p, k))
+        assert test.n_trial == trial.dim
+
+        B = assemble_stabilized(trial, test, data)
+        block = assemble_stabilized(test, test, data)[:, : test.n_trial]
+        scale = abs(B).max()
+        assert block.shape == B.shape
+        assert abs(block - B).max() <= 1e-12 * scale
+        # same pattern, up to an entry that cancels to exactly 0 in one sum
+        # and to roundoff (~1e-18) in the other
+        assert self.pattern(block, 1e-15 * scale) == self.pattern(B, 1e-15 * scale)
+        assert abs(block.nnz - B.nnz) <= 1e-3 * B.nnz
+
+        q = assemble_qoi(trial, region)
+        q_block = assemble_qoi(test, region)[: test.n_trial]
+        assert np.abs(q_block - q).max() <= 1e-12 * np.abs(q).max()

@@ -55,7 +55,7 @@ def setup():
 class TestSolveSaddle:
     def test_manufactured_exactness(self, setup):
         m, data, trial, test, G, B, load = setup
-        sol = solve_saddle(G, B, load, trial, test)
+        sol = solve_saddle(SaddleFactorization(G, B), load, trial, test)
         exact = m.vertices[:, 0] + m.vertices[:, 1]
         assert np.abs(sol.u.coefficients - exact).max() < 1e-10
         eps_norm = np.sqrt(sol.epsilon.coefficients @ (G @ sol.epsilon.coefficients))
@@ -64,7 +64,7 @@ class TestSolveSaddle:
 
     def test_zero_load(self, setup):
         _, _, trial, test, G, B, _ = setup
-        sol = solve_saddle(G, B, np.zeros(test.dim), trial, test)
+        sol = solve_saddle(SaddleFactorization(G, B), np.zeros(test.dim), trial, test)
         assert not sol.u.coefficients.any()
         assert not sol.epsilon.coefficients.any()
 
@@ -77,20 +77,20 @@ class TestSolveSaddle:
         G = assemble_gram(test_eq, data)
         B = assemble_stabilized(trial, test_eq, data)
         load = assemble_load(test_eq, data)
-        sol = solve_saddle(G, B, load, trial, test_eq)
+        sol = solve_saddle(SaddleFactorization(G, B), load, trial, test_eq)
         plain = solve_cip_enriched(B, load, trial)
         assert np.sqrt(sol.epsilon.coefficients @ (G @ sol.epsilon.coefficients)) < 1e-10
         assert np.abs(sol.u.coefficients - plain.coefficients).max() < 1e-10
 
     def test_orthogonality(self, setup):
         _, _, trial, test, G, B, load = setup
-        sol = solve_saddle(G, B, load, trial, test)
+        sol = solve_saddle(SaddleFactorization(G, B), load, trial, test)
         assert orthogonality_residual(B, sol.epsilon) <= 1e-9 * (1.0 + np.abs(load).max())
 
     def test_minimizer_optimality_fd(self, setup):
         # perturbing the minimizer never decreases 1/2 ||l - B u||^2 in G^-1
         _, _, trial, test, G, B, load = setup
-        sol = solve_saddle(G, B, load, trial, test)
+        sol = solve_saddle(SaddleFactorization(G, B), load, trial, test)
         lu = spla.splu(sp.csc_matrix(G))
 
         def objective(u):
@@ -107,8 +107,8 @@ class TestSolveSaddle:
 
     def test_factorization_determinism(self, setup):
         _, _, trial, test, G, B, load = setup
-        a = solve_saddle(G, B, load, trial, test)
-        b = solve_saddle(G, B, load, trial, test)
+        a = solve_saddle(SaddleFactorization(G, B), load, trial, test)
+        b = solve_saddle(SaddleFactorization(G, B), load, trial, test)
         assert np.array_equal(a.u.coefficients, b.u.coefficients)
         assert np.array_equal(a.epsilon.coefficients, b.epsilon.coefficients)
 
@@ -140,14 +140,16 @@ def goal_setup():
 class TestSolveAdjoint:
     def test_zero_goal(self, goal_setup):
         trial, test, G, B, B_full, _, _ = goal_setup
-        adj = solve_adjoint(G, B, np.zeros(trial.dim), np.zeros(test.dim), B_full, trial, test)
+        adj = solve_adjoint(
+            SaddleFactorization(G, B), np.zeros(trial.dim), np.zeros(test.dim), B_full, trial, test
+        )
         assert not adj.nu_star.coefficients.any()
         assert not adj.w_star.coefficients.any()
         assert not adj.eps_star.coefficients.any()
 
     def test_block_equations_satisfied(self, goal_setup):
         trial, test, G, B, B_full, q_trial, q_test = goal_setup
-        adj = solve_adjoint(G, B, q_trial, q_test, B_full, trial, test)
+        adj = solve_adjoint(SaddleFactorization(G, B), q_trial, q_test, B_full, trial, test)
         scale = 1.0 + np.abs(q_trial).max()
         # first block row: (nu*, v) + b(w*, v) = 0
         r1 = G @ adj.nu_star.coefficients + B @ adj.w_star.coefficients
@@ -161,9 +163,11 @@ class TestSolveAdjoint:
 
     def test_shared_factorization_identical(self, goal_setup):
         trial, test, G, B, B_full, q_trial, q_test = goal_setup
+        # a factorization that already served another solve gives the fresh answer
         factor = SaddleFactorization(G, B)
-        fresh = solve_adjoint(G, B, q_trial, q_test, B_full, trial, test)
-        shared = solve_adjoint(G, B, q_trial, q_test, B_full, trial, test, factor=factor)
+        solve_adjoint(factor, np.zeros(trial.dim), np.zeros(test.dim), B_full, trial, test)
+        shared = solve_adjoint(factor, q_trial, q_test, B_full, trial, test)
+        fresh = solve_adjoint(SaddleFactorization(G, B), q_trial, q_test, B_full, trial, test)
         assert np.abs(fresh.nu_star.coefficients - shared.nu_star.coefficients).max() < 1e-12
         assert np.abs(fresh.eps_star.coefficients - shared.eps_star.coefficients).max() < 1e-12
 
