@@ -183,6 +183,10 @@ class LoopConfig:
             raise ValueError(f"quad_degree must be at most {MAX_QUAD_DEGREE}")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("marking fraction theta must lie in (0, 1]")
+        if not self.alpha > 0.0:
+            raise ValueError("penalty exponent alpha must be positive")
+        if self.sigma0 is not None and not self.sigma0 > 0.0:
+            raise ValueError("Gram weight sigma0 must be positive")
         if self.mode not in ("energy", "goa", "uniform"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_dofs is None and self.max_iters is None:

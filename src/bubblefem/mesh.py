@@ -118,7 +118,6 @@ class Mesh:
             self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]], axis=1
         )
         self.interior_lengths = self.edge_lengths[interior]
-        self.boundary_lengths = self.edge_lengths[boundary]
         self.interior_normals = self._outward_normals(interior, self.interior_plus)
         self.boundary_normals = self._outward_normals(boundary, self.boundary_cells)
 
@@ -276,79 +275,61 @@ class BoundaryClassification:
 def refine(mesh, marked):
     """Newest-vertex bisection of the marked cells with conformity closure.
 
-    Every marked cell is bisected through its refinement edge; the closure
-    recursively marks refinement edges of neighbours so no hanging nodes
-    remain.  Child refinement edges are set opposite the new vertex.  The
-    result records each cell's parent in ``parents``.
+    An edge is split when it is the refinement edge of a marked cell or of
+    a cell with a split edge; this closure is swept to its fixed point, so
+    no hanging nodes remain.  A cell whose
+    refinement edge (a, b) is split, opposite its peak, becomes
+    (peak, a, m) and (peak, m, b), each split again through its other
+    parent edge when that edge is split too; children follow their parent
+    in cell order, depth first, and each child's refinement edge lies
+    opposite its newest vertex.  New vertices are numbered in order of
+    first use: cells in order and, within a cell, the refinement edge,
+    then (peak, a), then (b, peak).  The result records each cell's parent
+    in ``parents``.
     """
-    marked = np.asarray(sorted(set(int(c) for c in marked)), dtype=np.int64)
+    marked = np.asarray(marked, dtype=np.int64).ravel()
     if len(marked) == 0:
         return mesh
     if marked.min() < 0 or marked.max() >= len(mesh.cells):
         raise ValueError("marked set contains invalid cell indices")
 
-    ne = len(mesh.edges)
-    edge_of = {(int(a), int(b)): i for i, (a, b) in enumerate(mesh.edges)}
-    ref_edge_id = mesh.cell_edges[np.arange(len(mesh.cells)), mesh.refinement_edge]
+    nc, nv = len(mesh.cells), len(mesh.vertices)
+    cell = np.arange(nc)
+    r = mesh.refinement_edge.astype(np.int64)
+    peak, a, b = (mesh.cells[cell, (r + i) % 3] for i in range(3))
+    # per cell: refinement edge (a, b), left edge (peak, a), right edge (b, peak)
+    edges = np.column_stack([mesh.cell_edges[cell, (r + i) % 3] for i in (0, 2, 1)])
 
-    # closure: marking an edge forces the refinement edge of every
-    # incident cell to be marked as well
-    incident = [[] for _ in range(ne)]
-    for c in range(len(mesh.cells)):
-        for i in range(3):
-            incident[mesh.cell_edges[c, i]].append(c)
-    edge_marked = np.zeros(ne, dtype=bool)
-    stack = [int(ref_edge_id[c]) for c in marked]
-    while stack:
-        e = stack.pop()
-        if edge_marked[e]:
-            continue
-        edge_marked[e] = True
-        for c in incident[e]:
-            re = int(ref_edge_id[c])
-            if not edge_marked[re]:
-                stack.append(re)
+    split = np.zeros(len(mesh.edges), dtype=bool)
+    split[edges[marked, 0]] = True
+    while True:
+        grow = split[mesh.cell_edges].any(axis=1) & ~split[edges[:, 0]]
+        if not grow.any():
+            break
+        split[edges[grow, 0]] = True
 
-    vertices = list(map(tuple, mesh.vertices))
-    midpoint = {}
+    is_split = split[edges]
+    used = edges[is_split]  # row-major: cells in order, then ref, left, right
+    new_edges, first = np.unique(used, return_index=True)
+    new_edges = new_edges[np.argsort(first)]
+    midpoint = np.full(len(mesh.edges), -1, dtype=np.int64)
+    midpoint[new_edges] = nv + np.arange(len(new_edges))
+    m, m_left, m_right = midpoint[edges].T
+    ends = mesh.vertices[mesh.edges[new_edges]]
+    vertices = np.vstack([mesh.vertices, (ends[:, 0] + ends[:, 1]) / 2.0])
 
-    def midpoint_of(a, b):
-        key = (min(a, b), max(a, b))
-        m = midpoint.get(key)
-        if m is None:
-            va, vb = mesh.vertices[a], mesh.vertices[b]
-            vertices.append(((va[0] + vb[0]) / 2.0, (va[1] + vb[1]) / 2.0))
-            m = len(vertices) - 1
-            midpoint[key] = m
-        return m
-
-    new_cells, new_ref, new_parents = [], [], []
-
-    def is_marked(a, b):
-        e = edge_of.get((min(a, b), max(a, b)))
-        return e is not None and edge_marked[e]
-
-    def split(tri, ref_local, parent):
-        peak = tri[ref_local]
-        a = tri[(ref_local + 1) % 3]
-        b = tri[(ref_local + 2) % 3]
-        if not is_marked(a, b):
-            new_cells.append(tri)
-            new_ref.append(ref_local)
-            new_parents.append(parent)
-            return
-        m = midpoint_of(a, b)
-        # children keep CCW orientation; their refinement edges are the
-        # parent edges opposite the new vertex
-        split((peak, a, m), 2, parent)
-        split((peak, m, b), 1, parent)
-
-    for c in range(len(mesh.cells)):
-        split(tuple(int(v) for v in mesh.cells[c]), int(mesh.refinement_edge[c]), c)
-
-    return Mesh(
-        np.array(vertices, dtype=float),
-        np.array(new_cells, dtype=np.int64),
-        refinement_edge=np.array(new_ref, dtype=np.int8),
-        parents=np.array(new_parents, dtype=np.int64),
-    )
+    s_ref, s_left, s_right = is_split.T
+    # every child a cell can have, depth first: (vertices, refinement edge, exists)
+    children = [
+        (tuple(mesh.cells.T), r, ~s_ref),
+        ((peak, a, m), 2, s_ref & ~s_left),
+        ((m, peak, m_left), 2, s_left),
+        ((m, m_left, a), 1, s_left),
+        ((peak, m, b), 1, s_ref & ~s_right),
+        ((m, b, m_right), 2, s_right),
+        ((m, m_right, peak), 1, s_right),
+    ]
+    exists = np.column_stack([e for _, _, e in children])
+    cells = np.stack([np.column_stack(v) for v, _, _ in children], axis=1)[exists]
+    ref = np.column_stack([np.broadcast_to(e, nc) for _, e, _ in children])[exists]
+    return Mesh(vertices, cells, refinement_edge=ref, parents=np.nonzero(exists)[0])

@@ -190,15 +190,6 @@ def quad_values(fn, ref_points):
     return coeffs @ phi.T
 
 
-def quad_gradients(fn, ref_points):
-    """Physical gradients at reference points in every cell, (nc, nq, 2)."""
-    gref = fn.space.local_basis.gradient(ref_points)  # (nq, nloc, 2)
-    coeffs = fn.coefficients[fn.space.cell_dofs]
-    gref_c = np.einsum("ci,qie->cqe", coeffs, gref)
-    _, _, Jinv, _ = fn.space.mesh.affine
-    return np.einsum("ced,cqe->cqd", Jinv, gref_c)
-
-
 def inject_trial(fn, target):
     """Zero-pad a trial function into its bubble enrichment.
 

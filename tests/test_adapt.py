@@ -258,6 +258,15 @@ class TestAdaptiveLoop:
         with pytest.raises(ValueError, match="quad_degree"):
             LoopConfig(quad_degree=21, max_iters=1).validate()
 
+    @pytest.mark.parametrize("field, value", [("sigma0", 0.0), ("sigma0", -1.0),
+                                              ("sigma0", math.nan), ("alpha", 0.0),
+                                              ("alpha", -2.0)])
+    def test_rejects_nonpositive_weights(self, field, value):
+        # rejected before the loop builds its ProblemData, which would raise too
+        with pytest.raises(ValueError, match=field):
+            LoopConfig(max_iters=1, **{field: value}).validate()
+        LoopConfig(max_iters=1, **{field: 0.5}).validate()
+
     def test_nan_source_raises_solver_error(self):
         from dataclasses import replace
 

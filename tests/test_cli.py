@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -132,14 +136,26 @@ class TestMain:
                      "--outdir", str(tmp_path / "x")])
         assert code == 1
 
-    @pytest.mark.parametrize("k", ["8", "9"])
-    def test_k_beyond_quadrature_cap_exits_1(self, tmp_path, capsys, k):
-        out = tmp_path / "k"
-        code = main(["run", "--benchmark", "exp1", "--k", k, "--max-iters", "1",
+    @pytest.mark.parametrize("flag, value", [("--k", "8"), ("--k", "9"), ("--sigma0", "0"),
+                                             ("--sigma0", "-1"), ("--alpha", "0")])
+    def test_out_of_range_loop_setting_exits_1(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        code = main(["run", "--benchmark", "exp1", flag, value, "--max-iters", "1",
                      "--outdir", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "configuration error" in err and "Traceback" not in err
+        assert err.startswith("configuration error") and err.count("\n") == 1
+        assert not (out / "config.json").exists()
+
+    @pytest.mark.parametrize("key", ["sigma0", "alpha"])
+    def test_out_of_range_config_file_key_exits_1(self, tmp_path, capsys, key):
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text(json.dumps({key: 0.0, "max_iters": 1}))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfgfile), "--outdir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and key in err
         assert not (out / "config.json").exists()
 
     @pytest.mark.parametrize("window", ["0", "1"])
@@ -175,6 +191,15 @@ class TestMain:
         with pytest.raises(SystemExit) as err:
             main(["run", "--benchmark", "not-a-benchmark", "--max-iters", "1"])
         assert err.value.code == 1
+
+    def test_module_entry_point_runs_main(self, tmp_path):
+        # python -m bubblefem.cli must reach main, not import the module and exit 0
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "bubblefem.cli", "run", "--bogus"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 1
+        assert "unrecognized arguments: --bogus" in proc.stderr
 
     def test_slope_subcommand(self, tmp_path, capsys):
         path = tmp_path / "data.csv"

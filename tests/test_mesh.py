@@ -22,6 +22,111 @@ def curved_field(x):
     return np.column_stack([(x[:, 1] + 1.0) / r, -x[:, 0] / r])
 
 
+def recursive_refine(mesh, marked):
+    """Reference newest-vertex bisection: per-cell recursion over an edge dict.
+
+    The closure pushes refinement edges of the cells incident to each
+    marked edge; cells are then split recursively in cell order, children
+    depth first, and midpoints are numbered on first use.
+    """
+    marked = np.asarray(sorted(set(int(c) for c in marked)), dtype=np.int64)
+    if len(marked) == 0:
+        return mesh
+    if marked.min() < 0 or marked.max() >= len(mesh.cells):
+        raise ValueError("marked set contains invalid cell indices")
+
+    ne = len(mesh.edges)
+    edge_of = {(int(a), int(b)): i for i, (a, b) in enumerate(mesh.edges)}
+    ref_edge_id = mesh.cell_edges[np.arange(len(mesh.cells)), mesh.refinement_edge]
+
+    incident = [[] for _ in range(ne)]
+    for c in range(len(mesh.cells)):
+        for i in range(3):
+            incident[mesh.cell_edges[c, i]].append(c)
+    edge_marked = np.zeros(ne, dtype=bool)
+    stack = [int(ref_edge_id[c]) for c in marked]
+    while stack:
+        e = stack.pop()
+        if edge_marked[e]:
+            continue
+        edge_marked[e] = True
+        for c in incident[e]:
+            re = int(ref_edge_id[c])
+            if not edge_marked[re]:
+                stack.append(re)
+
+    vertices = list(map(tuple, mesh.vertices))
+    midpoint = {}
+
+    def midpoint_of(a, b):
+        key = (min(a, b), max(a, b))
+        m = midpoint.get(key)
+        if m is None:
+            va, vb = mesh.vertices[a], mesh.vertices[b]
+            vertices.append(((va[0] + vb[0]) / 2.0, (va[1] + vb[1]) / 2.0))
+            m = len(vertices) - 1
+            midpoint[key] = m
+        return m
+
+    new_cells, new_ref, new_parents = [], [], []
+
+    def is_marked(a, b):
+        e = edge_of.get((min(a, b), max(a, b)))
+        return e is not None and edge_marked[e]
+
+    def split(tri, ref_local, parent):
+        peak = tri[ref_local]
+        a = tri[(ref_local + 1) % 3]
+        b = tri[(ref_local + 2) % 3]
+        if not is_marked(a, b):
+            new_cells.append(tri)
+            new_ref.append(ref_local)
+            new_parents.append(parent)
+            return
+        m = midpoint_of(a, b)
+        split((peak, a, m), 2, parent)
+        split((peak, m, b), 1, parent)
+
+    for c in range(len(mesh.cells)):
+        split(tuple(int(v) for v in mesh.cells[c]), int(mesh.refinement_edge[c]), c)
+
+    return Mesh(
+        np.array(vertices, dtype=float),
+        np.array(new_cells, dtype=np.int64),
+        refinement_edge=np.array(new_ref, dtype=np.int8),
+        parents=np.array(new_parents, dtype=np.int64),
+    )
+
+
+def assert_same_refinement(mesh, marked):
+    """refine and the recursive oracle agree bit for bit; returns the result."""
+    got, want = refine(mesh, marked), recursive_refine(mesh, marked)
+    for name in ("vertices", "cells", "refinement_edge", "parents"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    return got
+
+
+def graded_mesh():
+    """Structured 4 x 4 mesh bisected 12 times at the cell holding the centre."""
+    m = build_structured_mesh(4)
+    for _ in range(12):
+        m = refine(m, m.locate([[0.5, 0.5]]))
+    return m
+
+
+START_MESHES = {
+    "n1": lambda: build_structured_mesh(1),
+    "n3": lambda: build_structured_mesh(3),
+    "n10": lambda: build_structured_mesh(10),
+    # non-uniform lines conforming to the exp2 QoI box (0.7, 0.8) x (0.3, 0.5)
+    "graded-grid": lambda: build_structured_mesh(
+        grid_lines_x=[0.0, 0.15, 0.3, 0.45, 0.7, 0.8, 0.93, 1.0],
+        grid_lines_y=[0.0, 0.1, 0.3, 0.5, 0.55, 0.8, 1.0],
+    ),
+}
+
+
 class TestStructuredMesh:
     def test_minimal_split(self):
         m = build_structured_mesh(1)
@@ -174,6 +279,34 @@ class TestRefine:
             inside_after = classify_qoi_cells(m, rect)  # raises if any straddle
             # children of inside cells stay inside
             assert np.all(inside_after == inside_before[m.parents])
+
+
+class TestRefineMatchesRecursiveOracle:
+    @pytest.mark.parametrize("start", sorted(START_MESHES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_marking_sequences(self, start, seed):
+        rng = np.random.default_rng(seed)
+        m = START_MESHES[start]()
+        for _ in range(6):
+            count = rng.integers(1, max(2, len(m.cells) // 3))
+            m = assert_same_refinement(m, rng.choice(len(m.cells), size=count, replace=False))
+
+    @pytest.mark.parametrize("start", sorted(START_MESHES))
+    def test_full_marking(self, start):
+        m = START_MESHES[start]()
+        for _ in range(2):
+            m = assert_same_refinement(m, np.arange(len(m.cells)))
+
+    def test_single_marked_cell_closure(self):
+        m = graded_mesh()
+        added = [len(assert_same_refinement(m, [c]).cells) - len(m.cells)
+                 for c in range(len(m.cells))]
+        # one marked cell on the graded mesh splits cells far from itself
+        assert max(added) >= 20
+
+    def test_duplicate_and_unsorted_marks(self):
+        m = build_structured_mesh(3)
+        assert_same_refinement(m, [7, 2, 7, 11, 2])
 
 
 class TestMeshInvariants:
