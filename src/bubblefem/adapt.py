@@ -31,7 +31,7 @@ from .solvers import (
     solve_cip_enriched,
     solve_saddle,
 )
-from .spaces import DiscreteFunction, build_space, enriched, inject_trial, trial_lagrange
+from .spaces import build_space, enriched, inject_trial, trial_lagrange
 
 
 @dataclass(frozen=True)
@@ -183,10 +183,10 @@ class LoopConfig:
             raise ValueError(f"quad_degree must be at most {MAX_QUAD_DEGREE}")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("marking fraction theta must lie in (0, 1]")
-        if not self.alpha > 0.0:
-            raise ValueError("penalty exponent alpha must be positive")
-        if self.sigma0 is not None and not self.sigma0 > 0.0:
-            raise ValueError("Gram weight sigma0 must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError("penalty exponent alpha must be finite and positive")
+        if self.sigma0 is not None and not (math.isfinite(self.sigma0) and self.sigma0 > 0.0):
+            raise ValueError("Gram weight sigma0 must be finite and positive")
         if self.mode not in ("energy", "goa", "uniform"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_dofs is None and self.max_iters is None:
@@ -249,7 +249,7 @@ def adaptive_loop(bench, config):
         deg = config.quad_degree
         G = assemble_gram(test, data, degree=deg)
         # the test space nests the trial space first: B is B_full's trial block
-        B_full = assemble_stabilized(test, test, data, degree=deg)
+        B_full = assemble_stabilized(test, data, degree=deg)
         B = B_full[:, : test.n_trial]
         load = assemble_load(test, data, degree=deg)
         factor = SaddleFactorization(G, B)
@@ -276,10 +276,9 @@ def adaptive_loop(bench, config):
             if track_sat and dofs_total <= config.saturation_max_dofs:
                 theta_h = solve_cip_enriched(B_full, load, test)
                 sat = error_norms(theta_h, bench.exact, data).triple / rep.triple
-                diff = DiscreteFunction(
-                    test, theta_h.coefficients - inject_trial(sol.u, test).coefficients
-                )
-                robustness = error_norms(diff, None, data).triple / indicators.total
+                # G induces the energy norm on the test space
+                d = theta_h.coefficients - inject_trial(sol.u, test).coefficients
+                robustness = math.sqrt(d @ (G @ d)) / indicators.total
 
         scale = 1.0 + float(np.abs(load).max(initial=0.0))
         record = AdaptRecord(

@@ -1,9 +1,12 @@
 """Norms, projections, interpolation and error measurement.
 
 The mesh-dependent energy ("triple") norm combines a weighted L2 term,
-a |b.n|-weighted boundary term and the gradient-jump penalty; its facet
-quadrature matches the assembly rules exactly so that the norm of a
-discrete test function agrees with the Gram quadratic form to rounding.
+a |b.n|-weighted boundary term and the gradient-jump penalty.  Its local
+(per-cell) inner products contract the Gram blocks owned by
+``forms.gram_blocks``; ``error_norms`` integrates point values instead,
+because it needs the exact solution at quadrature points, with facet
+quadrature matching the assembly rules so that the norm of a discrete
+test function agrees with the Gram quadratic form to rounding.
 """
 
 import warnings
@@ -18,6 +21,7 @@ from .forms import (
     cell_quadrature,
     facet_basis,
     facet_degree,
+    gram_blocks,
     jump_tables,
     jump_weights,
     volume_degree,
@@ -40,52 +44,30 @@ class NormReport:
     sharp: float
 
 
-def _boundary_table(space, rule):
-    """Basis values at boundary facet points seen from the owner, and their DoFs."""
-    cells = space.mesh.boundary_cells
-    return facet_basis(space, space.mesh.boundary_edges, cells, rule), space.cell_dofs[cells]
-
-
-def _contract(tables, fn):
+def _contract(table, dofs, fn):
     """Per-facet point values (nf, nq) of fn from a basis table and its DoFs."""
-    table, dofs = tables
     return np.matmul(table, fn.coefficients[dofs][:, :, None])[:, :, 0]
 
 
 def local_energy_products(fa, fb, data, degree=None):
     """Per-cell contributions of the energy inner product (fa, fb).
 
-    Interior-facet jump contributions split half to each neighbour, so
-    the cell values sum to the global inner product exactly.
+    Contracts each Gram block with both coefficient vectors and splits the
+    result among the block's owners (an interior facet's jump block half
+    to each neighbour), so the cell values sum to the global inner
+    product.
     """
     space = fa.space
     if fb.space is not space:
         raise ValueError("functions live on different spaces")
-    mesh = space.mesh
-    vrule = triangle_rule(degree if degree is not None else volume_degree(space))
-    erule = edge_rule(facet_degree(space))
-    sigma0 = data.effective_gram_weight
-
-    pts, w = cell_quadrature(mesh, vrule)
-    va = quad_values(fa, vrule.points)
-    vb = va if fb is fa else quad_values(fb, vrule.points)
-    parts = sigma0 * (w * va * vb).sum(axis=1)
-
-    if len(mesh.boundary_edges):
-        _, ew, bn = boundary_flux(mesh, data.velocity, erule)
-        tables = _boundary_table(space, erule)
-        ba = _contract(tables, fa)
-        bb = ba if fb is fa else _contract(tables, fb)
-        np.add.at(parts, mesh.boundary_cells, 0.5 * (ew * np.abs(bn) * ba * bb).sum(axis=1))
-
-    if len(mesh.interior_edges):
-        iw = jump_weights(mesh, data, erule)
-        tables = jump_tables(space, erule)
-        ja = _contract(tables, fa)
-        jb = ja if fb is fa else _contract(tables, fb)
-        contrib = (iw * ja * jb).sum(axis=1)
-        np.add.at(parts, mesh.interior_plus, 0.5 * contrib)
-        np.add.at(parts, mesh.interior_minus, 0.5 * contrib)
+    parts = np.zeros(len(space.mesh.cells))
+    for local, dofs, owners in gram_blocks(space, data, degree):
+        ca = fa.coefficients[dofs]
+        cb = ca if fb is fa else fb.coefficients[dofs]
+        share = np.matmul(ca[:, None, :], np.matmul(local, cb[:, :, None]))[:, 0, 0]
+        share /= owners.shape[1]
+        for cells in owners.T:
+            np.add.at(parts, cells, share)
     return parts
 
 
@@ -118,7 +100,9 @@ def error_norms(u_h, exact, data, quad_degree=None):
     bnd_sq = 0.0
     if len(mesh.boundary_edges):
         epts, ew, bn = boundary_flux(mesh, data.velocity, erule)
-        bdiff = -_contract(_boundary_table(space, erule), u_h)
+        cells = mesh.boundary_cells
+        table = facet_basis(space, mesh.boundary_edges, cells, erule)
+        bdiff = -_contract(table, space.cell_dofs[cells], u_h)
         if exact is not None:
             bdiff = bdiff + np.asarray(exact(epts.reshape(-1, 2)), dtype=float).reshape(ew.shape)
         bnd_sq = 0.5 * np.einsum("fq,fq->", ew * np.abs(bn), bdiff**2)
@@ -126,7 +110,7 @@ def error_norms(u_h, exact, data, quad_degree=None):
     jump_sq = 0.0
     if len(mesh.interior_edges):
         iw = jump_weights(mesh, data, erule)
-        jd = _contract(jump_tables(space, erule), u_h)
+        jd = _contract(*jump_tables(space, erule), u_h)
         jump_sq = float(np.einsum("fq,fq->", iw, jd**2))
 
     triple = float(np.sqrt(sigma0 * l2_sq + bnd_sq + jump_sq))
@@ -148,7 +132,7 @@ def l2_project(u, target, quad_degree=None):
     mesh = target.mesh
     deg = quad_degree if quad_degree is not None else volume_degree(target) + 2
     rule = triangle_rule(deg)
-    M = assemble_mass(target, target, degree=deg)
+    M = assemble_mass(target, degree=deg)
     pts, w = cell_quadrature(mesh, rule)
     nc, nq = w.shape
     uv = np.asarray(u(pts.reshape(-1, 2)), dtype=float).reshape(nc, nq)

@@ -77,8 +77,8 @@ class RunConfig:
             self.loop_config().validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.delta <= 0.0:
-            raise ConfigError("delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ConfigError("delta must be finite and positive")
         if self.window < 2:
             raise ConfigError("window must cover at least two rows")
         if self.mode == "goa" and self.benchmark != "exp2":
@@ -221,10 +221,9 @@ def main(argv=None):
             return 1
         return run(config)
     if args.command == "slope":
-        rows = read_csv(args.csv)
         try:
-            value = slope(rows, args.x_column, args.y_column, args.window)
-        except (ValueError, KeyError) as exc:
+            value = slope(read_csv(args.csv), args.x_column, args.y_column, args.window)
+        except (OSError, ValueError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         print(f"{value:+.6f}")

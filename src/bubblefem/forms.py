@@ -17,7 +17,14 @@ pointwise, as in the continuous problem; no facet-wide label enters.
 The test-space inner product (Gram) matrix is
 ``sigma0 (v, w) + 1/2 (|b.n| v, w)_boundary + jump(v, w)`` which induces
 the mesh-dependent energy norm used by the residual representative.
-Matrix entries follow the convention ``A[i, j] = form(trial_j, test_i)``.
+``gram_blocks`` owns its local blocks; ``assemble_gram`` scatters them and
+``analysis.local_energy_products`` contracts them cell by cell.
+
+Every assembler takes one space and returns the square operator on it,
+with entries ``A[i, j] = form(phi_j, phi_i)``.  The enriched test space
+numbers its trial DoFs first, so the trial x test operator B is the
+leading column block ``[:, :n_trial]`` of the test-space operator, and a
+trial-space operator is its leading ``[:n_trial, :n_trial]`` block.
 
 All assembly loops are vectorized over cells and facets; matrices are
 returned in CSR format.  Bases are evaluated once per reference point set
@@ -73,14 +80,14 @@ class ProblemData:
         return self.penalty_order
 
 
-def volume_degree(*spaces):
-    """Default volume quadrature exactness for the given spaces."""
-    return 2 * max(s.max_degree for s in spaces) + 4
+def volume_degree(space):
+    """Default volume quadrature exactness for the space."""
+    return 2 * space.max_degree + 4
 
 
-def facet_degree(*spaces):
-    """Default facet quadrature exactness for the given spaces."""
-    return 2 * max(s.max_degree for s in spaces) + 2
+def facet_degree(space):
+    """Default facet quadrature exactness for the space."""
+    return 2 * space.max_degree + 2
 
 
 # -- quadrature geometry ------------------------------------------------------
@@ -142,64 +149,56 @@ def facet_basis(space, edge_ids, cells, rule, normals=None):
     return np.matmul(gref[case], nJ).reshape(len(cells), nq, basis.count)
 
 
-def _facet_local(weights, vals_v, vals_u):
-    """Per-facet local matrices sum_q weights v_i u_j, shape (nf, nv, nu)."""
-    return np.matmul(vals_v.transpose(0, 2, 1) * weights[:, None, :], vals_u)
+def _facet_local(weights, vals):
+    """Per-facet local matrices sum_q weights v_i v_j, shape (nf, n, n)."""
+    return np.matmul(vals.transpose(0, 2, 1) * weights[:, None, :], vals)
 
 
-def _scatter(local, row_dofs, col_dofs, shape):
-    rows = np.broadcast_to(row_dofs[:, :, None], local.shape)
-    cols = np.broadcast_to(col_dofs[:, None, :], local.shape)
+def _scatter(local, dofs, dim):
+    """CSR matrix (dim, dim) of local blocks (n, m, m) on DoFs (n, m)."""
+    rows = np.broadcast_to(dofs[:, :, None], local.shape)
+    cols = np.broadcast_to(dofs[:, None, :], local.shape)
     return sp.coo_matrix(
-        (local.ravel(), (rows.ravel(), cols.ravel())), shape=shape
+        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(dim, dim)
     ).tocsr()
-
-
-def _check_same_mesh(trial, test):
-    if trial.mesh is not test.mesh:
-        raise ValueError("trial and test spaces live on different meshes")
 
 
 # -- volume terms -------------------------------------------------------------
 
 
-def _mass(trial, test, rule, w):
-    """Mass matrix for per-point scaled weights w (nc, nq) of a volume rule."""
-    phi_u = trial.local_basis.evaluate(rule.points)
-    phi_v = test.local_basis.evaluate(rule.points)
-    products = (phi_v[:, :, None] * phi_u[:, None, :]).reshape(len(phi_u), -1)
-    local = np.matmul(w, products).reshape(len(w), phi_v.shape[1], phi_u.shape[1])
-    return _scatter(local, test.cell_dofs, trial.cell_dofs, (test.dim, trial.dim))
+def _mass_local(space, rule, w):
+    """Per-cell mass matrices for per-point scaled weights w (nc, nq) of a volume rule."""
+    phi = space.local_basis.evaluate(rule.points)
+    products = (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), -1)
+    return np.matmul(w, products).reshape(len(w), phi.shape[1], phi.shape[1])
 
 
-def assemble_mass(trial, test, weight=None, degree=None):
+def assemble_mass(space, weight=None, degree=None):
     """Weighted mass matrix (weight v, w); weight None means 1."""
-    _check_same_mesh(trial, test)
-    rule = triangle_rule(degree if degree is not None else volume_degree(trial, test))
-    pts, w = cell_quadrature(trial.mesh, rule)
+    rule = triangle_rule(degree if degree is not None else volume_degree(space))
+    pts, w = cell_quadrature(space.mesh, rule)
     if weight is not None:
         w = w * np.asarray(weight(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
-    return _mass(trial, test, rule, w)
+    return _scatter(_mass_local(space, rule, w), space.cell_dofs, space.dim)
 
 
-def assemble_advection(trial, test, velocity, degree=None):
+def assemble_advection(space, velocity, degree=None):
     """Adjoint-form advection block: -(v, b . grad w)."""
-    _check_same_mesh(trial, test)
-    mesh = trial.mesh
-    rule = triangle_rule(degree if degree is not None else volume_degree(trial, test))
+    mesh = space.mesh
+    rule = triangle_rule(degree if degree is not None else volume_degree(space))
     pts, w = cell_quadrature(mesh, rule)
     nc, nq = w.shape
     bvals = np.asarray(velocity(pts.reshape(-1, 2)), dtype=float).reshape(nc, nq, 2)
     _, _, Jinv, _ = mesh.affine
     # b . grad(test basis): pull b back through the affine map once
     wb = w[:, :, None] * np.matmul(bvals, Jinv.transpose(0, 2, 1))
-    gref = test.local_basis.gradient(rule.points)
-    phi_u = trial.local_basis.evaluate(rule.points)
-    # reference-gradient x trial-value products per point and direction
-    products = gref.transpose(0, 2, 1)[:, :, :, None] * phi_u[:, None, None, :]
+    gref = space.local_basis.gradient(rule.points)
+    phi = space.local_basis.evaluate(rule.points)
+    # reference-gradient x value products per point and direction
+    products = gref.transpose(0, 2, 1)[:, :, :, None] * phi[:, None, None, :]
     local = -np.matmul(wb.reshape(nc, -1), products.reshape(2 * nq, -1))
-    local = local.reshape(nc, gref.shape[1], phi_u.shape[1])
-    return _scatter(local, test.cell_dofs, trial.cell_dofs, (test.dim, trial.dim))
+    local = local.reshape(nc, phi.shape[1], phi.shape[1])
+    return _scatter(local, space.cell_dofs, space.dim)
 
 
 # -- boundary terms -----------------------------------------------------------
@@ -211,25 +210,20 @@ def boundary_flux(mesh, velocity, rule):
     return pts, w, normal_flux(velocity, pts, mesh.boundary_normals)
 
 
-def _boundary_mass(trial, test, velocity, part, degree=None):
-    """(part(b.n) v, w) over the whole boundary, part applied pointwise."""
-    _check_same_mesh(trial, test)
-    mesh = trial.mesh
-    rule = edge_rule(degree if degree is not None else facet_degree(trial, test))
-    edge_ids = mesh.boundary_edges
+def _boundary_local(space, velocity, part, rule):
+    """Per-facet (part(b.n) v, w) over the whole boundary, part applied
+    pointwise, and the DoFs of each facet's owner cell."""
+    mesh = space.mesh
     owners = mesh.boundary_cells
     _, w, bn = boundary_flux(mesh, velocity, rule)
-    vals_v = facet_basis(test, edge_ids, owners, rule)
-    vals_u = vals_v if trial is test else facet_basis(trial, edge_ids, owners, rule)
-    local = _facet_local(w * part(bn), vals_v, vals_u)
-    return _scatter(
-        local, test.cell_dofs[owners], trial.cell_dofs[owners], (test.dim, trial.dim)
-    )
+    vals = facet_basis(space, mesh.boundary_edges, owners, rule)
+    return _facet_local(w * part(bn), vals), space.cell_dofs[owners]
 
 
-def assemble_boundary_mass(trial, test, velocity, degree=None):
-    """(|b.n| v, w) over the whole boundary (the Gram boundary block)."""
-    return _boundary_mass(trial, test, velocity, np.abs, degree)
+def assemble_boundary_mass(space, velocity):
+    """(|b.n| v, w) over the whole boundary."""
+    rule = edge_rule(facet_degree(space))
+    return _scatter(*_boundary_local(space, velocity, np.abs, rule), space.dim)
 
 
 # -- interior penalty ---------------------------------------------------------
@@ -263,54 +257,71 @@ def jump_tables(space, rule):
     return jump, dofs
 
 
-def assemble_jump_penalty(trial, test, data, degree=None):
+def _jump_local(space, data, rule):
+    """Per-interior-facet penalty matrices and the DoFs of both neighbours."""
+    jump, dofs = jump_tables(space, rule)
+    return _facet_local(jump_weights(space.mesh, data, rule), jump), dofs
+
+
+def assemble_jump_penalty(space, data):
     """CIP penalty on jumps of the normal gradient across interior facets."""
-    _check_same_mesh(trial, test)
-    mesh = trial.mesh
-    shape = (test.dim, trial.dim)
-    if len(mesh.interior_edges) == 0:
-        return sp.csr_matrix(shape)
-    rule = edge_rule(degree if degree is not None else facet_degree(trial, test))
-    weights = jump_weights(mesh, data, rule)
-    jump_v, dofs_v = jump_tables(test, rule)
-    jump_u, dofs_u = (jump_v, dofs_v) if trial is test else jump_tables(trial, rule)
-    local = _facet_local(weights, jump_v, jump_u)
-    return _scatter(local, dofs_v, dofs_u, shape)
+    return _scatter(*_jump_local(space, data, edge_rule(facet_degree(space))), space.dim)
 
 
 # -- composed operators -------------------------------------------------------
 
 
-def assemble_stabilized(trial, test, data, degree=None):
+def assemble_stabilized(space, data, degree=None):
     """The full stabilized operator: reaction + advection + outflow + jump.
 
     The outflow term is the boundary mass weighted by (b.n)^+ over the
-    whole boundary.  Entry (i, j) is the form applied to (trial_j,
-    test_i).  Raises if the reaction coefficient drops below the declared
-    floor.
+    whole boundary.  Raises if the reaction coefficient drops below the
+    declared floor.
     """
-    _check_same_mesh(trial, test)
-    vol_deg = degree if degree is not None else volume_degree(trial, test)
+    vol_deg = degree if degree is not None else volume_degree(space)
     rule = triangle_rule(vol_deg)
-    pts, w = cell_quadrature(trial.mesh, rule)
+    pts, w = cell_quadrature(space.mesh, rule)
     mu = np.asarray(data.reaction(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
     if mu.min() < data.reaction_floor - 1e-12:
         raise ValueError("reaction coefficient drops below the declared floor")
-    A = _mass(trial, test, rule, w * mu)
-    A = A + assemble_advection(trial, test, data.velocity, degree=vol_deg)
-    A = A + _boundary_mass(trial, test, data.velocity, lambda bn: np.maximum(bn, 0.0))
-    A = A + assemble_jump_penalty(trial, test, data)
+    erule = edge_rule(facet_degree(space))
+    outflow = _boundary_local(space, data.velocity, lambda bn: np.maximum(bn, 0.0), erule)
+    A = _scatter(_mass_local(space, rule, w * mu), space.cell_dofs, space.dim)
+    A = A + assemble_advection(space, data.velocity, degree=vol_deg)
+    A = A + _scatter(*outflow, space.dim)
+    A = A + assemble_jump_penalty(space, data)
     return A.tocsr()
 
 
-def assemble_gram(test, data, degree=None):
-    """SPD inner-product matrix of the test space (symmetrized exactly)."""
-    sigma0 = data.effective_gram_weight
-    if sigma0 <= 0.0:
-        raise ValueError("gram weight must be positive")
-    G = sigma0 * assemble_mass(test, test, degree=degree)
-    G = G + 0.5 * assemble_boundary_mass(test, test, data.velocity)
-    G = G + assemble_jump_penalty(test, test, data)
+def gram_blocks(space, data, degree=None):
+    """Local blocks of the Gram form as (local, dofs, owners) triples.
+
+    ``local`` (n, m, m) are the block matrices on the global DoFs ``dofs``
+    (n, m); each block is shared equally by the cells in its row of
+    ``owners`` (n, c).  Volume blocks belong to their cell, boundary
+    blocks to the owner cell, interior-facet jump blocks half to each
+    neighbour, so the owned shares sum to the global form.
+    """
+    mesh = space.mesh
+    rule = triangle_rule(degree if degree is not None else volume_degree(space))
+    _, w = cell_quadrature(mesh, rule)
+    erule = edge_rule(facet_degree(space))
+    mass = _mass_local(space, rule, data.effective_gram_weight * w)
+    boundary = _boundary_local(space, data.velocity, lambda bn: 0.5 * np.abs(bn), erule)
+    return [
+        (mass, space.cell_dofs, np.arange(len(mesh.cells))[:, None]),
+        (*boundary, mesh.boundary_cells[:, None]),
+        (*_jump_local(space, data, erule),
+         np.column_stack([mesh.interior_plus, mesh.interior_minus])),
+    ]
+
+
+def assemble_gram(space, data, degree=None):
+    """SPD inner-product matrix of the space (symmetrized exactly)."""
+    mass, boundary, jump = (
+        _scatter(local, dofs, space.dim) for local, dofs, _ in gram_blocks(space, data, degree)
+    )
+    G = mass + boundary + jump
     G = 0.5 * (G + G.T)
     return G.tocsr()
 

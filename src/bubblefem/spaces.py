@@ -6,11 +6,13 @@ Space kinds:
 * ``bubble(k)`` -- per-cell interior bubbles of degree k (k >= 3);
 * ``enriched(p, k)`` -- the sum of the two, with nested numbering: the
   first ``n_trial = dim(trial)`` DoFs, and the leading local basis
-  functions, coincide with the trial space, so a trial function injects
-  by zero-padding, and the adaptive loop reads the operator B and the
-  trial QoI vector as the leading trial block (columns or entries
-  ``[:n_trial]``) of their test-space versions.  For k <= p the bubble
-  block is empty and the enriched space degenerates to the trial space;
+  functions, coincide with the trial space.  A trial function therefore
+  injects by zero-padding, and every assembler takes one space: the
+  trial x test operator B is the leading column block ``[:, :n_trial]``
+  of the test-space operator, a trial-space operator its leading
+  ``[:n_trial, :n_trial]`` block and the trial QoI vector the entries
+  ``[:n_trial]`` of the test-space one.  For k <= p the bubble block is
+  empty and the enriched space degenerates to the trial space;
 * ``broken_lagrange(p)`` -- elementwise Lagrange space without
   continuity, kept minimal to support Oswald-interpolation tests.
 

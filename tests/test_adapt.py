@@ -18,6 +18,7 @@ from bubblefem import (
     experiment1,
     experiment2,
     goa_indicators,
+    local_energy_products,
     write_records_csv,
 )
 from bubblefem.adapt import CSV_COLUMNS
@@ -62,18 +63,42 @@ class TestEnergyIndicators:
         positive = set(np.flatnonzero(ind.eta > 0).tolist())
         assert positive == neighbours
 
-    def test_sum_identity_with_gram(self):
-        m = build_structured_mesh(3)
-        space = build_space(m, enriched(1, 3))
-        data = make_data()
+    @staticmethod
+    def space_and_data(setup):
+        if setup == "p1k3-structured":
+            return build_space(build_structured_mesh(3), enriched(1, 3)), make_data()
+        from dataclasses import replace
+
+        from bubblefem import refine
+
+        bench = experiment2()
+        m = bench.initial_mesh()
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            m = refine(m, rng.choice(len(m.cells), size=len(m.cells) // 3, replace=False))
+        return build_space(m, enriched(2, 4)), replace(bench.data, penalty_order=4)
+
+    @pytest.mark.parametrize("setup", ["p1k3-structured", "p2k4-exp2-refined"])
+    @pytest.mark.parametrize("cross", [False, True], ids=["same", "cross"])
+    def test_sum_identity_with_gram(self, setup, cross):
+        # the local products sum to a.G b, for a = b and for a != b
+        space, data = self.space_and_data(setup)
         G = assemble_gram(space, data)
         rng = np.random.default_rng(21)
         for _ in range(5):
             v = rng.standard_normal(space.dim)
-            ind = energy_indicators(DiscreteFunction(space, v), data)
             quad = v @ (G @ v)
-            assert abs(ind.total**2 - quad) < 1e-12 * quad
-            assert abs((ind.eta**2).sum() - ind.total**2) < 1e-12 * ind.total**2
+            if cross:
+                w = rng.standard_normal(space.dim)
+                parts = local_energy_products(
+                    DiscreteFunction(space, v), DiscreteFunction(space, w), data
+                )
+                scale = np.sqrt(quad * (w @ (G @ w)))
+                assert abs(parts.sum() - v @ (G @ w)) < 1e-12 * scale
+            else:
+                ind = energy_indicators(DiscreteFunction(space, v), data)
+                assert abs(ind.total**2 - quad) < 1e-12 * quad
+                assert abs((ind.eta**2).sum() - ind.total**2) < 1e-12 * ind.total**2
 
 
 class TestGoaIndicators:
@@ -259,8 +284,9 @@ class TestAdaptiveLoop:
             LoopConfig(quad_degree=21, max_iters=1).validate()
 
     @pytest.mark.parametrize("field, value", [("sigma0", 0.0), ("sigma0", -1.0),
-                                              ("sigma0", math.nan), ("alpha", 0.0),
-                                              ("alpha", -2.0)])
+                                              ("sigma0", math.nan), ("sigma0", math.inf),
+                                              ("alpha", 0.0), ("alpha", -2.0),
+                                              ("alpha", math.nan), ("alpha", math.inf)])
     def test_rejects_nonpositive_weights(self, field, value):
         # rejected before the loop builds its ProblemData, which would raise too
         with pytest.raises(ValueError, match=field):

@@ -137,7 +137,9 @@ class TestMain:
         assert code == 1
 
     @pytest.mark.parametrize("flag, value", [("--k", "8"), ("--k", "9"), ("--sigma0", "0"),
-                                             ("--sigma0", "-1"), ("--alpha", "0")])
+                                             ("--sigma0", "-1"), ("--alpha", "0"),
+                                             ("--sigma0", "inf"), ("--alpha", "inf"),
+                                             ("--delta", "nan"), ("--delta", "inf")])
     def test_out_of_range_loop_setting_exits_1(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         code = main(["run", "--benchmark", "exp1", flag, value, "--max-iters", "1",
@@ -147,15 +149,18 @@ class TestMain:
         assert err.startswith("configuration error") and err.count("\n") == 1
         assert not (out / "config.json").exists()
 
-    @pytest.mark.parametrize("key", ["sigma0", "alpha"])
-    def test_out_of_range_config_file_key_exits_1(self, tmp_path, capsys, key):
+    # json reads the NaN literal as a float
+    @pytest.mark.parametrize("key, value", [pytest.param("sigma0", "0.0", id="sigma0"),
+                                            pytest.param("alpha", "0.0", id="alpha"),
+                                            pytest.param("delta", "NaN", id="delta-nan")])
+    def test_out_of_range_config_file_key_exits_1(self, tmp_path, capsys, key, value):
         cfgfile = tmp_path / "bad.json"
-        cfgfile.write_text(json.dumps({key: 0.0, "max_iters": 1}))
+        cfgfile.write_text(f'{{"{key}": {value}, "max_iters": 1}}')
         out = tmp_path / "out"
         code = main(["run", "--config", str(cfgfile), "--outdir", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("configuration error") and key in err
+        assert err.startswith("configuration error") and key in err and err.count("\n") == 1
         assert not (out / "config.json").exists()
 
     @pytest.mark.parametrize("window", ["0", "1"])
@@ -210,6 +215,12 @@ class TestMain:
                 writer.writerow([n, 5.0 / n])
         assert main(["slope", str(path), "dofs", "err"]) == 0
         assert capsys.readouterr().out.strip() == "-1.000000"
+
+    def test_slope_subcommand_missing_file_exits_1(self, tmp_path, capsys):
+        code = main(["slope", str(tmp_path / "missing.csv"), "x", "y"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_slope_subcommand_rejects_bad_column(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -86,8 +86,8 @@ class TestInjectTrial:
         target = build_space(m, enriched(2, 4))
         rng = np.random.default_rng(1)
         coeffs = rng.standard_normal(trial.dim)
-        Mt = assemble_mass(trial, trial)
-        Me = assemble_mass(target, target)
+        Mt = assemble_mass(trial)
+        Me = assemble_mass(target)
         padded = inject_trial(DiscreteFunction(trial, coeffs), target).coefficients
         a = coeffs @ (Mt @ coeffs)
         b = padded @ (Me @ padded)
