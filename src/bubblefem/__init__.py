@@ -26,12 +26,11 @@ from .analysis import (
 )
 from .benchmarks import BENCHMARKS, Benchmark, experiment1, experiment2, get_benchmark
 from .forms import (
+    FormTables,
     ProblemData,
     Rectangle,
     assemble_advection,
-    assemble_boundary_mass,
     assemble_gram,
-    assemble_jump_penalty,
     assemble_load,
     assemble_mass,
     assemble_qoi,

@@ -15,6 +15,7 @@ import numpy as np
 
 from .analysis import error_norms, local_energy_products, qoi_error, qoi_reference
 from .forms import (
+    FormTables,
     assemble_gram,
     assemble_load,
     assemble_qoi,
@@ -42,22 +43,22 @@ class Indicators:
     total: float
 
 
-def energy_indicators(epsilon, data, degree=None):
+def energy_indicators(epsilon, tables):
     """Localized energy norm of the residual representative."""
-    parts = local_energy_products(epsilon, epsilon, data, degree)
+    parts = local_energy_products(epsilon, epsilon, tables)
     parts = np.maximum(parts, 0.0)  # guard roundoff on zero cells
     return Indicators(np.sqrt(parts), float(np.sqrt(parts.sum())))
 
 
-def goa_indicators(epsilon, eps_star, data, degree=None):
+def goa_indicators(epsilon, eps_star, tables):
     """Product indicators |||eps|||_T |||eps*|||_T and the scalar estimate.
 
     Returns (indicators, E^2) where E^2 = |(eps, eps*)| in the energy
     inner product.
     """
-    pa = np.maximum(local_energy_products(epsilon, epsilon, data, degree), 0.0)
-    pb = np.maximum(local_energy_products(eps_star, eps_star, data, degree), 0.0)
-    pab = local_energy_products(epsilon, eps_star, data, degree)
+    pa = np.maximum(local_energy_products(epsilon, epsilon, tables), 0.0)
+    pb = np.maximum(local_energy_products(eps_star, eps_star, tables), 0.0)
+    pab = local_energy_products(epsilon, eps_star, tables)
     eta = np.sqrt(pa) * np.sqrt(pb)
     return Indicators(eta, float(np.sqrt((eta**2).sum()))), float(abs(pab.sum()))
 
@@ -179,8 +180,11 @@ class LoopConfig:
                 f"bubble degree k must be at most {max_k}: error norms need quadrature "
                 f"degree 2 max(p, k) + 6 <= {MAX_QUAD_DEGREE}"
             )
-        if self.quad_degree is not None and self.quad_degree > MAX_QUAD_DEGREE:
-            raise ValueError(f"quad_degree must be at most {MAX_QUAD_DEGREE}")
+        # the estimate reads G as the energy norm: its test-space mass must be exact
+        min_quad = 2 * max(self.p, self.k)
+        if self.quad_degree is not None and not min_quad <= self.quad_degree <= MAX_QUAD_DEGREE:
+            raise ValueError(f"quad_degree must lie in [2 max(p, k), {MAX_QUAD_DEGREE}] = "
+                             f"[{min_quad}, {MAX_QUAD_DEGREE}]")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("marking fraction theta must lie in (0, 1]")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
@@ -246,12 +250,13 @@ def adaptive_loop(bench, config):
     while True:
         trial = build_space(mesh, trial_lagrange(config.p))
         test = build_space(mesh, enriched(config.p, config.k))
-        deg = config.quad_degree
-        G = assemble_gram(test, data, degree=deg)
+        # built lazily: the first assembler to read a table pays for it
+        tables = FormTables(test, data, config.quad_degree)
+        G = assemble_gram(tables)
         # the test space nests the trial space first: B is B_full's trial block
-        B_full = assemble_stabilized(test, data, degree=deg)
+        B_full = assemble_stabilized(tables)
         B = B_full[:, : test.n_trial]
-        load = assemble_load(test, data, degree=deg)
+        load = assemble_load(tables)
         factor = SaddleFactorization(G, B)
         sol = solve_saddle(factor, load, trial, test)
 
@@ -260,12 +265,12 @@ def adaptive_loop(bench, config):
         if goa:
             q_test = assemble_qoi(test, bench.qoi_region)
             adj = solve_adjoint(factor, q_test[: test.n_trial], q_test, B_full, trial, test)
-            indicators, goa_sq = goa_indicators(sol.epsilon, adj.eps_star, data, degree=deg)
+            indicators, goa_sq = goa_indicators(sol.epsilon, adj.eps_star, tables)
             est_goa = math.sqrt(goa_sq)
             if qoi_ref is not None:
                 err_qoi = qoi_error(sol.u, bench.exact, bench.qoi_region, exact_value=qoi_ref)
         else:
-            indicators = energy_indicators(sol.epsilon, data, degree=deg)
+            indicators = energy_indicators(sol.epsilon, tables)
 
         err_l2_rel = err_triple = sat = robustness = math.nan
         dofs_total = trial.dim + test.dim

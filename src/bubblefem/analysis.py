@@ -1,12 +1,11 @@
 """Norms, projections, interpolation and error measurement.
 
 The mesh-dependent energy ("triple") norm combines a weighted L2 term,
-a |b.n|-weighted boundary term and the gradient-jump penalty.  Its local
-(per-cell) inner products contract the Gram blocks owned by
-``forms.gram_blocks``; ``error_norms`` integrates point values instead,
-because it needs the exact solution at quadrature points, with facet
-quadrature matching the assembly rules so that the norm of a discrete
-test function agrees with the Gram quadratic form to rounding.
+a |b.n|-weighted boundary term and the gradient-jump penalty: the three
+terms of ``forms.FormTables.energy_terms``, which also give the Gram
+matrix.  ``local_energy_products`` and ``error_norms`` integrate point
+values on those terms, so the norm of a discrete test function agrees
+with the Gram quadratic form to rounding.
 """
 
 import warnings
@@ -15,19 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg
 
-from .forms import (
-    assemble_mass,
-    boundary_flux,
-    cell_quadrature,
-    facet_basis,
-    facet_degree,
-    gram_blocks,
-    jump_tables,
-    jump_weights,
-    volume_degree,
-)
-from .reference import edge_rule, triangle_rule
-from .spaces import DiscreteFunction, build_space, quad_values, trial_lagrange
+from .forms import FormTables, assemble_mass, cell_quadrature, volume_degree
+from .reference import triangle_rule
+from .spaces import DiscreteFunction, build_space, trial_lagrange
 
 
 @dataclass(frozen=True)
@@ -45,27 +34,26 @@ class NormReport:
 
 
 def _contract(table, dofs, fn):
-    """Per-facet point values (nf, nq) of fn from a basis table and its DoFs."""
+    """Point values (n, nq) of fn from basis values (nq, m) or (n, nq, m) on DoFs (n, m)."""
     return np.matmul(table, fn.coefficients[dofs][:, :, None])[:, :, 0]
 
 
-def local_energy_products(fa, fb, data, degree=None):
+def local_energy_products(fa, fb, tables):
     """Per-cell contributions of the energy inner product (fa, fb).
 
-    Contracts each Gram block with both coefficient vectors and splits the
-    result among the block's owners (an interior facet's jump block half
-    to each neighbour), so the cell values sum to the global inner
-    product.
+    Integrates the point values of both functions on each of the tables'
+    energy terms and splits the result among the term's owners (an
+    interior facet's share half to each neighbour), so the cell values sum
+    to the global inner product.
     """
-    space = fa.space
-    if fb.space is not space:
-        raise ValueError("functions live on different spaces")
+    space = tables.space
+    if fa.space is not space or fb.space is not space:
+        raise ValueError("functions do not live on the tables' space")
     parts = np.zeros(len(space.mesh.cells))
-    for local, dofs, owners in gram_blocks(space, data, degree):
-        ca = fa.coefficients[dofs]
-        cb = ca if fb is fa else fb.coefficients[dofs]
-        share = np.matmul(ca[:, None, :], np.matmul(local, cb[:, :, None]))[:, 0, 0]
-        share /= owners.shape[1]
+    for weights, table, dofs, owners in tables.energy_terms:
+        va = _contract(table, dofs, fa)
+        vb = va if fb is fa else _contract(table, dofs, fb)
+        share = np.einsum("fq,fq->f", weights, va * vb) / owners.shape[1]
         for cells in owners.T:
             np.add.at(parts, cells, share)
     return parts
@@ -75,45 +63,43 @@ def error_norms(u_h, exact, data, quad_degree=None):
     """Broken-norm quadrature of exact - u_h (or of u_h when exact is None).
 
     The exact solution is smooth, so facet jump terms use only the
-    discrete function.  Facet quadrature matches the assembly rules.
+    discrete function.  The volume rule is ``quad_degree`` (default two
+    above the assembly rule); facet quadrature matches the assembly rules.
     """
     space = u_h.space
     mesh = space.mesh
     vol_deg = quad_degree if quad_degree is not None else volume_degree(space) + 2
-    vrule = triangle_rule(vol_deg)
-    erule = edge_rule(facet_degree(space))
-    sigma0 = data.effective_gram_weight
+    tables = FormTables(space, data, vol_deg)
 
-    pts, w = cell_quadrature(mesh, vrule)
+    pts, w, phi = tables.volume
     nc, nq = w.shape
-    diff = -quad_values(u_h, vrule.points)
+    diff = -(u_h.coefficients[space.cell_dofs] @ phi.T)
     if exact is not None:
         diff = diff + np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(nc, nq)
 
-    cell_l2_sq = np.einsum("cq,cq->c", w, diff**2)
+    diff_sq = diff**2
+    cell_l2_sq = np.einsum("cq,cq->c", w, diff_sq)
     l2_sq = cell_l2_sq.sum()
 
     bvals = np.asarray(data.velocity(pts.reshape(-1, 2)), dtype=float).reshape(nc, nq, 2)
     beta = np.linalg.norm(bvals, axis=2).max(axis=1)
     semi_sq = (beta / mesh.cell_diameters * cell_l2_sq).sum()
 
-    bnd_sq = 0.0
-    if len(mesh.boundary_edges):
-        epts, ew, bn = boundary_flux(mesh, data.velocity, erule)
-        cells = mesh.boundary_cells
-        table = facet_basis(space, mesh.boundary_edges, cells, erule)
-        bdiff = -_contract(table, space.cell_dofs[cells], u_h)
-        if exact is not None:
-            bdiff = bdiff + np.asarray(exact(epts.reshape(-1, 2)), dtype=float).reshape(ew.shape)
-        bnd_sq = 0.5 * np.einsum("fq,fq->", ew * np.abs(bn), bdiff**2)
+    (mass_w, *_), (bnd_w, bnd_vals, bnd_dofs, _), (jump_w, jump, jump_dofs, _) = (
+        tables.energy_terms
+    )
+    bdiff = -_contract(bnd_vals, bnd_dofs, u_h)
+    if exact is not None:
+        bpts = tables.boundary[0]
+        bdiff = bdiff + np.asarray(exact(bpts.reshape(-1, 2)), dtype=float).reshape(bnd_w.shape)
+    jdiff = _contract(jump, jump_dofs, u_h)
+    triple_sq = (
+        np.einsum("cq,cq->c", mass_w, diff_sq).sum()
+        + np.einsum("fq,fq->", bnd_w, bdiff**2)
+        + np.einsum("fq,fq->", jump_w, jdiff**2)
+    )
 
-    jump_sq = 0.0
-    if len(mesh.interior_edges):
-        iw = jump_weights(mesh, data, erule)
-        jd = _contract(*jump_tables(space, erule), u_h)
-        jump_sq = float(np.einsum("fq,fq->", iw, jd**2))
-
-    triple = float(np.sqrt(sigma0 * l2_sq + bnd_sq + jump_sq))
+    triple = float(np.sqrt(triple_sq))
     semi = float(np.sqrt(semi_sq))
     k = float(data.require_penalty_order())
     p = float(space.kind.p if space.kind.p else space.max_degree)

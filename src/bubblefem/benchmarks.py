@@ -13,6 +13,7 @@ acceptance suites:
   and a mean-value quantity of interest over a small subrectangle.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ def experiment1(delta=0.01):
     ``delta`` controls the layer stiffness; the layer sits on the circle
     of radius 1.5 around (0, -1).
     """
-    if delta <= 0.0:
-        raise ValueError("layer parameter delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError("layer parameter delta must be finite and positive")
     mu = 0.1
 
     def _split(points):

@@ -14,6 +14,7 @@ import json
 import math
 import pathlib
 import sys
+import typing
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -191,6 +192,20 @@ def build_parser():
     return parser
 
 
+# JSON values each RunConfig field type accepts; JSON true/false are never numbers
+_JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str, type(None): type(None)}
+
+
+def _check_file_value(key, value):
+    """Raise ConfigError unless a config-file value fits its RunConfig field."""
+    field_type = RunConfig.__dataclass_fields__[key].type
+    allowed = typing.get_args(field_type) or (field_type,)
+    fits = any(isinstance(value, _JSON_TYPES[t]) for t in allowed)
+    if not fits or (isinstance(value, bool) and bool not in allowed):
+        expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        raise ConfigError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
+
+
 def parse_run_config(args):
     """Merge config-file values and command-line flags into a RunConfig."""
     values = {}
@@ -200,9 +215,13 @@ def parse_run_config(args):
                 file_values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise ConfigError("config file must hold a JSON object")
         unknown = set(file_values) - set(RunConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_values.items():
+            _check_file_value(key, value)
         values.update(file_values)
     for field in RunConfig.__dataclass_fields__:
         flag = getattr(args, field, None)
@@ -216,7 +235,7 @@ def main(argv=None):
     if args.command == "run":
         try:
             config = parse_run_config(args)
-        except (ConfigError, TypeError) as exc:
+        except ConfigError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 1
         return run(config)

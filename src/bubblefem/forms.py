@@ -17,14 +17,15 @@ pointwise, as in the continuous problem; no facet-wide label enters.
 The test-space inner product (Gram) matrix is
 ``sigma0 (v, w) + 1/2 (|b.n| v, w)_boundary + jump(v, w)`` which induces
 the mesh-dependent energy norm used by the residual representative.
-``gram_blocks`` owns its local blocks; ``assemble_gram`` scatters them and
-``analysis.local_energy_products`` contracts them cell by cell.
 
-Every assembler takes one space and returns the square operator on it,
-with entries ``A[i, j] = form(phi_j, phi_i)``.  The enriched test space
-numbers its trial DoFs first, so the trial x test operator B is the
-leading column block ``[:, :n_trial]`` of the test-space operator, and a
-trial-space operator is its leading ``[:n_trial, :n_trial]`` block.
+``FormTables`` owns the quadrature tables of one space and problem, each
+built on first use.  Every assembler takes the tables and returns the
+square operator on their space, with entries ``A[i, j] = form(phi_j,
+phi_i)``; ``analysis.local_energy_products`` contracts the Gram form's
+terms on point values cell by cell.  The enriched test space numbers its
+trial DoFs first, so the trial x test operator B is the leading column
+block ``[:, :n_trial]`` of the test-space operator, and a trial-space
+operator is its leading ``[:n_trial, :n_trial]`` block.
 
 All assembly loops are vectorized over cells and facets; matrices are
 returned in CSR format.  Bases are evaluated once per reference point set
@@ -32,7 +33,9 @@ returned in CSR format.  Bases are evaluated once per reference point set
 gathered per cell or facet, so no physical point is pulled back.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.io
@@ -65,10 +68,10 @@ class ProblemData:
     gram_weight: float | None = None
 
     def __post_init__(self):
-        if self.penalty_exponent <= 0.0:
-            raise ValueError("penalty exponent must be positive")
-        if self.gram_weight is not None and self.gram_weight <= 0.0:
-            raise ValueError("gram weight must be positive")
+        if not 0.0 < self.penalty_exponent < math.inf:
+            raise ValueError("penalty exponent must be finite and positive")
+        if self.gram_weight is not None and not 0.0 < self.gram_weight < math.inf:
+            raise ValueError("gram weight must be finite and positive")
 
     @property
     def effective_gram_weight(self):
@@ -154,6 +157,12 @@ def _facet_local(weights, vals):
     return np.matmul(vals.transpose(0, 2, 1) * weights[:, None, :], vals)
 
 
+def _mass_local(phi, w):
+    """Per-cell mass matrices for basis values phi (nq, n) and scaled weights w (nc, nq)."""
+    products = (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), -1)
+    return np.matmul(w, products).reshape(len(w), phi.shape[1], phi.shape[1])
+
+
 def _scatter(local, dofs, dim):
     """CSR matrix (dim, dim) of local blocks (n, m, m) on DoFs (n, m)."""
     rows = np.broadcast_to(dofs[:, :, None], local.shape)
@@ -163,14 +172,97 @@ def _scatter(local, dofs, dim):
     ).tocsr()
 
 
+# -- the tables of one space --------------------------------------------------
+
+
+class FormTables:
+    """Quadrature tables of one space and problem, each built on first use.
+
+    One object serves every form of an adaptive iteration: the operator,
+    the Gram matrix, the load and the energy indicators read the same
+    volume, boundary and interior-facet tables, so each is computed once.
+    ``degree`` is the volume quadrature exactness (default
+    ``volume_degree``); facets use the ``facet_degree`` edge rule.
+    """
+
+    def __init__(self, space, data, degree=None):
+        self.space = space
+        self.data = data
+        self.volume_rule = triangle_rule(degree if degree is not None else volume_degree(space))
+        self.edge_rule = edge_rule(facet_degree(space))
+
+    @cached_property
+    def volume(self):
+        """Points (nc, nq, 2), scaled weights (nc, nq) and basis values (nq, n)."""
+        pts, w = cell_quadrature(self.space.mesh, self.volume_rule)
+        return pts, w, self.space.local_basis.evaluate(self.volume_rule.points)
+
+    @cached_property
+    def boundary(self):
+        """Points, scaled weights, b.n and owner-cell basis values (nf, nq, n)
+        on every boundary facet, and the owner cells' DoFs."""
+        mesh = self.space.mesh
+        pts, w = facet_quadrature(mesh, mesh.boundary_edges, self.edge_rule)
+        bn = normal_flux(self.data.velocity, pts, mesh.boundary_normals)
+        vals = facet_basis(self.space, mesh.boundary_edges, mesh.boundary_cells, self.edge_rule)
+        return pts, w, bn, vals, self.space.cell_dofs[mesh.boundary_cells]
+
+    @cached_property
+    def interior(self):
+        """Penalty weights gamma_e w_q, stacked normal-gradient jumps
+        [plus side, -minus side] and their DoFs, per interior facet.
+
+        gamma_e = h_e^2 / k_pen^alpha * max_q |b.n_e|, w_q the scaled
+        quadrature weights of the facet.
+        """
+        mesh, space, data = self.space.mesh, self.space, self.data
+        k_pen = data.require_penalty_order()
+        pts, w = facet_quadrature(mesh, mesh.interior_edges, self.edge_rule)
+        bn = normal_flux(data.velocity, pts, mesh.interior_normals)
+        h_e = mesh.interior_lengths
+        gamma = h_e**2 / float(k_pen) ** data.penalty_exponent * np.abs(bn).max(axis=1)
+        sides = np.column_stack([mesh.interior_plus, mesh.interior_minus])
+        gn_plus, gn_minus = (
+            facet_basis(space, mesh.interior_edges, cells, self.edge_rule, mesh.interior_normals)
+            for cells in sides.T
+        )
+        jump = np.concatenate([gn_plus, -gn_minus], axis=2)
+        return gamma[:, None] * w, jump, np.hstack(space.cell_dofs[sides.T])
+
+    @cached_property
+    def jump_penalty(self):
+        """CIP penalty J on normal-gradient jumps; G and B_full both add it."""
+        weights, jump, dofs = self.interior
+        return _scatter(_facet_local(weights, jump), dofs, self.space.dim)
+
+    @cached_property
+    def energy_terms(self):
+        """The Gram form's terms as (weights, basis values, DoFs, owners).
+
+        Volume ``sigma0 w``, boundary ``1/2 |b.n| w`` and interior-facet
+        ``gamma_e w`` weights (n, nq) with the basis values (nq, m) or
+        (n, nq, m) on the DoFs (n, m).  Each row is shared equally by the
+        cells in its row of ``owners`` (n, c): a cell owns its volume term,
+        the owner cell its boundary facet, and each neighbour half of an
+        interior facet, so the owned shares sum to the global form.
+        """
+        mesh = self.space.mesh
+        _, w, phi = self.volume
+        _, bw, bn, vals, bdofs = self.boundary
+        return [
+            (self.data.effective_gram_weight * w, phi, self.space.cell_dofs,
+             np.arange(len(mesh.cells))[:, None]),
+            (bw * (0.5 * np.abs(bn)), vals, bdofs, mesh.boundary_cells[:, None]),
+            (*self.interior, np.column_stack([mesh.interior_plus, mesh.interior_minus])),
+        ]
+
+    def boundary_matrix(self, weights):
+        """(weights v, w) over the whole boundary for per-point weights (nf, nq)."""
+        *_, vals, dofs = self.boundary
+        return _scatter(_facet_local(weights, vals), dofs, self.space.dim)
+
+
 # -- volume terms -------------------------------------------------------------
-
-
-def _mass_local(space, rule, w):
-    """Per-cell mass matrices for per-point scaled weights w (nc, nq) of a volume rule."""
-    phi = space.local_basis.evaluate(rule.points)
-    products = (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), -1)
-    return np.matmul(w, products).reshape(len(w), phi.shape[1], phi.shape[1])
 
 
 def assemble_mass(space, weight=None, degree=None):
@@ -179,21 +271,20 @@ def assemble_mass(space, weight=None, degree=None):
     pts, w = cell_quadrature(space.mesh, rule)
     if weight is not None:
         w = w * np.asarray(weight(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
-    return _scatter(_mass_local(space, rule, w), space.cell_dofs, space.dim)
+    phi = space.local_basis.evaluate(rule.points)
+    return _scatter(_mass_local(phi, w), space.cell_dofs, space.dim)
 
 
-def assemble_advection(space, velocity, degree=None):
+def assemble_advection(tables):
     """Adjoint-form advection block: -(v, b . grad w)."""
-    mesh = space.mesh
-    rule = triangle_rule(degree if degree is not None else volume_degree(space))
-    pts, w = cell_quadrature(mesh, rule)
+    space = tables.space
+    pts, w, phi = tables.volume
     nc, nq = w.shape
-    bvals = np.asarray(velocity(pts.reshape(-1, 2)), dtype=float).reshape(nc, nq, 2)
-    _, _, Jinv, _ = mesh.affine
+    bvals = np.asarray(tables.data.velocity(pts.reshape(-1, 2)), dtype=float).reshape(nc, nq, 2)
+    _, _, Jinv, _ = space.mesh.affine
     # b . grad(test basis): pull b back through the affine map once
     wb = w[:, :, None] * np.matmul(bvals, Jinv.transpose(0, 2, 1))
-    gref = space.local_basis.gradient(rule.points)
-    phi = space.local_basis.evaluate(rule.points)
+    gref = space.local_basis.gradient(tables.volume_rule.points)
     # reference-gradient x value products per point and direction
     products = gref.transpose(0, 2, 1)[:, :, :, None] * phi[:, None, None, :]
     local = -np.matmul(wb.reshape(nc, -1), products.reshape(2 * nq, -1))
@@ -201,148 +292,51 @@ def assemble_advection(space, velocity, degree=None):
     return _scatter(local, space.cell_dofs, space.dim)
 
 
-# -- boundary terms -----------------------------------------------------------
-
-
-def boundary_flux(mesh, velocity, rule):
-    """Edge-rule points, scaled weights and b.n on every boundary facet."""
-    pts, w = facet_quadrature(mesh, mesh.boundary_edges, rule)
-    return pts, w, normal_flux(velocity, pts, mesh.boundary_normals)
-
-
-def _boundary_local(space, velocity, part, rule):
-    """Per-facet (part(b.n) v, w) over the whole boundary, part applied
-    pointwise, and the DoFs of each facet's owner cell."""
-    mesh = space.mesh
-    owners = mesh.boundary_cells
-    _, w, bn = boundary_flux(mesh, velocity, rule)
-    vals = facet_basis(space, mesh.boundary_edges, owners, rule)
-    return _facet_local(w * part(bn), vals), space.cell_dofs[owners]
-
-
-def assemble_boundary_mass(space, velocity):
-    """(|b.n| v, w) over the whole boundary."""
-    rule = edge_rule(facet_degree(space))
-    return _scatter(*_boundary_local(space, velocity, np.abs, rule), space.dim)
-
-
-# -- interior penalty ---------------------------------------------------------
-
-
-def jump_weights(mesh, data, rule):
-    """Penalty weights gamma_e w_q per (interior facet, edge-rule point).
-
-    gamma_e = h_e^2 / k_pen^alpha * max_q |b.n_e|, w_q the scaled
-    quadrature weights of the facet.
-    """
-    k_pen = data.require_penalty_order()
-    pts, w = facet_quadrature(mesh, mesh.interior_edges, rule)
-    bn = normal_flux(data.velocity, pts, mesh.interior_normals)
-    h_e = mesh.interior_lengths
-    gamma = h_e**2 / float(k_pen) ** data.penalty_exponent * np.abs(bn).max(axis=1)
-    return gamma[:, None] * w
-
-
-def jump_tables(space, rule):
-    """Stacked normal-gradient jumps [plus side, -minus side] per interior facet."""
-    mesh = space.mesh
-    gn_plus, gn_minus = (
-        facet_basis(space, mesh.interior_edges, cells, rule, mesh.interior_normals)
-        for cells in (mesh.interior_plus, mesh.interior_minus)
-    )
-    jump = np.concatenate([gn_plus, -gn_minus], axis=2)
-    dofs = np.hstack(
-        [space.cell_dofs[mesh.interior_plus], space.cell_dofs[mesh.interior_minus]]
-    )
-    return jump, dofs
-
-
-def _jump_local(space, data, rule):
-    """Per-interior-facet penalty matrices and the DoFs of both neighbours."""
-    jump, dofs = jump_tables(space, rule)
-    return _facet_local(jump_weights(space.mesh, data, rule), jump), dofs
-
-
-def assemble_jump_penalty(space, data):
-    """CIP penalty on jumps of the normal gradient across interior facets."""
-    return _scatter(*_jump_local(space, data, edge_rule(facet_degree(space))), space.dim)
-
-
 # -- composed operators -------------------------------------------------------
 
 
-def assemble_stabilized(space, data, degree=None):
+def assemble_stabilized(tables):
     """The full stabilized operator: reaction + advection + outflow + jump.
 
     The outflow term is the boundary mass weighted by (b.n)^+ over the
     whole boundary.  Raises if the reaction coefficient drops below the
     declared floor.
     """
-    vol_deg = degree if degree is not None else volume_degree(space)
-    rule = triangle_rule(vol_deg)
-    pts, w = cell_quadrature(space.mesh, rule)
+    space, data = tables.space, tables.data
+    pts, w, phi = tables.volume
     mu = np.asarray(data.reaction(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
     if mu.min() < data.reaction_floor - 1e-12:
         raise ValueError("reaction coefficient drops below the declared floor")
-    erule = edge_rule(facet_degree(space))
-    outflow = _boundary_local(space, data.velocity, lambda bn: np.maximum(bn, 0.0), erule)
-    A = _scatter(_mass_local(space, rule, w * mu), space.cell_dofs, space.dim)
-    A = A + assemble_advection(space, data.velocity, degree=vol_deg)
-    A = A + _scatter(*outflow, space.dim)
-    A = A + assemble_jump_penalty(space, data)
+    _, bw, bn, _, _ = tables.boundary
+    A = _scatter(_mass_local(phi, w * mu), space.cell_dofs, space.dim)
+    A = A + assemble_advection(tables)
+    A = A + tables.boundary_matrix(bw * np.maximum(bn, 0.0))
+    A = A + tables.jump_penalty
     return A.tocsr()
 
 
-def gram_blocks(space, data, degree=None):
-    """Local blocks of the Gram form as (local, dofs, owners) triples.
-
-    ``local`` (n, m, m) are the block matrices on the global DoFs ``dofs``
-    (n, m); each block is shared equally by the cells in its row of
-    ``owners`` (n, c).  Volume blocks belong to their cell, boundary
-    blocks to the owner cell, interior-facet jump blocks half to each
-    neighbour, so the owned shares sum to the global form.
-    """
-    mesh = space.mesh
-    rule = triangle_rule(degree if degree is not None else volume_degree(space))
-    _, w = cell_quadrature(mesh, rule)
-    erule = edge_rule(facet_degree(space))
-    mass = _mass_local(space, rule, data.effective_gram_weight * w)
-    boundary = _boundary_local(space, data.velocity, lambda bn: 0.5 * np.abs(bn), erule)
-    return [
-        (mass, space.cell_dofs, np.arange(len(mesh.cells))[:, None]),
-        (*boundary, mesh.boundary_cells[:, None]),
-        (*_jump_local(space, data, erule),
-         np.column_stack([mesh.interior_plus, mesh.interior_minus])),
-    ]
-
-
-def assemble_gram(space, data, degree=None):
+def assemble_gram(tables):
     """SPD inner-product matrix of the space (symmetrized exactly)."""
-    mass, boundary, jump = (
-        _scatter(local, dofs, space.dim) for local, dofs, _ in gram_blocks(space, data, degree)
-    )
-    G = mass + boundary + jump
+    (mass_w, phi, dofs, _), (boundary_w, *_), _ = tables.energy_terms
+    G = _scatter(_mass_local(phi, mass_w), dofs, tables.space.dim)
+    G = G + tables.boundary_matrix(boundary_w)
+    G = G + tables.jump_penalty
     G = 0.5 * (G + G.T)
     return G.tocsr()
 
 
-def assemble_load(test, data, degree=None):
+def assemble_load(tables):
     """Load vector (f, w) - ((b.n)^- g, w) over the whole boundary."""
-    mesh = test.mesh
-    rule = triangle_rule(degree if degree is not None else volume_degree(test))
-    pts, w = cell_quadrature(mesh, rule)
+    space, data = tables.space, tables.data
+    pts, w, phi = tables.volume
     fv = np.asarray(data.source(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
-    local = np.matmul(w * fv, test.local_basis.evaluate(rule.points))
-    vec = np.zeros(test.dim)
-    np.add.at(vec, test.cell_dofs, local)
+    vec = np.zeros(space.dim)
+    np.add.at(vec, space.cell_dofs, np.matmul(w * fv, phi))
 
-    erule = edge_rule(facet_degree(test))
-    owners = mesh.boundary_cells
-    epts, ew, bn = boundary_flux(mesh, data.velocity, erule)
-    g = np.asarray(data.inflow_data(epts.reshape(-1, 2)), dtype=float).reshape(ew.shape)
-    vals = facet_basis(test, mesh.boundary_edges, owners, erule)
-    local_e = -np.matmul((ew * np.minimum(bn, 0.0) * g)[:, None, :], vals)[:, 0]
-    np.add.at(vec, test.cell_dofs[owners], local_e)
+    bpts, bw, bn, vals, bdofs = tables.boundary
+    g = np.asarray(data.inflow_data(bpts.reshape(-1, 2)), dtype=float).reshape(bw.shape)
+    local_e = -np.matmul((bw * np.minimum(bn, 0.0) * g)[:, None, :], vals)[:, 0]
+    np.add.at(vec, bdofs, local_e)
     return vec
 
 

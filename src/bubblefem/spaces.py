@@ -185,13 +185,6 @@ def gradients_in_cells(fn, cells, points):
     return np.einsum("ned,ne->nd", Jinv[cells], gref_c)
 
 
-def quad_values(fn, ref_points):
-    """Values at the same reference points in every cell, shape (nc, nq)."""
-    phi = fn.space.local_basis.evaluate(ref_points)  # (nq, nloc)
-    coeffs = fn.coefficients[fn.space.cell_dofs]  # (nc, nloc)
-    return coeffs @ phi.T
-
-
 def inject_trial(fn, target):
     """Zero-pad a trial function into its bubble enrichment.
 

@@ -168,9 +168,10 @@ def test_criterion_1_galerkin_degeneration():
         trial = bf.build_space(mesh, bf.trial_lagrange(1))
         test = bf.build_space(mesh, bf.enriched(1, 1))  # k <= p: same space
         assert test.dim == trial.dim
-        G = bf.assemble_gram(test, data)
-        B = bf.assemble_stabilized(test, data)[:, : test.n_trial]
-        load = bf.assemble_load(test, data)
+        tables = bf.FormTables(test, data)
+        G = bf.assemble_gram(tables)
+        B = bf.assemble_stabilized(tables)[:, : test.n_trial]
+        load = bf.assemble_load(tables)
         sol = bf.solve_saddle(bf.SaddleFactorization(G, B), load, trial, test)
         plain = bf.solve_cip_enriched(B, load, trial)
         eps_norm = math.sqrt(sol.epsilon.coefficients @ (G @ sol.epsilon.coefficients))
@@ -210,8 +211,9 @@ def test_criterion_3_coercivity_suite():
     data1 = replace(bench1.data, penalty_order=3, gram_weight=bench1.data.reaction_floor)
     mesh = bench1.initial_mesh()
     test = bf.build_space(mesh, bf.enriched(1, 3))
-    G = bf.assemble_gram(test, data1)
-    B = bf.assemble_stabilized(test, data1)
+    tables = bf.FormTables(test, data1)
+    G = bf.assemble_gram(tables)
+    B = bf.assemble_stabilized(tables)
     for _ in range(100):
         v = rng.standard_normal(test.dim)
         v /= np.linalg.norm(v)
@@ -223,9 +225,10 @@ def test_criterion_3_coercivity_suite():
     data2 = replace(bench2.data, penalty_order=3)
     mesh2 = bench2.initial_mesh()
     test2 = bf.build_space(mesh2, bf.enriched(1, 3))
-    G2 = 0.5 * bf.assemble_boundary_mass(test2, data2.velocity) + \
-        bf.assemble_jump_penalty(test2, data2)
-    B2 = bf.assemble_stabilized(test2, data2)
+    tables2 = bf.FormTables(test2, data2)
+    _, w2, bn2, _, _ = tables2.boundary
+    G2 = 0.5 * tables2.boundary_matrix(w2 * np.abs(bn2)) + tables2.jump_penalty
+    B2 = bf.assemble_stabilized(tables2)
     for _ in range(100):
         v = rng.standard_normal(test2.dim)
         v /= np.linalg.norm(v)

@@ -6,6 +6,7 @@ import pytest
 
 from bubblefem import (
     DiscreteFunction,
+    FormTables,
     LoopConfig,
     ProblemData,
     adaptive_loop,
@@ -43,7 +44,7 @@ class TestEnergyIndicators:
     def test_zero_function(self):
         m = build_structured_mesh(2)
         space = build_space(m, enriched(1, 3))
-        ind = energy_indicators(DiscreteFunction(space), make_data())
+        ind = energy_indicators(DiscreteFunction(space), FormTables(space, make_data()))
         assert not ind.eta.any()
         assert ind.total == 0.0
 
@@ -53,7 +54,7 @@ class TestEnergyIndicators:
         fn = DiscreteFunction(space)
         cell = 3
         fn.coefficients[space.n_trial + cell] = 1.0
-        ind = energy_indicators(fn, make_data())
+        ind = energy_indicators(fn, FormTables(space, make_data()))
         neighbours = {cell}
         for f in range(len(m.interior_edges)):
             if m.interior_plus[f] == cell:
@@ -83,7 +84,8 @@ class TestEnergyIndicators:
     def test_sum_identity_with_gram(self, setup, cross):
         # the local products sum to a.G b, for a = b and for a != b
         space, data = self.space_and_data(setup)
-        G = assemble_gram(space, data)
+        tables = FormTables(space, data)
+        G = assemble_gram(tables)
         rng = np.random.default_rng(21)
         for _ in range(5):
             v = rng.standard_normal(space.dim)
@@ -91,12 +93,12 @@ class TestEnergyIndicators:
             if cross:
                 w = rng.standard_normal(space.dim)
                 parts = local_energy_products(
-                    DiscreteFunction(space, v), DiscreteFunction(space, w), data
+                    DiscreteFunction(space, v), DiscreteFunction(space, w), tables
                 )
                 scale = np.sqrt(quad * (w @ (G @ w)))
                 assert abs(parts.sum() - v @ (G @ w)) < 1e-12 * scale
             else:
-                ind = energy_indicators(DiscreteFunction(space, v), data)
+                ind = energy_indicators(DiscreteFunction(space, v), tables)
                 assert abs(ind.total**2 - quad) < 1e-12 * quad
                 assert abs((ind.eta**2).sum() - ind.total**2) < 1e-12 * ind.total**2
 
@@ -107,34 +109,34 @@ class TestGoaIndicators:
         space = build_space(m, enriched(1, 3))
         rng = np.random.default_rng(22)
         eps = DiscreteFunction(space, rng.standard_normal(space.dim))
-        ind, est_sq = goa_indicators(eps, DiscreteFunction(space), make_data())
+        ind, est_sq = goa_indicators(eps, DiscreteFunction(space), FormTables(space, make_data()))
         assert not ind.eta.any()
         assert est_sq == 0.0
 
     def test_diagonal_case_matches_energy(self):
         m = build_structured_mesh(2)
         space = build_space(m, enriched(1, 3))
-        data = make_data()
+        tables = FormTables(space, make_data())
         rng = np.random.default_rng(23)
         eps = DiscreteFunction(space, rng.standard_normal(space.dim))
-        energy = energy_indicators(eps, data)
-        ind, est_sq = goa_indicators(eps, eps, data)
+        energy = energy_indicators(eps, tables)
+        ind, est_sq = goa_indicators(eps, eps, tables)
         assert np.allclose(ind.eta, energy.eta**2, atol=1e-14)
-        G = assemble_gram(space, data)
+        G = assemble_gram(tables)
         quad = eps.coefficients @ (G @ eps.coefficients)
         assert abs(est_sq - quad) < 1e-12 * quad
 
     def test_cauchy_schwarz(self):
         m = build_structured_mesh(3)
         space = build_space(m, enriched(1, 3))
-        data = make_data()
+        tables = FormTables(space, make_data())
         rng = np.random.default_rng(24)
         for _ in range(5):
             a = DiscreteFunction(space, rng.standard_normal(space.dim))
             b = DiscreteFunction(space, rng.standard_normal(space.dim))
-            ind, est_sq = goa_indicators(a, b, data)
-            bound = np.sqrt((energy_indicators(a, data).eta ** 2).sum()) * np.sqrt(
-                (energy_indicators(b, data).eta ** 2).sum()
+            ind, est_sq = goa_indicators(a, b, tables)
+            bound = np.sqrt((energy_indicators(a, tables).eta ** 2).sum()) * np.sqrt(
+                (energy_indicators(b, tables).eta ** 2).sum()
             )
             assert est_sq <= bound * (1.0 + 1e-12)
 
@@ -242,9 +244,10 @@ class TestAdaptiveLoop:
         for name, seen in calls.items():
             original = getattr(adapt, name)
 
-            def counted(space, *args, _original=original, _seen=seen, **kwargs):
-                _seen.append(space.kind.family)
-                return _original(space, *args, **kwargs)
+            def counted(first, *args, _original=original, _seen=seen, **kwargs):
+                # assemble_stabilized takes the form tables, assemble_qoi the space
+                _seen.append(getattr(first, "space", first).kind.family)
+                return _original(first, *args, **kwargs)
 
             monkeypatch.setattr(adapt, name, counted)
         records = adaptive_loop(bench, config)
@@ -254,6 +257,43 @@ class TestAdaptiveLoop:
         assert calls["assemble_stabilized"] == ["enriched"] * len(records)
         goa = config.mode == "goa"
         assert calls["assemble_qoi"] == ["enriched"] * (len(records) if goa else 0)
+
+    @pytest.mark.parametrize(
+        "bench, config",
+        [
+            (experiment1(0.01), LoopConfig(max_iters=2, saturation=False)),
+            (experiment2(), LoopConfig(mode="goa", theta=0.2, max_iters=2)),
+        ],
+        ids=["exp1-energy", "exp2-goa"],
+    )
+    def test_tables_built_once_per_iteration(self, monkeypatch, bench, config):
+        # G, B_full, the load and the indicators read one FormTables per
+        # iteration, so the test space's boundary table, its two one-sided
+        # jump tables and J are each built once.  The saturation diagnostic
+        # is off: error_norms builds its own tables for its own volume rule.
+        import bubblefem.forms as forms
+
+        nloc = build_space(bench.initial_mesh(), enriched(config.p, config.k)).local_basis.count
+        built = []
+        facet_basis, scatter = forms.facet_basis, forms._scatter
+
+        def counted_basis(space, edge_ids, cells, rule, normals=None):
+            if space.kind.family == "enriched":
+                built.append("boundary" if normals is None else "jump side")
+            return facet_basis(space, edge_ids, cells, rule, normals)
+
+        def counted_scatter(local, dofs, dim):
+            if dofs.shape[1] == 2 * nloc:  # the DoFs of both neighbours of a facet
+                built.append("J")
+            return scatter(local, dofs, dim)
+
+        monkeypatch.setattr(forms, "facet_basis", counted_basis)
+        monkeypatch.setattr(forms, "_scatter", counted_scatter)
+        records = adaptive_loop(bench, config)
+        assert len(records) == 3
+        assert built.count("boundary") == len(records)
+        assert built.count("jump side") == 2 * len(records)
+        assert built.count("J") == len(records)
 
     def test_stop_on_max_dofs(self):
         bench = experiment1(0.5)
@@ -282,6 +322,17 @@ class TestAdaptiveLoop:
                 LoopConfig(k=k, max_iters=1).validate()
         with pytest.raises(ValueError, match="quad_degree"):
             LoopConfig(quad_degree=21, max_iters=1).validate()
+
+    @pytest.mark.parametrize("degree, accepted", [(-3, False), (0, False), (5, False),
+                                                  (6, True)])
+    def test_quad_degree_floor(self, degree, accepted):
+        # below 2 max(p, k) = 6 the Gram mass of the p1k3 test space is not exact
+        config = LoopConfig(p=1, k=3, quad_degree=degree, max_iters=1)
+        if accepted:
+            config.validate()
+        else:
+            with pytest.raises(ValueError, match="quad_degree"):
+                config.validate()
 
     @pytest.mark.parametrize("field, value", [("sigma0", 0.0), ("sigma0", -1.0),
                                               ("sigma0", math.nan), ("sigma0", math.inf),

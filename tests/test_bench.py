@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,11 @@ class TestExperiment1:
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
             experiment1(0.0)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="finite"):
+            experiment1(delta)
 
     def test_defaults(self):
         bench = experiment1()

@@ -149,10 +149,16 @@ class TestMain:
         assert err.startswith("configuration error") and err.count("\n") == 1
         assert not (out / "config.json").exists()
 
-    # json reads the NaN literal as a float
+    # json reads the NaN literal as a float; each file value must fit its
+    # RunConfig field's type
     @pytest.mark.parametrize("key, value", [pytest.param("sigma0", "0.0", id="sigma0"),
                                             pytest.param("alpha", "0.0", id="alpha"),
-                                            pytest.param("delta", "NaN", id="delta-nan")])
+                                            pytest.param("delta", "NaN", id="delta-nan"),
+                                            pytest.param("p", "1.0", id="p-float"),
+                                            pytest.param("k", "3.0", id="k-float"),
+                                            pytest.param("theta", '"0.5"', id="theta-string"),
+                                            pytest.param("vtk", '"no"', id="vtk-string"),
+                                            pytest.param("window", "2.5", id="window-float")])
     def test_out_of_range_config_file_key_exits_1(self, tmp_path, capsys, key, value):
         cfgfile = tmp_path / "bad.json"
         cfgfile.write_text(f'{{"{key}": {value}, "max_iters": 1}}')
@@ -162,6 +168,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and key in err and err.count("\n") == 1
         assert not (out / "config.json").exists()
+
+    @pytest.mark.parametrize("degree, code", [("-3", 1), ("0", 1), ("5", 1), ("6", 0)])
+    def test_quad_degree_floor(self, tmp_path, capsys, degree, code):
+        # p1k3: the Gram mass of the test space needs degree 2 max(p, k) = 6
+        out = tmp_path / "q"
+        assert main(["run", "--benchmark", "exp1", "--delta", "0.5", "--quad-degree", degree,
+                     "--max-iters", "0", "--outdir", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("configuration error") and "quad_degree" in err
+            assert err.count("\n") == 1
+            assert not (out / "config.json").exists()
+        else:
+            assert (out / "records.csv").exists()
 
     @pytest.mark.parametrize("window", ["0", "1"])
     def test_window_below_two_exits_1(self, tmp_path, capsys, window):

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.io
@@ -5,12 +8,11 @@ import scipy.sparse as sp
 
 from bubblefem import (
     DiscreteFunction,
+    FormTables,
     ProblemData,
     Rectangle,
     assemble_advection,
-    assemble_boundary_mass,
     assemble_gram,
-    assemble_jump_penalty,
     assemble_load,
     assemble_mass,
     assemble_qoi,
@@ -62,7 +64,7 @@ class TestStabilizedOperator:
         m = bubblefem.Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
         space = build_space(m, trial_lagrange(1))
         data = make_data(const_field([1.0, 0.0]))
-        J = assemble_jump_penalty(space, data)
+        J = FormTables(space, data).jump_penalty
         assert J.nnz == 0
 
     def test_two_cell_matrix_against_symbolic_oracle(self):
@@ -131,7 +133,7 @@ class TestStabilizedOperator:
         m = build_structured_mesh(1)
         space = build_space(m, trial_lagrange(1))
         data = make_data(const_field([1.0, 0.0]))
-        got = assemble_stabilized(space, data).toarray()
+        got = assemble_stabilized(FormTables(space, data)).toarray()
         assert np.abs(got - expected).max() < 1e-12
 
     def test_jump_vanishes_for_global_linear(self):
@@ -139,7 +141,7 @@ class TestStabilizedOperator:
         test = build_space(m, enriched(1, 3))
         trial = build_space(m, trial_lagrange(1))
         data = make_data(const_field([1.0, 0.5]))
-        J = assemble_jump_penalty(test, data)
+        J = FormTables(test, data).jump_penalty
         v = inject_trial(DiscreteFunction(trial, m.vertices @ [2.0, -1.0]), test)
         assert abs(v.coefficients @ (J @ v.coefficients)) < 1e-13
 
@@ -153,7 +155,7 @@ class TestStabilizedOperator:
         data = make_data(const_field([1.0, 0.5]))
         quad = lambda pts: np.atleast_2d(pts)[:, 0] ** 2 + np.atleast_2d(pts)[:, 0] * np.atleast_2d(pts)[:, 1]
         v = l2_project(quad, space)
-        J = assemble_jump_penalty(space, data)
+        J = FormTables(space, data).jump_penalty
         assert abs(v.coefficients @ (J @ v.coefficients)) < 1e-13
 
     def test_reaction_floor_violation_rejected(self):
@@ -168,7 +170,7 @@ class TestStabilizedOperator:
             penalty_order=3,
         )
         with pytest.raises(ValueError):
-            assemble_stabilized(space, data)
+            assemble_stabilized(FormTables(space, data))
 
     def test_reaction_evaluated_once_per_call(self):
         # the floor check and the mass weight read the same evaluation
@@ -183,9 +185,9 @@ class TestStabilizedOperator:
         test = build_space(m, enriched(1, 3))
         data = make_data(const_field([1.0, 0.0]))
         data.reaction = reaction
-        assemble_stabilized(trial, data)
+        assemble_stabilized(FormTables(trial, data))
         assert len(calls) == 1
-        assemble_stabilized(test, data)
+        assemble_stabilized(FormTables(test, data))
         assert len(calls) == 2
 
 
@@ -197,7 +199,7 @@ class TestGram:
 
         data = replace(bench.data, penalty_order=3)
         test = build_space(m, enriched(1, 3))
-        G = assemble_gram(test, data)
+        G = assemble_gram(FormTables(test, data))
         assert abs(G - G.T).max() == 0.0
         eigs = np.linalg.eigvalsh(G.toarray())
         assert eigs.min() > 0.0
@@ -209,7 +211,7 @@ class TestGram:
         data = replace(bench.data, penalty_order=3, gram_weight=bench.data.reaction_floor)
         m = build_structured_mesh(4)
         test = build_space(m, enriched(1, 3))
-        G = assemble_gram(test, data)
+        G = assemble_gram(FormTables(test, data))
         rng = np.random.default_rng(8)
         for _ in range(20):
             v = rng.standard_normal(test.dim)
@@ -222,13 +224,22 @@ class TestGram:
         m = build_structured_mesh(2)
         test = build_space(m, enriched(1, 3))
         data = make_data(const_field([0.0, 0.0]), gram_weight=2.0)
-        G = assemble_gram(test, data)
+        G = assemble_gram(FormTables(test, data))
         M = assemble_mass(test)
         assert abs(G - 2.0 * M).max() < 1e-14
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             make_data(const_field([1.0, 0.0]), gram_weight=-1.0)
+
+    @pytest.mark.parametrize("field, value", [("gram_weight", math.nan),
+                                              ("gram_weight", math.inf),
+                                              ("penalty_exponent", math.nan),
+                                              ("penalty_exponent", math.inf)])
+    def test_rejects_non_finite_weights(self, field, value):
+        data = make_data(const_field([1.0, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            replace(data, **{field: value})
 
 
 class TestCoercivityAndSplit:
@@ -239,8 +250,9 @@ class TestCoercivityAndSplit:
         data = replace(bench.data, penalty_order=3, gram_weight=bench.data.reaction_floor)
         m = bench.initial_mesh()
         test = build_space(m, enriched(1, 3))
-        G = assemble_gram(test, data)
-        B = assemble_stabilized(test, data)
+        tables = FormTables(test, data)
+        G = assemble_gram(tables)
+        B = assemble_stabilized(tables)
         rng = np.random.default_rng(12)
         for _ in range(100):
             v = rng.standard_normal(test.dim)
@@ -248,19 +260,17 @@ class TestCoercivityAndSplit:
             assert v @ (B @ v) >= v @ (G @ v) - 1e-10
 
     @staticmethod
-    def signed_flux(test, velocity):
-        """(b.n v, w)_boundary as 2 ((b.n)^+ v, w) - (|b.n| v, w).
+    def advection_and_signed_flux(test, velocity):
+        """-(v, b.grad w) and (b.n v, w)_boundary as 2 ((b.n)^+ v, w) - (|b.n| v, w).
 
         The (b.n)^+ mass is the stabilized operator with zero reaction
         minus its advection and jump parts.
         """
-        data = make_data(velocity, mu=0.0)
-        outflow = (
-            assemble_stabilized(test, data)
-            - assemble_advection(test, velocity)
-            - assemble_jump_penalty(test, data)
-        )
-        return 2.0 * outflow - assemble_boundary_mass(test, velocity)
+        tables = FormTables(test, make_data(velocity, mu=0.0))
+        Aadv = assemble_advection(tables)
+        outflow = assemble_stabilized(tables) - Aadv - tables.jump_penalty
+        _, w, bn, _, _ = tables.boundary
+        return Aadv, 2.0 * outflow - tables.boundary_matrix(w * np.abs(bn))
 
     def test_advective_split_identity(self):
         # -(v, b.grad v) = -1/2 (b.n v, v)_boundary for divergence-free b;
@@ -269,8 +279,7 @@ class TestCoercivityAndSplit:
         rng = np.random.default_rng(13)
         for n, velocity in ((3, const_field([3.0, 1.0])), (7, rotating_field)):
             test = build_space(build_structured_mesh(n), enriched(1, 3))
-            Aadv = assemble_advection(test, velocity)
-            signed = self.signed_flux(test, velocity)
+            Aadv, signed = self.advection_and_signed_flux(test, velocity)
             for _ in range(20):
                 v = rng.standard_normal(test.dim)
                 v /= np.linalg.norm(v)
@@ -280,8 +289,7 @@ class TestCoercivityAndSplit:
         bench = experiment1(0.5)
         m = build_structured_mesh(4)
         test = build_space(m, enriched(1, 3))
-        Aadv = assemble_advection(test, bench.data.velocity)
-        signed = self.signed_flux(test, bench.data.velocity)
+        Aadv, signed = self.advection_and_signed_flux(test, bench.data.velocity)
         rng = np.random.default_rng(14)
         for _ in range(10):
             v = rng.standard_normal(test.dim)
@@ -303,8 +311,9 @@ class TestMixedSignBoundary:
     def test_coercive_over_gram(self, mesh):
         data = make_data(rotating_field, mu=1.0, gram_weight=1.0)
         test = build_space(mesh, enriched(1, 3))
-        B = assemble_stabilized(test, data).toarray()
-        G = assemble_gram(test, data).toarray()
+        tables = FormTables(test, data)
+        B = assemble_stabilized(tables).toarray()
+        G = assemble_gram(tables).toarray()
         assert np.linalg.eigvalsh(0.5 * (B + B.T) - G).min() >= -1e-12
 
     def test_load_weights_inflow_data_pointwise(self, mesh):
@@ -330,7 +339,7 @@ class TestMixedSignBoundary:
             weight = erule.weights * np.linalg.norm(b - a) * np.minimum(bn, 0.0) * g(x)
             phi = test.local_basis.evaluate(mesh.to_reference(np.full(len(x), cell), x))
             np.add.at(expected, test.cell_dofs[cell], -weight @ phi)
-        assert np.abs(assemble_load(test, data) - expected).max() < 1e-12
+        assert np.abs(assemble_load(FormTables(test, data)) - expected).max() < 1e-12
 
 
 class TestLoad:
@@ -338,7 +347,7 @@ class TestLoad:
         m = build_structured_mesh(2)
         test = build_space(m, enriched(1, 3))
         data = make_data(const_field([1.0, 0.0]))
-        assert not assemble_load(test, data).any()
+        assert not assemble_load(FormTables(test, data)).any()
 
     def test_goal_benchmark_support_on_inflow(self):
         bench = experiment2()
@@ -347,7 +356,7 @@ class TestLoad:
         data = replace(bench.data, penalty_order=3)
         m = bench.initial_mesh()
         test = build_space(m, enriched(1, 3))
-        load = assemble_load(test, data)
+        load = assemble_load(FormTables(test, data))
         nonzero = np.flatnonzero(np.abs(load) > 1e-14)
         # only vertex DoFs sitting on the inflow {x=0} u {y=0} can see the data
         assert len(nonzero)
@@ -364,8 +373,9 @@ class TestLoad:
             g=lin,
         )
         trial = build_space(m, trial_lagrange(1))
-        B = assemble_stabilized(trial, data)
-        load = assemble_load(trial, data)
+        tables = FormTables(trial, data)
+        B = assemble_stabilized(tables)
+        load = assemble_load(tables)
         u = solve_cip_enriched(B, load, trial)
         exact = m.vertices[:, 0] + m.vertices[:, 1]
         assert np.abs(u.coefficients - exact).max() < 1e-10
@@ -525,8 +535,8 @@ class TestTrialNesting:
         test = build_space(m, enriched(p, k))
         n = test.n_trial
         for assemble in (assemble_stabilized, assemble_gram):
-            A = assemble(trial, data)
-            block = assemble(test, data)[:n, :n]
+            A = assemble(FormTables(trial, data))
+            block = assemble(FormTables(test, data))[:n, :n]
             scale = abs(A).max()
             assert block.shape == A.shape
             assert abs(block - A).max() <= 1e-12 * scale

@@ -1,7 +1,8 @@
-"""Smoke test of the benchmark worker: one traced exp1 run must succeed.
+"""Smoke test of the benchmark worker: one traced run per workload must succeed.
 
 The tracer in ``perfbench/spans.py`` rebinds the package's layer functions
-by name, so renaming or re-signaturing one of them shows up here.
+by name, so renaming or re-signaturing one of them shows up here.  The
+exp2 workload runs the goal-oriented route through the CLI.
 """
 
 import json
@@ -10,15 +11,18 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_traced_exp1_worker_run(tmp_path):
+@pytest.mark.parametrize("workload", ["exp1-energy", "exp2-goa-cli"])
+def test_traced_worker_run(tmp_path, workload):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    cmd = [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", "exp1-energy",
+    cmd = [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", workload,
            "--seed", "0", "--trace", "1", "--workdir", str(tmp_path), "--run-id", "smoke",
            "--src", str(ROOT / "src")]
     proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True,

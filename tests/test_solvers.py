@@ -7,6 +7,7 @@ from bubblefem import (
     DiscreteFunction,
     ProblemData,
     SaddleFactorization,
+    FormTables,
     SolverError,
     assemble_gram,
     assemble_load,
@@ -46,9 +47,10 @@ def setup():
     )
     trial = build_space(m, trial_lagrange(1))
     test = build_space(m, enriched(1, 3))
-    G = assemble_gram(test, data)
-    B = assemble_stabilized(test, data)[:, : test.n_trial]
-    load = assemble_load(test, data)
+    tables = FormTables(test, data)
+    G = assemble_gram(tables)
+    B = assemble_stabilized(tables)[:, : test.n_trial]
+    load = assemble_load(tables)
     return m, data, trial, test, G, B, load
 
 
@@ -74,9 +76,10 @@ class TestSolveSaddle:
         m, data, trial, _, _, _, _ = setup
         test_eq = build_space(m, enriched(1, 1))
         assert test_eq.dim == trial.dim
-        G = assemble_gram(test_eq, data)
-        B = assemble_stabilized(test_eq, data)[:, : test_eq.n_trial]
-        load = assemble_load(test_eq, data)
+        tables = FormTables(test_eq, data)
+        G = assemble_gram(tables)
+        B = assemble_stabilized(tables)[:, : test_eq.n_trial]
+        load = assemble_load(tables)
         sol = solve_saddle(SaddleFactorization(G, B), load, trial, test_eq)
         plain = solve_cip_enriched(B, load, trial)
         assert np.sqrt(sol.epsilon.coefficients @ (G @ sol.epsilon.coefficients)) < 1e-10
@@ -129,8 +132,9 @@ def goal_setup():
     m = bench.initial_mesh()
     trial = build_space(m, trial_lagrange(1))
     test = build_space(m, enriched(1, 3))
-    G = assemble_gram(test, data)
-    B_full = assemble_stabilized(test, data)
+    tables = FormTables(test, data)
+    G = assemble_gram(tables)
+    B_full = assemble_stabilized(tables)
     B = B_full[:, : test.n_trial]
     q_trial = assemble_qoi(trial, bench.qoi_region)
     q_test = assemble_qoi(test, bench.qoi_region)
@@ -175,7 +179,7 @@ class TestSolveAdjoint:
 class TestCipEnriched:
     def test_manufactured_linear(self, setup):
         m, data, _, test, _, _, load = setup
-        B_full = assemble_stabilized(test, data)
+        B_full = assemble_stabilized(FormTables(test, data))
         theta = solve_cip_enriched(B_full, load, test)
         exact = m.vertices[:, 0] + m.vertices[:, 1]
         assert np.abs(theta.coefficients[: test.n_trial] - exact).max() < 1e-10
@@ -183,13 +187,13 @@ class TestCipEnriched:
 
     def test_zero_data(self, setup):
         _, data, _, test, _, _, _ = setup
-        B_full = assemble_stabilized(test, data)
+        B_full = assemble_stabilized(FormTables(test, data))
         theta = solve_cip_enriched(B_full, np.zeros(test.dim), test)
         assert not theta.coefficients.any()
 
     def test_residual_small(self, setup):
         _, data, _, test, _, _, load = setup
-        B_full = assemble_stabilized(test, data)
+        B_full = assemble_stabilized(FormTables(test, data))
         theta = solve_cip_enriched(B_full, load, test)
         r = B_full @ theta.coefficients - load
         assert np.abs(r).max() <= 1e-9 * (1.0 + np.abs(load).max())
