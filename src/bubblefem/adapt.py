@@ -105,7 +105,11 @@ class AdaptRecord:
     """One adaptive iteration: sizes, estimates, errors, marking.
 
     Fields beyond the CSV schema (h_max, kkt_residual, orthogonality,
-    est_goa) are diagnostics used by the verification suite.
+    est_goa, robustness) are diagnostics used by the verification suite;
+    solver_refine_steps and solver_fallback count the refinement steps and
+    the fallbacks to the pivoted LU over the iteration's saddle solves
+    (see ``solvers.SaddleFactorization``), so they tell which solver path
+    ran.
     """
 
     iteration: int
@@ -123,6 +127,8 @@ class AdaptRecord:
     orthogonality: float = math.nan  # normalized by 1 + max|rhs|
     est_goa: float = math.nan
     robustness: float = math.nan  # |theta_h - u_h| in energy norm over est_energy
+    solver_refine_steps: int = 0
+    solver_fallback: int = 0
 
     def csv_row(self):
         return [
@@ -255,6 +261,8 @@ def adaptive_loop(bench, config):
         G = assemble_gram(tables)
         # the test space nests the trial space first: B is B_full's trial block
         B_full = assemble_stabilized(tables)
+        # only G and B_full read the jump penalty; free it before the LU
+        del tables.jump_penalty
         B = B_full[:, : test.n_trial]
         load = assemble_load(tables)
         factor = SaddleFactorization(G, B)
@@ -301,6 +309,8 @@ def adaptive_loop(bench, config):
             orthogonality=orthogonality_residual(B, sol.epsilon) / scale,
             est_goa=est_goa,
             robustness=robustness,
+            solver_refine_steps=factor.refine_steps,
+            solver_fallback=factor.fallbacks,
         )
 
         if outdir is not None:

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import bubblefem.solvers
 from bubblefem import (
     DiscreteFunction,
     ProblemData,
@@ -121,6 +122,66 @@ class TestSolveSaddle:
         with pytest.raises(SolverError):
             SaddleFactorization(G, B)
 
+    def test_regularized_factor_refined(self, setup):
+        _, _, trial, test, G, B, load = setup
+        factor = SaddleFactorization(G, B)
+        solve_saddle(factor, load, trial, test)
+        # the O(delta) shift of the quasi-definite factor needs refining
+        assert 1 <= factor.refine_steps <= bubblefem.solvers.REFINE_STEPS
+        assert factor.fallbacks == 0
+        assert "_pivoted_lu" not in vars(factor)
+
+    def test_fallback_to_pivoted_lu(self, setup, monkeypatch):
+        # a shift this large leaves refinement short of the gate after its steps
+        monkeypatch.setattr(bubblefem.solvers, "DELTA_SCALE", 1.0)
+        _, _, trial, test, G, B, load = setup
+        factor = SaddleFactorization(G, B)
+        sol = solve_saddle(factor, load, trial, test)
+        assert factor.refine_steps == bubblefem.solvers.REFINE_STEPS
+        assert factor.fallbacks == 1
+        assert "_pivoted_lu" in vars(factor)
+        assert sol.kkt_residual <= 1e-9 * (1.0 + np.abs(load).max())
+
+
+@pytest.fixture(scope="module")
+def graded_goal_setup():
+    """exp2 at p=2, k=4 on a mesh graded by five bisection generations
+    towards the sharp layer y - x/3 = 0.75 (7.8k DoFs)."""
+    from bubblefem import experiment2, refine
+    from dataclasses import replace
+
+    bench = experiment2()
+    data = replace(bench.data, penalty_order=4)
+    m = bench.initial_mesh()
+    for _ in range(5):
+        c = m.vertices[m.cells].mean(axis=1)
+        m = refine(m, np.flatnonzero(np.abs(c[:, 1] - c[:, 0] / 3.0 - 0.75) < 0.08))
+    trial = build_space(m, trial_lagrange(2))
+    test = build_space(m, enriched(2, 4))
+    tables = FormTables(test, data)
+    G = assemble_gram(tables)
+    B = assemble_stabilized(tables)[:, : test.n_trial]
+    return trial, test, G, B, assemble_load(tables)
+
+
+class TestGradedSaddle:
+    def test_matches_pivoted_lu_of_K(self, graded_goal_setup):
+        trial, test, G, B, load = graded_goal_setup
+        factor = SaddleFactorization(G, B)
+        sol = solve_saddle(factor, load, trial, test)
+        assert factor.fallbacks == 0
+        assert sol.kkt_residual <= 1e-12 * (1.0 + np.abs(load).max())
+        # reference: COLAMD LU of K, refined against K to roundoff (the
+        # unrefined epsilon is itself 2e-10 off here)
+        K = sp.bmat([[G, B], [B.T, None]], format="csc")
+        rhs = np.concatenate([load, np.zeros(trial.dim)])
+        lu = spla.splu(K)
+        x = lu.solve(rhs)
+        for _ in range(3):
+            x += lu.solve(rhs - K @ x)
+        for computed, ref in ((sol.epsilon, x[: test.dim]), (sol.u, x[test.dim :])):
+            assert np.linalg.norm(computed.coefficients - ref) <= 1e-10 * np.linalg.norm(ref)
+
 
 @pytest.fixture(scope="module")
 def goal_setup():
@@ -174,6 +235,12 @@ class TestSolveAdjoint:
         fresh = solve_adjoint(SaddleFactorization(G, B), q_trial, q_test, B_full, trial, test)
         assert np.abs(fresh.nu_star.coefficients - shared.nu_star.coefficients).max() < 1e-12
         assert np.abs(fresh.eps_star.coefficients - shared.eps_star.coefficients).max() < 1e-12
+
+    def test_eps_star_is_gram_solve(self, goal_setup):
+        trial, test, G, B, B_full, q_trial, q_test = goal_setup
+        adj = solve_adjoint(SaddleFactorization(G, B), q_trial, q_test, B_full, trial, test)
+        ref = spla.spsolve(sp.csc_matrix(G), q_test - B_full.T @ adj.nu_star.coefficients)
+        assert np.linalg.norm(adj.eps_star.coefficients - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestCipEnriched:
