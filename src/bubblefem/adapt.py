@@ -20,11 +20,10 @@ from .forms import (
     assemble_load,
     assemble_qoi,
     assemble_stabilized,
-    cell_quadrature,
     write_matrix_market,
 )
 from .mesh import refine
-from .reference import MAX_QUAD_DEGREE, triangle_rule
+from .reference import MAX_QUAD_DEGREE
 from .solvers import (
     SaddleFactorization,
     orthogonality_residual,
@@ -201,22 +200,35 @@ class LoopConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_dofs is None and self.max_iters is None:
             raise ValueError("either max_dofs or max_iters must be set")
+        if self.max_iters is not None and self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
+        if self.max_dofs is not None and self.max_dofs < 1:
+            raise ValueError("max_dofs must be >= 1")
         return self
 
 
-def _reference_l2(exact, degree=12, n=96):
-    """L2 norm of the exact solution on a fixed fine structured grid."""
-    from .mesh import build_structured_mesh
-
-    mesh = build_structured_mesh(n)
-    rule = triangle_rule(degree)
-    pts, w = cell_quadrature(mesh, rule)
-    vals = np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
-    return float(np.sqrt(np.einsum("cq,cq->", w, vals**2)))
+def _diagnose(bench, tables, factor, B_full, load, sol, est_energy, saturation, qoi_ref):
+    """Exact-solution errors, the saturation ratio and robustness of the
+    enriched CIP reference theta_h, and the QoI error, measured on the
+    iteration's tables; returns the ``AdaptRecord`` fields it measured.
+    """
+    if bench.exact is None:
+        return {}
+    rep = error_norms(sol.u, bench.exact, tables)
+    diag = {"err_l2_rel": rep.l2 / rep.exact_l2, "err_triple": rep.triple}
+    if saturation:
+        theta_h = solve_cip_enriched(B_full, load, tables.space)
+        diag["saturation"] = error_norms(theta_h, bench.exact, tables).triple / rep.triple
+        # G induces the energy norm on the test space
+        d = theta_h.coefficients - inject_trial(sol.u, tables.space).coefficients
+        diag["robustness"] = math.sqrt(d @ (factor.G @ d)) / est_energy
+    if qoi_ref is not None:
+        diag["err_qoi_rel"] = qoi_error(sol.u, bench.exact, bench.qoi_region, qoi_ref)
+    return diag
 
 
 def adaptive_loop(bench, config):
-    """SOLVE -> ESTIMATE -> MARK -> REFINE until the stop rule fires.
+    """SOLVE -> ESTIMATE -> DIAGNOSE -> MARK -> REFINE until the stop rule fires.
 
     Returns the list of per-iteration records; when ``config.outdir`` is
     set the records are also serialized as CSV there together with any
@@ -239,7 +251,6 @@ def adaptive_loop(bench, config):
     if goa and bench.qoi_region is None:
         raise ValueError("goal-oriented mode needs a benchmark with a QoI region")
 
-    exact_l2 = _reference_l2(bench.exact) if bench.exact is not None else None
     qoi_ref = None
     if goa and bench.exact is not None:
         qoi_ref = qoi_reference(bench.exact, bench.qoi_region)
@@ -269,30 +280,17 @@ def adaptive_loop(bench, config):
         sol = solve_saddle(factor, load, trial, test)
 
         est_goa = math.nan
-        err_qoi = math.nan
         if goa:
             q_test = assemble_qoi(test, bench.qoi_region)
             adj = solve_adjoint(factor, q_test[: test.n_trial], q_test, B_full, trial, test)
             indicators, goa_sq = goa_indicators(sol.epsilon, adj.eps_star, tables)
             est_goa = math.sqrt(goa_sq)
-            if qoi_ref is not None:
-                err_qoi = qoi_error(sol.u, bench.exact, bench.qoi_region, exact_value=qoi_ref)
         else:
             indicators = energy_indicators(sol.epsilon, tables)
 
-        err_l2_rel = err_triple = sat = robustness = math.nan
         dofs_total = trial.dim + test.dim
-        if bench.exact is not None:
-            rep = error_norms(sol.u, bench.exact, data)
-            err_l2_rel = rep.l2 / exact_l2
-            err_triple = rep.triple
-            if track_sat and dofs_total <= config.saturation_max_dofs:
-                theta_h = solve_cip_enriched(B_full, load, test)
-                sat = error_norms(theta_h, bench.exact, data).triple / rep.triple
-                # G induces the energy norm on the test space
-                d = theta_h.coefficients - inject_trial(sol.u, test).coefficients
-                robustness = math.sqrt(d @ (G @ d)) / indicators.total
-
+        diag = _diagnose(bench, tables, factor, B_full, load, sol, indicators.total,
+                         track_sat and dofs_total <= config.saturation_max_dofs, qoi_ref)
         scale = 1.0 + float(np.abs(load).max(initial=0.0))
         record = AdaptRecord(
             iteration=it,
@@ -300,17 +298,13 @@ def adaptive_loop(bench, config):
             dofs_test=test.dim,
             dofs_total=dofs_total,
             est_energy=indicators.total,
-            err_l2_rel=err_l2_rel,
-            err_triple=err_triple,
-            err_qoi_rel=err_qoi,
-            saturation=sat,
             h_max=float(mesh.cell_diameters.max()),
             kkt_residual=sol.kkt_residual / scale,
             orthogonality=orthogonality_residual(B, sol.epsilon) / scale,
             est_goa=est_goa,
-            robustness=robustness,
             solver_refine_steps=factor.refine_steps,
             solver_fallback=factor.fallbacks,
+            **diag,
         )
 
         if outdir is not None:

@@ -3,9 +3,10 @@
 The mesh-dependent energy ("triple") norm combines a weighted L2 term,
 a |b.n|-weighted boundary term and the gradient-jump penalty: the three
 terms of ``forms.FormTables.energy_terms``, which also give the Gram
-matrix.  ``local_energy_products`` and ``error_norms`` integrate point
-values on those terms, so the norm of a discrete test function agrees
-with the Gram quadratic form to rounding.
+matrix.  ``local_energy_products`` integrates point values on those
+terms; ``error_norms`` integrates its boundary and jump terms on them
+and its volume term on a finer rule, so the norm of a discrete test
+function agrees with the Gram quadratic form to rounding.
 """
 
 import warnings
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg
 
-from .forms import FormTables, assemble_mass, cell_quadrature, volume_degree
+from .forms import assemble_mass, cell_quadrature, volume_degree
 from .reference import triangle_rule
-from .spaces import DiscreteFunction, build_space, trial_lagrange
+from .spaces import DiscreteFunction, build_space, inject_trial, trial_lagrange
 
 
 @dataclass(frozen=True)
@@ -24,13 +25,15 @@ class NormReport:
     """Error norms of a discrete function against an exact solution.
 
     ``sharp`` augments the triple norm with the advective semi-norm term
-    scaled by (k^2 h^{1/2} p^{1/2} + k^{alpha/2} p^{-1/2}).
+    scaled by (k^2 h^{1/2} p^{1/2} + k^{alpha/2} p^{-1/2}).  ``exact_l2``
+    is the exact solution's L2 norm on the same volume points.
     """
 
     l2: float
     triple: float
     semi_h: float
     sharp: float
+    exact_l2: float
 
 
 def _contract(table, dofs, fn):
@@ -59,23 +62,28 @@ def local_energy_products(fa, fb, tables):
     return parts
 
 
-def error_norms(u_h, exact, data, quad_degree=None):
+def error_norms(u_h, exact, tables):
     """Broken-norm quadrature of exact - u_h (or of u_h when exact is None).
 
-    The exact solution is smooth, so facet jump terms use only the
-    discrete function.  The volume rule is ``quad_degree`` (default two
-    above the assembly rule); facet quadrature matches the assembly rules.
+    The boundary and jump terms are those of ``tables.energy_terms``, the
+    iteration's one owner of the facet tables; a trial-space u_h is read
+    as its injection into the tables' enriched space.  The exact solution
+    is smooth, so the jump term uses only u_h.  The volume rule is two
+    degrees above assembly; ``exact_l2`` is measured on it (0 without exact).
     """
-    space = u_h.space
+    space, data = tables.space, tables.data
+    if u_h.space is not space:
+        u_h = inject_trial(u_h, space)
     mesh = space.mesh
-    vol_deg = quad_degree if quad_degree is not None else volume_degree(space) + 2
-    tables = FormTables(space, data, vol_deg)
-
-    pts, w, phi = tables.volume
+    rule = triangle_rule(volume_degree(space) + 2)
+    pts, w = cell_quadrature(mesh, rule)
     nc, nq = w.shape
-    diff = -(u_h.coefficients[space.cell_dofs] @ phi.T)
+    diff = -(u_h.coefficients[space.cell_dofs] @ space.local_basis.evaluate(rule.points).T)
+    exact_l2 = 0.0
     if exact is not None:
-        diff = diff + np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(nc, nq)
+        exact_vals = np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(nc, nq)
+        diff = diff + exact_vals
+        exact_l2 = float(np.sqrt(np.einsum("cq,cq->", w, exact_vals**2)))
 
     diff_sq = diff**2
     cell_l2_sq = np.einsum("cq,cq->c", w, diff_sq)
@@ -85,16 +93,14 @@ def error_norms(u_h, exact, data, quad_degree=None):
     beta = np.linalg.norm(bvals, axis=2).max(axis=1)
     semi_sq = (beta / mesh.cell_diameters * cell_l2_sq).sum()
 
-    (mass_w, *_), (bnd_w, bnd_vals, bnd_dofs, _), (jump_w, jump, jump_dofs, _) = (
-        tables.energy_terms
-    )
+    _, (bnd_w, bnd_vals, bnd_dofs, _), (jump_w, jump, jump_dofs, _) = tables.energy_terms
     bdiff = -_contract(bnd_vals, bnd_dofs, u_h)
     if exact is not None:
         bpts = tables.boundary[0]
         bdiff = bdiff + np.asarray(exact(bpts.reshape(-1, 2)), dtype=float).reshape(bnd_w.shape)
     jdiff = _contract(jump, jump_dofs, u_h)
     triple_sq = (
-        np.einsum("cq,cq->c", mass_w, diff_sq).sum()
+        np.einsum("cq,cq->c", data.effective_gram_weight * w, diff_sq).sum()
         + np.einsum("fq,fq->", bnd_w, bdiff**2)
         + np.einsum("fq,fq->", jump_w, jdiff**2)
     )
@@ -110,6 +116,7 @@ def error_norms(u_h, exact, data, quad_degree=None):
         triple=triple,
         semi_h=semi,
         sharp=triple + factor * semi,
+        exact_l2=exact_l2,
     )
 
 
@@ -156,7 +163,7 @@ def qoi_reference(exact, region, degree=20, rtol=1e-11, max_levels=6):
 
     Subdivides the region into m-by-m patches with a tensor Gauss rule of
     the given degree and refines until two consecutive levels agree to
-    ``rtol`` (relative).
+    ``rtol`` (relative); raises RuntimeError after ``max_levels`` levels.
     """
     from scipy.special import roots_legendre
 
@@ -188,7 +195,7 @@ def qoi_reference(exact, region, degree=20, rtol=1e-11, max_levels=6):
         if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
             return cur
         prev, m = cur, m * 2
-    return prev
+    raise RuntimeError(f"QoI reference did not reach rtol {rtol:g} in {max_levels} levels")
 
 
 def qoi_error(u_h, exact, region, exact_value=None):

@@ -24,7 +24,7 @@ from .mesh import build_structured_mesh
 
 @dataclass
 class Benchmark:
-    """Problem data plus exact solution, QoI region and run defaults."""
+    """Problem data plus exact solution, QoI region and initial mesh."""
 
     name: str
     data: ProblemData
@@ -32,7 +32,6 @@ class Benchmark:
     exact_grad: object
     qoi_region: Rectangle | None
     initial_mesh: object  # () -> Mesh
-    defaults: dict
 
 
 def experiment1(delta=0.01):
@@ -91,7 +90,6 @@ def experiment1(delta=0.01):
         exact_grad=exact_grad,
         qoi_region=None,
         initial_mesh=lambda: build_structured_mesh(8),
-        defaults={"p": 1, "k": 3, "theta": 0.5, "alpha": 3.5},
     )
 
 
@@ -136,7 +134,6 @@ def experiment2():
         exact_grad=exact_grad,
         qoi_region=Rectangle(0.7, 0.8, 0.3, 0.5),
         initial_mesh=lambda: build_structured_mesh(10),
-        defaults={"p": 1, "k": 3, "theta": 0.2, "alpha": 3.5},
     )
 
 

@@ -262,15 +262,17 @@ class TestAdaptiveLoop:
         "bench, config",
         [
             (experiment1(0.01), LoopConfig(max_iters=2, saturation=False)),
+            (experiment1(0.01), LoopConfig(max_iters=2, saturation=True)),
             (experiment2(), LoopConfig(mode="goa", theta=0.2, max_iters=2)),
         ],
-        ids=["exp1-energy", "exp2-goa"],
+        ids=["exp1-energy", "exp1-energy-saturation", "exp2-goa"],
     )
     def test_tables_built_once_per_iteration(self, monkeypatch, bench, config):
-        # G, B_full, the load and the indicators read one FormTables per
+        # G, B_full, the load, the indicators and every error_norms call
+        # (u_h, and theta_h when saturation is on) read one FormTables per
         # iteration, so the test space's boundary table, its two one-sided
-        # jump tables and J are each built once.  The saturation diagnostic
-        # is off: error_norms builds its own tables for its own volume rule.
+        # jump tables and J are each built once, and no facet table of the
+        # trial space is built at all.
         import bubblefem.forms as forms
 
         nloc = build_space(bench.initial_mesh(), enriched(config.p, config.k)).local_basis.count
@@ -278,8 +280,8 @@ class TestAdaptiveLoop:
         facet_basis, scatter = forms.facet_basis, forms._scatter
 
         def counted_basis(space, edge_ids, cells, rule, normals=None):
-            if space.kind.family == "enriched":
-                built.append("boundary" if normals is None else "jump side")
+            side = "boundary" if normals is None else "jump side"
+            built.append(side if space.kind.family == "enriched" else "trial " + side)
             return facet_basis(space, edge_ids, cells, rule, normals)
 
         def counted_scatter(local, dofs, dim):
@@ -291,9 +293,12 @@ class TestAdaptiveLoop:
         monkeypatch.setattr(forms, "_scatter", counted_scatter)
         records = adaptive_loop(bench, config)
         assert len(records) == 3
+        if config.saturation:
+            assert all(math.isfinite(r.saturation) for r in records)
         assert built.count("boundary") == len(records)
         assert built.count("jump side") == 2 * len(records)
         assert built.count("J") == len(records)
+        assert not [b for b in built if b.startswith("trial")]
 
     def test_stop_on_max_dofs(self):
         bench = experiment1(0.5)
@@ -314,6 +319,14 @@ class TestAdaptiveLoop:
             LoopConfig(theta=0.0, max_iters=1).validate()
         with pytest.raises(ValueError):
             LoopConfig(mode="foo", max_iters=1).validate()
+
+    @pytest.mark.parametrize("field, value", [("max_iters", -1), ("max_dofs", 0),
+                                              ("max_dofs", -5)])
+    def test_rejects_nonsense_stop_rule(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LoopConfig(**{field: value}).validate()
+        LoopConfig(max_iters=0).validate()
+        LoopConfig(max_dofs=1).validate()
 
     def test_rejects_k_beyond_quadrature_cap(self):
         LoopConfig(k=7, max_iters=1).validate()

@@ -3,6 +3,7 @@ import pytest
 
 from bubblefem import (
     DiscreteFunction,
+    FormTables,
     ProblemData,
     Rectangle,
     broken_lagrange,
@@ -10,6 +11,7 @@ from bubblefem import (
     build_structured_mesh,
     enriched,
     error_norms,
+    inject_trial,
     l2_project,
     oswald_interpolate,
     qoi_error,
@@ -41,7 +43,7 @@ class TestErrorNorms:
         space = build_space(m, trial_lagrange(1))
         exact = lambda pts: 2.0 * np.atleast_2d(pts)[:, 0] - np.atleast_2d(pts)[:, 1]
         fn = DiscreteFunction(space, 2.0 * m.vertices[:, 0] - m.vertices[:, 1])
-        rep = error_norms(fn, exact, make_data())
+        rep = error_norms(fn, exact, FormTables(space, make_data()))
         assert rep.l2 < 1e-12
         assert rep.triple < 1e-12
         assert rep.semi_h < 1e-12
@@ -50,17 +52,35 @@ class TestErrorNorms:
     def test_zero_function_against_one(self):
         m = build_structured_mesh(4)
         space = build_space(m, trial_lagrange(1))
-        rep = error_norms(DiscreteFunction(space), const(1.0), make_data())
+        rep = error_norms(DiscreteFunction(space), const(1.0), FormTables(space, make_data()))
         assert abs(rep.l2 - 1.0) < 1e-12
+        assert abs(rep.exact_l2 - 1.0) < 1e-12
+
+    def test_trial_function_read_through_enriched_tables(self):
+        # a trial-space u_h is measured on the enriched space's tables, as
+        # its zero-padded injection, and the exact norm comes with it
+        m = build_structured_mesh(3)
+        trial = build_space(m, trial_lagrange(1))
+        test = build_space(m, enriched(1, 3))
+        tables = FormTables(test, make_data())
+        rng = np.random.default_rng(3)
+        fn = DiscreteFunction(trial, rng.standard_normal(trial.dim))
+        exact = lambda pts: np.sin(np.atleast_2d(pts)[:, 0]) + np.atleast_2d(pts)[:, 1]
+        assert error_norms(fn, exact, tables) == error_norms(inject_trial(fn, test), exact,
+                                                             tables)
+        assert error_norms(fn, None, tables).exact_l2 == 0.0
+        with pytest.raises(ValueError):
+            error_norms(DiscreteFunction(build_space(m, trial_lagrange(2))), exact, tables)
 
     def test_norm_report_nonnegative_and_ordered(self):
         m = build_structured_mesh(3)
         space = build_space(m, enriched(1, 3))
         rng = np.random.default_rng(0)
         data = make_data()
+        tables = FormTables(space, data)
         for _ in range(5):
             fn = DiscreteFunction(space, rng.standard_normal(space.dim))
-            rep = error_norms(fn, None, data)
+            rep = error_norms(fn, None, tables)
             assert rep.l2 >= 0 and rep.semi_h >= 0
             assert rep.triple >= np.sqrt(data.effective_gram_weight) * rep.l2 - 1e-12
             assert rep.sharp >= rep.triple
@@ -116,7 +136,7 @@ class TestL2Project:
             m = build_structured_mesh(n)
             space = build_space(m, trial_lagrange(1))
             proj = l2_project(u, space)
-            rep = error_norms(proj, u, make_data(), quad_degree=12)
+            rep = error_norms(proj, u, FormTables(space, make_data()))
             errs.append(rep.l2)
             hs.append(m.cell_diameters.max())
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -286,3 +306,10 @@ class TestQoiError:
         # ten significant digits between the last two refinement levels
         tight = qoi_reference(bench.exact, bench.qoi_region, rtol=1e-11)
         assert abs(tight - fine) <= 1e-10 * abs(fine)
+
+    def test_reference_raises_without_convergence(self):
+        # a 1e-5-wide layer inside the box: after the last level the
+        # composite rule is still 2.4e-6 (relative) off the mean 0.531
+        step = lambda pts: np.tanh(1e5 * (np.atleast_2d(pts)[:, 0] - 0.72345))
+        with pytest.raises(RuntimeError, match="did not reach rtol"):
+            qoi_reference(step, self.region)

@@ -73,7 +73,6 @@ class TestExperiment1:
 
     def test_defaults(self):
         bench = experiment1()
-        assert bench.defaults == {"p": 1, "k": 3, "theta": 0.5, "alpha": 3.5}
         assert bench.data.reaction_floor == pytest.approx(0.1)
         assert bench.qoi_region is None
 

@@ -59,7 +59,7 @@ class TestRunConfig:
 
     def test_config_file_roundtrip(self, tmp_path):
         cfgfile = tmp_path / "config.json"
-        json.dump({"benchmark": "exp1", "p": 2, "k": 4, "max_iters": 3}, cfgfile.open("w"))
+        cfgfile.write_text(json.dumps({"benchmark": "exp1", "p": 2, "k": 4, "max_iters": 3}))
         parser_args = type("A", (), {"config": str(cfgfile), "p": None, "k": None})()
         for field in RunConfig.__dataclass_fields__:
             if not hasattr(parser_args, field):
@@ -69,7 +69,7 @@ class TestRunConfig:
 
     def test_flags_override_file(self, tmp_path):
         cfgfile = tmp_path / "config.json"
-        json.dump({"p": 2, "max_iters": 3}, cfgfile.open("w"))
+        cfgfile.write_text(json.dumps({"p": 2, "max_iters": 3}))
         parser_args = type("A", (), {"config": str(cfgfile)})()
         for field in RunConfig.__dataclass_fields__:
             if not hasattr(parser_args, field):
@@ -82,7 +82,7 @@ class TestRunConfig:
         from bubblefem.cli import ConfigError
 
         cfgfile = tmp_path / "config.json"
-        json.dump({"nonsense": 1}, cfgfile.open("w"))
+        cfgfile.write_text(json.dumps({"nonsense": 1}))
         parser_args = type("A", (), {"config": str(cfgfile)})()
         for field in RunConfig.__dataclass_fields__:
             setattr(parser_args, field, None)
@@ -103,7 +103,7 @@ class TestMain:
         dofs = [int(r["dofs_total"]) for r in rows]
         assert all(b > a for a, b in zip(dofs, dofs[1:]))
         assert (out / "summary.txt").exists()
-        saved = json.load(open(out / "config.json"))
+        saved = json.loads((out / "config.json").read_text())
         # effective configuration round-trips through RunConfig
         assert RunConfig(**saved) == RunConfig(**json.loads(json.dumps(saved)))
         assert saved["benchmark"] == "exp1"
@@ -117,7 +117,7 @@ class TestMain:
         assert code == 0
         rows = read_csv(out / "records.csv")
         assert all(float(r["err_qoi_rel"]) > 0 for r in rows)
-        assert json.load(open(out / "config.json"))["theta"] == 0.2
+        assert json.loads((out / "config.json").read_text())["theta"] == 0.2
 
     def test_uniform_run_quadruples(self, tmp_path):
         out = tmp_path / "run3"
@@ -139,10 +139,13 @@ class TestMain:
     @pytest.mark.parametrize("flag, value", [("--k", "8"), ("--k", "9"), ("--sigma0", "0"),
                                              ("--sigma0", "-1"), ("--alpha", "0"),
                                              ("--sigma0", "inf"), ("--alpha", "inf"),
-                                             ("--delta", "nan"), ("--delta", "inf")])
+                                             ("--delta", "nan"), ("--delta", "inf"),
+                                             ("--max-iters", "-1"), ("--max-dofs", "0"),
+                                             ("--max-dofs", "-5")])
     def test_out_of_range_loop_setting_exits_1(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
-        code = main(["run", "--benchmark", "exp1", flag, value, "--max-iters", "1",
+        # the flag comes last, so a --max-iters under test replaces the 1
+        code = main(["run", "--benchmark", "exp1", "--max-iters", "1", flag, value,
                      "--outdir", str(out)])
         assert code == 1
         err = capsys.readouterr().err
