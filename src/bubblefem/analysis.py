@@ -6,7 +6,10 @@ terms of ``forms.FormTables.energy_terms``, which also give the Gram
 matrix.  ``local_energy_products`` integrates point values on those
 terms; ``error_norms`` integrates its boundary and jump terms on them
 and its volume term on a finer rule, so the norm of a discrete test
-function agrees with the Gram quadratic form to rounding.
+function agrees with the Gram quadratic form to rounding.  It measures
+the L2 and triple norms of several functions (u_h and the enriched
+reference theta_h) in one pass, evaluating the exact solution once.
+``qoi_error`` reads the QoI vector the loop has already assembled.
 """
 
 import warnings
@@ -24,15 +27,11 @@ from .spaces import DiscreteFunction, build_space, inject_trial, trial_lagrange
 class NormReport:
     """Error norms of a discrete function against an exact solution.
 
-    ``sharp`` augments the triple norm with the advective semi-norm term
-    scaled by (k^2 h^{1/2} p^{1/2} + k^{alpha/2} p^{-1/2}).  ``exact_l2``
-    is the exact solution's L2 norm on the same volume points.
+    ``exact_l2`` is the exact solution's L2 norm on the same volume points.
     """
 
     l2: float
     triple: float
-    semi_h: float
-    sharp: float
     exact_l2: float
 
 
@@ -62,62 +61,46 @@ def local_energy_products(fa, fb, tables):
     return parts
 
 
-def error_norms(u_h, exact, tables):
-    """Broken-norm quadrature of exact - u_h (or of u_h when exact is None).
+def error_norms(functions, exact, tables):
+    """Broken-norm quadrature of exact - u_h (or of u_h when exact is None)
+    for each u_h in ``functions``; returns one ``NormReport`` per function.
 
     The boundary and jump terms are those of ``tables.energy_terms``, the
     iteration's one owner of the facet tables; a trial-space u_h is read
     as its injection into the tables' enriched space.  The exact solution
     is smooth, so the jump term uses only u_h.  The volume rule is two
     degrees above assembly; ``exact_l2`` is measured on it (0 without exact).
+    The rule, its basis values and the exact solution's point values are
+    built once and shared by all functions.
     """
     space, data = tables.space, tables.data
-    if u_h.space is not space:
-        u_h = inject_trial(u_h, space)
-    mesh = space.mesh
     rule = triangle_rule(volume_degree(space) + 2)
-    pts, w = cell_quadrature(mesh, rule)
-    nc, nq = w.shape
-    diff = -(u_h.coefficients[space.cell_dofs] @ space.local_basis.evaluate(rule.points).T)
-    exact_l2 = 0.0
+    pts, w = cell_quadrature(space.mesh, rule)
+    mass_w = data.effective_gram_weight * w
+    phi_t = space.local_basis.evaluate(rule.points).T
+    _, (bnd_w, bnd_vals, bnd_dofs, _), (jump_w, jump, jump_dofs, _) = tables.energy_terms
+    exact_vals = bnd_exact = exact_l2 = 0.0
     if exact is not None:
-        exact_vals = np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(nc, nq)
-        diff = diff + exact_vals
+        exact_vals = np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
+        bpts = tables.boundary[0]
+        bnd_exact = np.asarray(exact(bpts.reshape(-1, 2)), dtype=float).reshape(bnd_w.shape)
         exact_l2 = float(np.sqrt(np.einsum("cq,cq->", w, exact_vals**2)))
 
-    diff_sq = diff**2
-    cell_l2_sq = np.einsum("cq,cq->c", w, diff_sq)
-    l2_sq = cell_l2_sq.sum()
-
-    bvals = np.asarray(data.velocity(pts.reshape(-1, 2)), dtype=float).reshape(nc, nq, 2)
-    beta = np.linalg.norm(bvals, axis=2).max(axis=1)
-    semi_sq = (beta / mesh.cell_diameters * cell_l2_sq).sum()
-
-    _, (bnd_w, bnd_vals, bnd_dofs, _), (jump_w, jump, jump_dofs, _) = tables.energy_terms
-    bdiff = -_contract(bnd_vals, bnd_dofs, u_h)
-    if exact is not None:
-        bpts = tables.boundary[0]
-        bdiff = bdiff + np.asarray(exact(bpts.reshape(-1, 2)), dtype=float).reshape(bnd_w.shape)
-    jdiff = _contract(jump, jump_dofs, u_h)
-    triple_sq = (
-        np.einsum("cq,cq->c", data.effective_gram_weight * w, diff_sq).sum()
-        + np.einsum("fq,fq->", bnd_w, bdiff**2)
-        + np.einsum("fq,fq->", jump_w, jdiff**2)
-    )
-
-    triple = float(np.sqrt(triple_sq))
-    semi = float(np.sqrt(semi_sq))
-    k = float(data.require_penalty_order())
-    p = float(space.kind.p if space.kind.p else space.max_degree)
-    h = float(mesh.cell_diameters.max())
-    factor = k**2 * np.sqrt(h) * np.sqrt(p) + k ** (data.penalty_exponent / 2.0) / np.sqrt(p)
-    return NormReport(
-        l2=float(np.sqrt(l2_sq)),
-        triple=triple,
-        semi_h=semi,
-        sharp=triple + factor * semi,
-        exact_l2=exact_l2,
-    )
+    reports = []
+    for u_h in functions:
+        if u_h.space is not space:
+            u_h = inject_trial(u_h, space)
+        diff_sq = (exact_vals - u_h.coefficients[space.cell_dofs] @ phi_t) ** 2
+        bdiff = bnd_exact - _contract(bnd_vals, bnd_dofs, u_h)
+        jdiff = _contract(jump, jump_dofs, u_h)
+        triple_sq = (
+            np.einsum("cq,cq->c", mass_w, diff_sq).sum()
+            + np.einsum("fq,fq->", bnd_w, bdiff**2)
+            + np.einsum("fq,fq->", jump_w, jdiff**2)
+        )
+        l2_sq = np.einsum("cq,cq->c", w, diff_sq).sum()
+        reports.append(NormReport(float(np.sqrt(l2_sq)), float(np.sqrt(triple_sq)), exact_l2))
+    return reports
 
 
 def l2_project(u, target, quad_degree=None):
@@ -198,18 +181,15 @@ def qoi_reference(exact, region, degree=20, rtol=1e-11, max_levels=6):
     raise RuntimeError(f"QoI reference did not reach rtol {rtol:g} in {max_levels} levels")
 
 
-def qoi_error(u_h, exact, region, exact_value=None):
-    """Relative error of the mean-value functional over the region.
+def qoi_error(u_h, q_vec, exact_value):
+    """Relative error of a linear functional, given as the vector ``q_vec``
+    on u_h's space, against its exact value.
 
     Falls back to the absolute error (with a warning) when the exact
     functional value vanishes.
     """
-    from .forms import assemble_qoi
-
-    q_vec = assemble_qoi(u_h.space, region)
     q_h = float(q_vec @ u_h.coefficients)
-    q = exact_value if exact_value is not None else qoi_reference(exact, region)
-    if abs(q) < 1e-14:
+    if abs(exact_value) < 1e-14:
         warnings.warn("exact functional value vanishes; returning absolute error")
-        return abs(q - q_h)
-    return abs(q - q_h) / abs(q)
+        return abs(exact_value - q_h)
+    return abs(exact_value - q_h) / abs(exact_value)

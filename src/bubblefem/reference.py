@@ -117,11 +117,13 @@ def lagrange_basis(p):
     return ReferenceBasis("lagrange", p, coeffs, exps, nodes=nodes)
 
 
-def bubble_basis(k):
-    """Interior bubble basis of degree k: lam0*lam1*lam2 times P^{k-3}.
+def bubble_basis(k, lowest=0):
+    """Interior bubble basis of degree k: lam0*lam1*lam2 times the
+    monomials x^a y^b with lowest <= a + b <= k - 3.
 
     Every function vanishes identically on the triangle boundary; the
-    count is (k-1)(k-2)/2.  Requires k >= 3.
+    count is (k-1)(k-2)/2 for lowest <= 0, and lowest(lowest+1)/2 fewer
+    otherwise.  Requires k >= 3.
     """
     if k < 3:
         raise ValueError(f"bubble degree must be >= 3, got {k}")
@@ -131,6 +133,8 @@ def bubble_basis(k):
     cubic = {(1, 1): 1.0, (2, 1): -1.0, (1, 2): -1.0}
     cols = []
     for a, b in monomial_exponents(k - 3):
+        if a + b < lowest:
+            continue
         col = np.zeros(len(exps))
         for (c, d), w in cubic.items():
             col[index[(a + c, b + d)]] += w

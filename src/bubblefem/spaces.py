@@ -4,15 +4,18 @@ Space kinds:
 
 * ``trial_lagrange(p)`` -- continuous Lagrange space of degree p;
 * ``bubble(k)`` -- per-cell interior bubbles of degree k (k >= 3);
-* ``enriched(p, k)`` -- the sum of the two, with nested numbering: the
-  first ``n_trial = dim(trial)`` DoFs, and the leading local basis
-  functions, coincide with the trial space.  A trial function therefore
-  injects by zero-padding, and every assembler takes one space: the
-  trial x test operator B is the leading column block ``[:, :n_trial]``
-  of the test-space operator, a trial-space operator its leading
-  ``[:n_trial, :n_trial]`` block and the trial QoI vector the entries
-  ``[:n_trial]`` of the test-space one.  For k <= p the bubble block is
-  empty and the enriched space degenerates to the trial space;
+* ``enriched(p, k)`` -- the sum of the two, as a basis: for p = 3 the
+  cubic bubble already lies in the Lagrange space, so only the bubbles
+  b_T x^a y^b with a + b >= p - 2 are kept, (k-1)(k-2)/2 - 1 per cell.
+  The numbering is nested: the first ``n_trial = dim(trial)`` DoFs, and
+  the leading local basis functions, coincide with the trial space.  A
+  trial function therefore injects by zero-padding, and every assembler
+  takes one space: the trial x test operator B is the leading column
+  block ``[:, :n_trial]`` of the test-space operator, a trial-space
+  operator its leading ``[:n_trial, :n_trial]`` block and the trial QoI
+  vector the entries ``[:n_trial]`` of the test-space one.  For k <= p
+  the bubble block is empty and the enriched space degenerates to the
+  trial space;
 * ``broken_lagrange(p)`` -- elementwise Lagrange space without
   continuity, kept minimal to support Oswald-interpolation tests.
 
@@ -131,7 +134,8 @@ def build_space(mesh, kind):
             return FunctionSpace(
                 mesh, kind, trial_dim, trial_dofs, lagrange_basis(kind.p), trial_dim
             )
-        bub = bubble_basis(kind.k)
+        # b_T q with deg q <= p - 3 lies in P_p already
+        bub = bubble_basis(kind.k, lowest=kind.p - 2)
         nc = len(mesh.cells)
         bub_dofs = trial_dim + np.arange(nc * bub.count, dtype=np.int64).reshape(nc, bub.count)
         dofs = np.hstack([trial_dofs, bub_dofs])

@@ -237,8 +237,10 @@ class TestAdaptiveLoop:
     )
     def test_one_test_space_assembly_per_iteration(self, monkeypatch, bench, config):
         # B and q_trial are the trial blocks of B_full and q_test, so each
-        # iteration assembles the operator and the QoI on the test space only
+        # iteration assembles the operator and the QoI on the test space
+        # only, and the QoI error reads q_trial instead of assembling again
         import bubblefem.adapt as adapt
+        import bubblefem.forms as forms
 
         calls = {"assemble_stabilized": [], "assemble_qoi": []}
         for name, seen in calls.items():
@@ -249,7 +251,8 @@ class TestAdaptiveLoop:
                 _seen.append(getattr(first, "space", first).kind.family)
                 return _original(first, *args, **kwargs)
 
-            monkeypatch.setattr(adapt, name, counted)
+            for module in (adapt, forms):
+                monkeypatch.setattr(module, name, counted)
         records = adaptive_loop(bench, config)
         assert len(records) == 3
         if config.mode == "energy":
@@ -257,6 +260,21 @@ class TestAdaptiveLoop:
         assert calls["assemble_stabilized"] == ["enriched"] * len(records)
         goa = config.mode == "goa"
         assert calls["assemble_qoi"] == ["enriched"] * (len(records) if goa else 0)
+
+    def test_exact_solution_evaluated_twice_per_iteration(self):
+        # u_h and theta_h are measured in one pass: the exact solution is
+        # evaluated once on the volume points and once on the boundary points
+        bench = experiment1(0.01)
+        exact, calls = bench.exact, []
+
+        def counted(pts):
+            calls.append(len(pts))
+            return exact(pts)
+
+        bench.exact = counted
+        records = adaptive_loop(bench, LoopConfig(max_iters=2, saturation=True))
+        assert all(math.isfinite(r.saturation) for r in records)
+        assert len(calls) == 2 * len(records)
 
     @pytest.mark.parametrize(
         "bench, config",

@@ -131,6 +131,18 @@ class TestMain:
         trial = [int(r["dofs_trial"]) for r in rows]
         assert trial[1] / trial[0] == pytest.approx(4.0, rel=0.15)
 
+    @pytest.mark.parametrize("k, stop", [("4", ["--max-dofs", "8000"]),
+                                         ("7", ["--max-iters", "1"])])
+    def test_cubic_trial_runs_with_saturation(self, tmp_path, k, stop):
+        # for p = 3 the enriched test space must stay a basis, or G is singular
+        # and the robustness ratio takes the root of a negative number
+        out = tmp_path / f"p3k{k}"
+        code = main(["run", "--benchmark", "exp1", "--p", "3", "--k", k, *stop,
+                     "--outdir", str(out)])
+        assert code == 0
+        rows = read_csv(out / "records.csv")
+        assert all(np.isfinite(float(r["saturation"])) for r in rows)
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["run", "--benchmark", "exp1", "--mode", "goa", "--max-iters", "1",
                      "--outdir", str(tmp_path / "x")])

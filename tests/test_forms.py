@@ -19,12 +19,12 @@ from bubblefem import (
     assemble_stabilized,
     build_space,
     build_structured_mesh,
-    classify_boundary,
     enriched,
     error_norms,
     experiment1,
     experiment2,
     inject_trial,
+    refine,
     solve_cip_enriched,
     trial_lagrange,
     write_matrix_market,
@@ -204,6 +204,16 @@ class TestGram:
         eigs = np.linalg.eigvalsh(G.toarray())
         assert eigs.min() > 0.0
 
+    @pytest.mark.parametrize("p, k", [(p, k) for p in (1, 2, 3) for k in range(1, 8)
+                                      if k > max(p, 2) or k <= p])
+    def test_spd_for_every_admissible_degree_pair(self, p, k):
+        # for p = 3 the cubic bubble lies in P_p; the enrichment must leave it out
+        m = refine(build_structured_mesh(2), [0, 3])
+        data = replace(experiment1(0.5).data, penalty_order=k)
+        G = assemble_gram(FormTables(build_space(m, enriched(p, k)), data))
+        eigs = np.linalg.eigvalsh(G.toarray())
+        assert eigs.min() / eigs.max() > 1e-14
+
     def test_induces_energy_norm(self):
         bench = experiment1(0.5)
         from dataclasses import replace
@@ -217,7 +227,8 @@ class TestGram:
         for _ in range(20):
             v = rng.standard_normal(test.dim)
             fn = DiscreteFunction(test, v)
-            triple = error_norms(fn, None, tables).triple
+            [rep] = error_norms([fn], None, tables)
+            triple = rep.triple
             gram = np.sqrt(v @ (G @ v))
             assert abs(triple - gram) < 1e-12 * gram
 
@@ -305,8 +316,13 @@ class TestMixedSignBoundary:
 
     @pytest.fixture(scope="class")
     def mesh(self):
+        from bubblefem.forms import facet_quadrature, normal_flux
+        from bubblefem.reference import edge_rule
+
         m = build_structured_mesh(7)
-        assert np.count_nonzero(classify_boundary(m, rotating_field).characteristic) == 4
+        pts, _ = facet_quadrature(m, m.boundary_edges, edge_rule(3))
+        bn = normal_flux(rotating_field, pts, m.boundary_normals)
+        assert np.count_nonzero((bn.min(axis=1) < 0.0) & (bn.max(axis=1) > 0.0)) == 4
         return m
 
     def test_coercive_over_gram(self, mesh):

@@ -51,6 +51,9 @@ class TestBubble:
         for k in (3, 4, 5):
             assert bubble_basis(k).count == (k - 1) * (k - 2) // 2
         assert bubble_basis(4).count == 3
+        for k in (4, 5, 6):
+            # lowest = 1 drops the cubic bubble b_T itself
+            assert bubble_basis(k, lowest=1).count == (k - 1) * (k - 2) // 2 - 1
 
     def test_rejects_low_degree(self):
         for k in (0, 1, 2):
@@ -143,12 +146,13 @@ class TestQuadrature:
             rule.weights[0] = 0.0
 
 
-@pytest.mark.parametrize("p,k", [(1, 3), (1, 4), (2, 4)])
+@pytest.mark.parametrize("p,k", [(1, 3), (1, 4), (2, 4), (3, 4), (3, 5)])
 def test_enriched_local_basis_independent(p, k):
-    basis = combine_bases(lagrange_basis(p), bubble_basis(k))
+    # the bubbles b_T x^a y^b with a + b >= p - 2 are independent of P_p
+    basis = combine_bases(lagrange_basis(p), bubble_basis(k, lowest=p - 2))
     rule = triangle_rule(2 * k + 2)
     vals = basis.evaluate(rule.points)
     gram = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
     eig = np.linalg.eigvalsh(gram)
     assert eig.min() > 0.0
-    assert np.isfinite(eig.max() / eig.min())
+    assert eig.min() / eig.max() > 1e-14
