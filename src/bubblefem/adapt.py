@@ -9,6 +9,7 @@ adjoint residual representatives.
 
 import csv
 import math
+import pathlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,14 +25,9 @@ from .forms import (
 )
 from .mesh import refine
 from .reference import MAX_QUAD_DEGREE
-from .solvers import (
-    SaddleFactorization,
-    orthogonality_residual,
-    solve_adjoint,
-    solve_cip_enriched,
-    solve_saddle,
-)
+from .solvers import SaddleFactorization, solve_adjoint, solve_cip_enriched, solve_saddle
 from .spaces import build_space, enriched, inject_trial, trial_lagrange
+from .vtkio import write_mesh_txt, write_vtk
 
 
 @dataclass(frozen=True)
@@ -85,18 +81,20 @@ def dorfler_mark(indicators, theta, squared=True):
     return np.sort(order[:count])
 
 
-CSV_COLUMNS = [
-    "iter",
-    "dofs_trial",
-    "dofs_test",
-    "dofs_total",
-    "est_energy",
-    "err_L2_rel",
-    "err_triple",
-    "err_qoi_rel",
-    "saturation",
-    "marked",
-]
+# records.csv schema: each column, in file order, and the AdaptRecord field it holds
+CSV_SCHEMA = {
+    "iter": "iteration",
+    "dofs_trial": "dofs_trial",
+    "dofs_test": "dofs_test",
+    "dofs_total": "dofs_total",
+    "est_energy": "est_energy",
+    "err_L2_rel": "err_l2_rel",
+    "err_triple": "err_triple",
+    "err_qoi_rel": "err_qoi_rel",
+    "saturation": "saturation",
+    "marked": "marked",
+}
+CSV_COLUMNS = list(CSV_SCHEMA)
 
 
 @dataclass
@@ -130,18 +128,7 @@ class AdaptRecord:
     solver_fallback: int = 0
 
     def csv_row(self):
-        return [
-            self.iteration,
-            self.dofs_trial,
-            self.dofs_test,
-            self.dofs_total,
-            self.est_energy,
-            self.err_l2_rel,
-            self.err_triple,
-            self.err_qoi_rel,
-            self.saturation,
-            self.marked,
-        ]
+        return [getattr(self, field) for field in CSV_SCHEMA.values()]
 
 
 def write_records_csv(path, records):
@@ -158,7 +145,7 @@ class LoopConfig:
 
     p: int = 1
     k: int = 3
-    theta: float = 0.5
+    theta: float | None = None  # None: 0.2 in goa mode, else 0.5
     mode: str = "energy"  # energy | goa | uniform
     alpha: float = 3.5
     max_dofs: int | None = None
@@ -170,6 +157,11 @@ class LoopConfig:
     outdir: str | None = None
     vtk: bool = False
     dump_matrices: bool = False
+
+    def resolved_theta(self):
+        if self.theta is not None:
+            return self.theta
+        return 0.2 if self.mode == "goa" else 0.5
 
     def validate(self):
         if self.p not in (1, 2, 3):
@@ -190,7 +182,7 @@ class LoopConfig:
         if self.quad_degree is not None and not min_quad <= self.quad_degree <= MAX_QUAD_DEGREE:
             raise ValueError(f"quad_degree must lie in [2 max(p, k), {MAX_QUAD_DEGREE}] = "
                              f"[{min_quad}, {MAX_QUAD_DEGREE}]")
-        if not 0.0 < self.theta <= 1.0:
+        if not 0.0 < self.resolved_theta() <= 1.0:
             raise ValueError("marking fraction theta must lie in (0, 1]")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("penalty exponent alpha must be finite and positive")
@@ -204,6 +196,8 @@ class LoopConfig:
             raise ValueError("max_iters must be >= 0")
         if self.max_dofs is not None and self.max_dofs < 1:
             raise ValueError("max_dofs must be >= 1")
+        if self.saturation_max_dofs < 1:
+            raise ValueError("saturation_max_dofs must be >= 1")
         return self
 
 
@@ -259,13 +253,10 @@ def adaptive_loop(bench, config):
 
     outdir = None
     if config.outdir is not None:
-        import pathlib
-
         outdir = pathlib.Path(config.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
 
     records = []
-    it = 0
     while True:
         trial = build_space(mesh, trial_lagrange(config.p))
         test = build_space(mesh, enriched(config.p, config.k))
@@ -297,60 +288,51 @@ def adaptive_loop(bench, config):
                          qoi_ref)
         scale = 1.0 + float(np.abs(load).max(initial=0.0))
         record = AdaptRecord(
-            iteration=it,
+            iteration=len(records),
             dofs_trial=trial.dim,
             dofs_test=test.dim,
             dofs_total=dofs_total,
             est_energy=indicators.total,
             h_max=float(mesh.cell_diameters.max()),
             kkt_residual=sol.kkt_residual / scale,
-            orthogonality=orthogonality_residual(B, sol.epsilon) / scale,
+            orthogonality=sol.orthogonality / scale,
             est_goa=est_goa,
             solver_refine_steps=factor.refine_steps,
             solver_fallback=factor.fallbacks,
             **diag,
         )
+        records.append(record)
 
         if outdir is not None:
             if config.vtk:
-                from .vtkio import write_vtk
-
                 point_u = sol.u.coefficients[: len(mesh.vertices)]
                 write_vtk(
-                    outdir / f"mesh_{it:04d}.vtk",
+                    outdir / f"mesh_{record.iteration:04d}.vtk",
                     mesh,
                     cell_data={"indicator": indicators.eta},
                     point_data={"u": point_u},
                 )
             if config.dump_matrices:
-                write_matrix_market(outdir / f"gram_{it:04d}.mtx", G)
-                write_matrix_market(outdir / f"operator_{it:04d}.mtx", B)
+                write_matrix_market(outdir / f"gram_{record.iteration:04d}.mtx", G)
+                write_matrix_market(outdir / f"operator_{record.iteration:04d}.mtx", B)
 
-        stop = (config.max_dofs is not None and dofs_total >= config.max_dofs) or (
-            config.max_iters is not None and it >= config.max_iters
-        )
-        if stop:
-            records.append(record)
+        if (config.max_dofs is not None and dofs_total >= config.max_dofs) or (
+            config.max_iters is not None and record.iteration >= config.max_iters
+        ):
             break
-
         if config.mode == "uniform":
-            # two full bisection sweeps halve h and quadruple the cells
-            record.marked = len(mesh.cells)
-            records.append(record)
-            mesh = refine(mesh, np.arange(len(mesh.cells)))
-            mesh = refine(mesh, np.arange(len(mesh.cells)))
+            marked = np.arange(len(mesh.cells))
         else:
-            marked = dorfler_mark(indicators, config.theta, squared=not goa)
-            record.marked = len(marked)
-            records.append(record)
-            if len(marked) == 0:
-                break
-            mesh = refine(mesh, marked)
-        it += 1
+            marked = dorfler_mark(indicators, config.resolved_theta(), squared=not goa)
+        record.marked = len(marked)
+        if len(marked) == 0:
+            break
+        mesh = refine(mesh, marked)
+        if config.mode == "uniform":
+            # the second full bisection sweep: together they halve h and quadruple the cells
+            mesh = refine(mesh, np.arange(len(mesh.cells)))
 
     if outdir is not None:
         write_records_csv(outdir / "records.csv", records)
-        from .vtkio import write_mesh_txt
-
         write_mesh_txt(outdir / "final_mesh.txt", mesh)
     return records

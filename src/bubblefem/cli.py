@@ -29,53 +29,21 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
-    """Effective configuration of one run (file values merged with flags)."""
+class RunConfig(LoopConfig):
+    """Effective configuration of one run (file values merged with flags):
+    the loop settings plus the run-level keys."""
 
     benchmark: str = "exp1"
-    mode: str = "energy"
-    p: int = 1
-    k: int = 3
-    theta: float | None = None  # default depends on the mode
-    alpha: float = 3.5
-    sigma0: float | None = None
-    max_dofs: int | None = None
-    max_iters: int | None = None
     delta: float = 0.01
     outdir: str = "out"
-    vtk: bool = False
-    dump_matrices: bool = False
-    quad_degree: int | None = None
     window: int = 5
-
-    def resolved_theta(self):
-        if self.theta is not None:
-            return self.theta
-        return 0.2 if self.mode == "goa" else 0.5
-
-    def loop_config(self):
-        """The adaptive-loop settings of this run."""
-        return LoopConfig(
-            p=self.p,
-            k=self.k,
-            theta=self.resolved_theta(),
-            mode=self.mode,
-            alpha=self.alpha,
-            max_dofs=self.max_dofs,
-            max_iters=self.max_iters,
-            sigma0=self.sigma0,
-            quad_degree=self.quad_degree,
-            outdir=self.outdir,
-            vtk=self.vtk,
-            dump_matrices=self.dump_matrices,
-        )
 
     def validate(self):
         """Check the run-level keys here and the loop settings in LoopConfig."""
         if self.benchmark not in BENCHMARKS:
             raise ConfigError(f"unknown benchmark {self.benchmark!r}")
         try:
-            self.loop_config().validate()
+            super().validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not (math.isfinite(self.delta) and self.delta > 0.0):
@@ -137,14 +105,17 @@ def run(config):
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 
-    bench = get_benchmark(config.benchmark, delta=config.delta)
-    loop = config.loop_config()
     outdir = pathlib.Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "config.json", "w") as fh:
-        json.dump(asdict(config), fh, indent=2)
     try:
-        records = adaptive_loop(bench, loop)
+        outdir.mkdir(parents=True, exist_ok=True)
+        with open(outdir / "config.json", "w") as fh:
+            json.dump(asdict(config), fh, indent=2)
+    except OSError as exc:
+        print(f"configuration error: cannot use the output directory: {exc}", file=sys.stderr)
+        return 1
+    bench = get_benchmark(config.benchmark, delta=config.delta)
+    try:
+        records = adaptive_loop(bench, config)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2

@@ -67,11 +67,13 @@ def _require_finite(label, *values):
 
 @dataclass
 class SaddleSolution:
-    """Residual representative, minimizer and the block-system residual."""
+    """Residual representative, minimizer, and the max residuals of the block
+    system and of its trial rows, max|B^T eps| (orthogonality)."""
 
     epsilon: DiscreteFunction
     u: DiscreteFunction
     kkt_residual: float
+    orthogonality: float
 
 
 @dataclass
@@ -118,6 +120,7 @@ class SaddleFactorization:
         return _factorize(self.G, "gram", symmetric=True)
 
     def solve(self, rhs_test, rhs_trial):
+        """Solve K x = rhs; returns x's test and trial blocks and r = rhs - K x."""
         rhs = np.concatenate([rhs_test, rhs_trial])
         tol = REFINE_TOL * (1.0 + np.abs(rhs).max(initial=0.0))
         x = self._lu.solve(rhs)
@@ -131,17 +134,13 @@ class SaddleFactorization:
         if not np.abs(r).max(initial=0.0) <= tol:  # also catches a NaN residual
             self.fallbacks += 1
             x = self._pivoted_lu.solve(rhs)
-        return x[: self.n_test], x[self.n_test :]
+            r = rhs - self._apply(x)
+        return x[: self.n_test], x[self.n_test :], r
 
     def _apply(self, x):
         """K x for a stacked [test; trial] vector."""
         x_test, x_trial = x[: self.n_test], x[self.n_test :]
         return np.concatenate([self.G @ x_test + self.B @ x_trial, self.B.T @ x_test])
-
-    def residual(self, x_test, x_trial, rhs_test, rhs_trial):
-        """max|K x - rhs| of the unregularized system."""
-        r = self._apply(np.concatenate([x_test, x_trial])) - np.concatenate([rhs_test, rhs_trial])
-        return np.abs(r).max(initial=0.0)
 
 
 def solve_saddle(factor, load, trial, test):
@@ -152,14 +151,14 @@ def solve_saddle(factor, load, trial, test):
     ``epsilon`` satisfying ``(eps, v) + b(u, v) = l(v)`` for all test v
     and ``b(w, eps) = 0`` for all trial w.
     """
-    zeros = np.zeros(factor.n_trial)
-    eps, u = factor.solve(load, zeros)
-    kkt = factor.residual(eps, u, load, zeros)
-    _require_finite("saddle solve", eps, u, kkt)
+    eps, u, r = factor.solve(load, np.zeros(factor.n_trial))
+    _require_finite("saddle solve", eps, u, r)
     return SaddleSolution(
         epsilon=DiscreteFunction(test, eps),
         u=DiscreteFunction(trial, u),
-        kkt_residual=float(kkt),
+        kkt_residual=float(np.abs(r).max(initial=0.0)),
+        # the trial rows of r are -B^T eps: the orthogonality residual
+        orthogonality=float(np.abs(r[factor.n_test :]).max(initial=0.0)),
     )
 
 
@@ -171,17 +170,14 @@ def solve_adjoint(factor, q_trial, q_test, B_full, trial, test):
     representative solves ``(eps*, v)_G = q(v) - b(v, nu*)`` over the test
     space, which needs the full test-by-test operator ``B_full``.
     """
-    zeros = np.zeros(factor.n_test)
-    nu, w = factor.solve(zeros, q_trial)
-    kkt = factor.residual(nu, w, zeros, q_trial)
-    rhs = q_test - B_full.T @ nu
-    eps_star = factor.gram_lu.solve(rhs)
-    _require_finite("adjoint solve", nu, w, kkt, eps_star)
+    nu, w, r = factor.solve(np.zeros(factor.n_test), q_trial)
+    eps_star = factor.gram_lu.solve(q_test - B_full.T @ nu)
+    _require_finite("adjoint solve", nu, w, r, eps_star)
     return AdjointSolution(
         nu_star=DiscreteFunction(test, nu),
         w_star=DiscreteFunction(trial, w),
         eps_star=DiscreteFunction(test, eps_star),
-        kkt_residual=float(kkt),
+        kkt_residual=float(np.abs(r).max(initial=0.0)),
     )
 
 

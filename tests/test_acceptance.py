@@ -187,6 +187,7 @@ def test_criterion_1_galerkin_degeneration():
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_orthogonality_and_kkt(crit5_p1, crit5_p2, goa_p1, goa_p2,
                                            uniform_runs):
     all_records = (
@@ -238,6 +239,7 @@ def test_criterion_3_coercivity_suite():
     assert report(3, ok, f"200 random enriched vectors: min(vBv - vGv) {worst:.2e} (>= -1e-10)")
 
 
+@pytest.mark.slow
 def test_criterion_4_a_priori_rates(uniform_runs):
     runs, elapsed = uniform_runs
     slopes = {}
@@ -252,6 +254,7 @@ def test_criterion_4_a_priori_rates(uniform_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_adaptive_l2_slope(crit5_p1):
     records, elapsed, _ = crit5_p1
     slope = fit_slope(
@@ -265,6 +268,7 @@ def test_criterion_5_adaptive_l2_slope(crit5_p1):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_robustness_ordering(crit5_p1):
     records, _, _ = crit5_p1
     ratios = [r.robustness for r in records if not math.isnan(r.robustness)]
@@ -298,6 +302,7 @@ def _saturation_verdict(records, resolved, label):
     return ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_7_saturation_p1(crit5_p1):
     # S >= 1 occurs only while the cells the layer crosses are 6-18 times
     # wider than delta (iterations 3-20); once they are narrower than
@@ -309,6 +314,7 @@ def test_criterion_7_saturation_p1(crit5_p1):
     assert report(7, ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_7_saturation_p2(crit5_p2):
     records, _, out = crit5_p2
     ok, detail = _saturation_verdict(records, resolved_iterations(records, out, 2), "p=2/k=4")
@@ -320,6 +326,7 @@ def _qoi_slope(records):
                                  [r.err_qoi_rel for r in records])
 
 
+@pytest.mark.slow
 def test_criterion_8_goal_oriented_rate_p1(goa_p1, goa_p2):
     rec1, t1 = goa_p1
     elapsed = t1 + goa_p2[1]
@@ -332,6 +339,7 @@ def test_criterion_8_goal_oriented_rate_p1(goa_p1, goa_p2):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_goal_oriented_rate_p2(goa_p2):
     # The run superconverges (full-run slope about -3), so near 5e4 DoFs
     # the signed QoI error changes sign four times in five iterations.
@@ -349,6 +357,7 @@ def test_criterion_8_goal_oriented_rate_p2(goa_p2):
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_refinement_pattern(crit5_p1):
     _, _, out = crit5_p1
     verts, cells = read_mesh_txt(out / "final_mesh.txt")

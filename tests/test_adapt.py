@@ -387,14 +387,19 @@ class TestAdaptiveLoop:
 
     def test_csv_serialization(self, tmp_path):
         bench = experiment1(0.5)
-        records = adaptive_loop(bench, LoopConfig(max_iters=2, saturation=False))
+        records = adaptive_loop(bench, LoopConfig(max_iters=2, saturation=True))
         path = tmp_path / "records.csv"
         write_records_csv(path, records)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == CSV_COLUMNS
         assert len(rows) == len(records) + 1
-        assert int(rows[1][0]) == 0
+        # each column holds the AdaptRecord field of its name, two renamed
+        renamed = {"iter": "iteration", "err_L2_rel": "err_l2_rel"}
+        for row, rec in zip(rows[1:], records):
+            for column, text in zip(rows[0], row):
+                value = getattr(rec, renamed.get(column, column))
+                assert float(text) == value or math.isnan(value) and text == "nan", column
 
     def test_outdir_artifacts(self, tmp_path):
         bench = experiment1(0.5)

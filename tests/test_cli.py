@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from bubblefem import LoopConfig
 from bubblefem.cli import RunConfig, main, parse_run_config, read_csv, slope
 
 
@@ -44,6 +45,8 @@ class TestRunConfig:
         assert RunConfig(mode="energy").resolved_theta() == 0.5
         assert RunConfig(mode="goa", benchmark="exp2").resolved_theta() == 0.2
         assert RunConfig(theta=0.7).resolved_theta() == 0.7
+        # the library and the CLI share the default
+        assert LoopConfig(mode="goa").resolved_theta() == 0.2
 
     def test_validation_errors(self):
         from bubblefem.cli import ConfigError
@@ -59,13 +62,15 @@ class TestRunConfig:
 
     def test_config_file_roundtrip(self, tmp_path):
         cfgfile = tmp_path / "config.json"
-        cfgfile.write_text(json.dumps({"benchmark": "exp1", "p": 2, "k": 4, "max_iters": 3}))
+        cfgfile.write_text(json.dumps({"benchmark": "exp1", "p": 2, "k": 4, "max_iters": 3,
+                                       "saturation": False, "saturation_max_dofs": 5000}))
         parser_args = type("A", (), {"config": str(cfgfile), "p": None, "k": None})()
         for field in RunConfig.__dataclass_fields__:
             if not hasattr(parser_args, field):
                 setattr(parser_args, field, None)
         config = parse_run_config(parser_args)
         assert (config.benchmark, config.p, config.k, config.max_iters) == ("exp1", 2, 4, 3)
+        assert (config.saturation, config.saturation_max_dofs) == (False, 5000)
 
     def test_flags_override_file(self, tmp_path):
         cfgfile = tmp_path / "config.json"
@@ -173,6 +178,11 @@ class TestMain:
                                             pytest.param("k", "3.0", id="k-float"),
                                             pytest.param("theta", '"0.5"', id="theta-string"),
                                             pytest.param("vtk", '"no"', id="vtk-string"),
+                                            pytest.param("saturation", "1", id="saturation-int"),
+                                            pytest.param("saturation_max_dofs", "2.5",
+                                                         id="saturation_max_dofs-float"),
+                                            pytest.param("saturation_max_dofs", "0",
+                                                         id="saturation_max_dofs-0"),
                                             pytest.param("window", "2.5", id="window-float")])
     def test_out_of_range_config_file_key_exits_1(self, tmp_path, capsys, key, value):
         cfgfile = tmp_path / "bad.json"
@@ -208,6 +218,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert "configuration error" in err and "window" in err
         assert not (out / "config.json").exists()
+
+    @pytest.mark.parametrize("below_file", [False, True], ids=["file", "below-file"])
+    def test_unusable_outdir_exits_1(self, tmp_path, capsys, monkeypatch, below_file):
+        # an existing file, or a path below one, cannot become the output directory
+        import bubblefem.cli
+
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker / "out" if below_file else blocker
+        monkeypatch.setattr(bubblefem.cli, "adaptive_loop", lambda *a: pytest.fail("ran"))
+        code = main(["run", "--benchmark", "exp1", "--max-iters", "0", "--outdir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and err.count("\n") == 1
+        assert blocker.read_text() == "kept"
 
     def test_nan_source_exits_2(self, tmp_path, capsys, monkeypatch):
         from dataclasses import replace

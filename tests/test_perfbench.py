@@ -42,6 +42,7 @@ def _replayed_fill(workload, outdir, monkeypatch):
     return sum(fill)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("workload", ["exp1-energy", "exp2-goa-cli"])
 def test_traced_worker_run(tmp_path, workload, monkeypatch):
     env = dict(os.environ)

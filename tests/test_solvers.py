@@ -55,6 +55,18 @@ def setup():
     return m, data, trial, test, G, B, load
 
 
+def assert_reported_residuals(sol, G, B, load):
+    """The residuals a solve reports equal, bit for bit, max|K x - rhs| with K
+    built by sp.bmat and max|B^T eps|."""
+    K = sp.bmat([[G, B], [B.T, None]], format="csc")
+    n = G.shape[0]
+    # summed per column block, G eps + B u, in the order the solver sums
+    Kx = K[:, :n] @ sol.epsilon.coefficients + K[:, n:] @ sol.u.coefficients
+    rhs = np.concatenate([load, np.zeros(B.shape[1])])
+    assert sol.kkt_residual == np.abs(Kx - rhs).max()
+    assert sol.orthogonality == orthogonality_residual(B, sol.epsilon)
+
+
 class TestSolveSaddle:
     def test_manufactured_exactness(self, setup):
         m, data, trial, test, G, B, load = setup
@@ -90,6 +102,11 @@ class TestSolveSaddle:
         _, _, trial, test, G, B, load = setup
         sol = solve_saddle(SaddleFactorization(G, B), load, trial, test)
         assert orthogonality_residual(B, sol.epsilon) <= 1e-9 * (1.0 + np.abs(load).max())
+
+    def test_reported_residuals(self, setup):
+        _, _, trial, test, G, B, load = setup
+        assert_reported_residuals(solve_saddle(SaddleFactorization(G, B), load, trial, test),
+                                  G, B, load)
 
     def test_minimizer_optimality_fd(self, setup):
         # perturbing the minimizer never decreases 1/2 ||l - B u||^2 in G^-1
@@ -141,6 +158,8 @@ class TestSolveSaddle:
         assert factor.fallbacks == 1
         assert "_pivoted_lu" in vars(factor)
         assert sol.kkt_residual <= 1e-9 * (1.0 + np.abs(load).max())
+        # the reported residuals are those of the fallback's solution
+        assert_reported_residuals(sol, G, B, load)
 
 
 @pytest.fixture(scope="module")
