@@ -104,9 +104,9 @@ class AdaptRecord:
     Fields beyond the CSV schema (h_max, kkt_residual, orthogonality,
     est_goa, robustness) are diagnostics used by the verification suite;
     solver_refine_steps and solver_fallback count the refinement steps and
-    the fallbacks to the pivoted LU over the iteration's saddle solves
-    (see ``solvers.SaddleFactorization``), so they tell which solver path
-    ran.
+    the fallbacks to the pivoted LU over every solve of the iteration: the
+    saddle solves and the saturation diagnostic's enriched solve (see
+    ``solvers.RefinedFactor``), so they tell which solver path ran.
     """
 
     iteration: int
@@ -205,12 +205,15 @@ def _diagnose(bench, tables, factor, B_full, load, sol, est_energy, saturation, 
               qoi_ref):
     """Exact-solution errors, the saturation ratio and robustness of the
     enriched CIP reference theta_h, and the QoI error, measured on the
-    iteration's tables; returns the ``AdaptRecord`` fields it measured.
+    iteration's tables; returns the ``AdaptRecord`` fields it measured,
+    with the solver path counts of the theta_h solve.
     """
     if bench.exact is None:
         return {}
     u_h = inject_trial(sol.u, tables.space)
-    theta_h = solve_cip_enriched(B_full, load, tables.space) if saturation else None
+    theta_h = None
+    if saturation:
+        theta_h = solve_cip_enriched(B_full, load, tables.space, tables.data.reaction_floor)
     reps = error_norms([u_h, theta_h] if saturation else [u_h], bench.exact, tables)
     diag = {"err_l2_rel": reps[0].l2 / reps[0].exact_l2, "err_triple": reps[0].triple}
     if saturation:
@@ -218,6 +221,8 @@ def _diagnose(bench, tables, factor, B_full, load, sol, est_energy, saturation, 
         # G induces the energy norm on the test space
         d = theta_h.coefficients - u_h.coefficients
         diag["robustness"] = math.sqrt(d @ (factor.G @ d)) / est_energy
+        diag["solver_refine_steps"] = theta_h.refine_steps
+        diag["solver_fallback"] = theta_h.fallbacks
     if qoi_ref is not None:
         diag["err_qoi_rel"] = qoi_error(sol.u, q_trial, qoi_ref)
     return diag
@@ -297,10 +302,11 @@ def adaptive_loop(bench, config):
             kkt_residual=sol.kkt_residual / scale,
             orthogonality=sol.orthogonality / scale,
             est_goa=est_goa,
-            solver_refine_steps=factor.refine_steps,
-            solver_fallback=factor.fallbacks,
             **diag,
         )
+        # the saddle solves' path, added to the enriched solve's from _diagnose
+        record.solver_refine_steps += factor.refine_steps
+        record.solver_fallback += factor.fallbacks
         records.append(record)
 
         if outdir is not None:

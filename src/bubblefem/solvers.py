@@ -6,20 +6,36 @@ block system ``K = [[G, B], [B^T, 0]]``, ``K [eps; u] = [l; 0]``.  The
 adjoint problem shares the same left-hand side with right-hand side
 ``[0; q]``, so one factorization serves both solves.
 
+The saddle system and the saturation diagnostic's enriched system are
+solved by one pattern, owned by ``RefinedFactor``: factor a matrix that
+needs no pivoting in SuperLU's symmetric mode, on the minimum-degree
+ordering of its pattern, then run at most ``REFINE_STEPS`` steps of
+iterative refinement against the true operator until the max residual
+is at most ``REFINE_TOL * (1 + max|rhs|)``.  If that gate still fails,
+the solve falls back to a pivoted sparse LU of the operator itself
+(COLAMD column ordering), refined the same way.  Every factor is
+deterministic and shared across right-hand sides.
+
 K is not factored itself.  With ``delta = DELTA_SCALE * max diag(G)``
 the regularized ``K_delta = [[G, B], [B^T, -delta I]]`` is symmetric
 quasi-definite (G is SPD), so it has an LDL^T factor under any symmetric
 ordering without pivoting (Vanderbei, SIAM J. Optim. 5, 1995; Gill,
-Saunders and Shinnerl, SIMAX 17, 1996).  SuperLU factors it in symmetric
-mode on the minimum-degree ordering of its pattern, with a fraction of
-the fill of a column-ordered, pivoted LU of K.  Each solve then runs at
-most ``REFINE_STEPS`` steps of iterative refinement against the
-unregularized K, which remove the O(delta) shift, until the max residual
-is at most ``REFINE_TOL * (1 + max|rhs|)``.  If that gate still fails,
-the solve falls back to a pivoted sparse LU of K itself (COLAMD column
-ordering).  The Gram matrix G is SPD and is factored in the same
-symmetric mode.  Every factor is deterministic and shared across
-right-hand sides.
+Saunders and Shinnerl, SIMAX 17, 1996), with a fraction of the fill of a
+column-ordered, pivoted LU of K.  Refinement against the unregularized K
+removes the O(delta) shift.  The Gram matrix G is SPD and is factored in
+the same symmetric mode.
+
+The saturation diagnostic solves the nonsymmetric enriched operator
+B_full.  Where the reaction floor mu_0 > 0, coercivity of the stabilized
+form gives sym(B_full) >= mu_0 M, with M the SPD mass matrix, so B_full
+is positive real.  So is every symmetric permutation of it and every
+leading principal block, so an LU without pivoting exists under any
+symmetric ordering (Golub and Van Loan, Linear Algebra Appl. 28, 1979;
+Higham, Accuracy and Stability of Numerical Algorithms, 10.4), and
+B_full is factored in symmetric mode and refined against itself; the
+gate and the pivoted fallback, also taken on a zero pivot, still guard
+it.  With mu_0 = 0, sym(B_full) is only semidefinite, no unpivoted
+factor is guaranteed, and B_full gets the pivoted LU directly.
 """
 
 from dataclasses import dataclass
@@ -34,9 +50,9 @@ from .spaces import DiscreteFunction
 
 # delta = DELTA_SCALE * max diag(G) regularizes the saddle system's (2, 2) block
 DELTA_SCALE = 1e-8
-# refinement against K stops once max|rhs - K x| <= REFINE_TOL * (1 + max|rhs|) ...
+# refinement against the operator A stops once max|rhs - A x| <= REFINE_TOL * (1 + max|rhs|) ...
 REFINE_TOL = 1e-12
-# ... or after this many steps, when the solve falls back to the pivoted LU of K
+# ... or after this many steps, when the solve falls back to the pivoted LU of A
 REFINE_STEPS = 3
 
 
@@ -46,8 +62,8 @@ class SolverError(RuntimeError):
 
 def _factorize(matrix, label, symmetric=False):
     """Sparse LU of ``matrix``; ``symmetric`` factors a matrix that needs no
-    pivoting (SPD or quasi-definite) on the minimum-degree ordering of
-    A^T + A, taking the diagonal pivots in order."""
+    pivoting (SPD, quasi-definite or positive real) on the minimum-degree
+    ordering of A^T + A, taking the diagonal pivots in order."""
     options = (
         dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         if symmetric
@@ -86,33 +102,82 @@ class AdjointSolution:
     kkt_residual: float
 
 
-class SaddleFactorization:
+class RefinedFactor:
+    """Solves A x = rhs on a factor ``_lu``, refined against A, with a
+    pivoted LU of A as the fallback (see the module docstring).
+
+    ``_lu`` is an unpivoted factor of A or of a matrix near A; None solves
+    on the pivoted LU alone.  A subclass supplies ``label`` (for errors),
+    ``_apply`` (A x) and ``_operator`` (A itself, read only to build the
+    pivoted LU on first use).  ``refine_steps`` and ``fallbacks`` count,
+    over every solve so far, the refinement steps taken and the solves
+    that fell back.
+    """
+
+    def __init__(self, lu):
+        self._lu = lu
+        self.refine_steps = 0
+        self.fallbacks = 0
+
+    def _apply(self, x):
+        raise NotImplementedError
+
+    def _operator(self):
+        raise NotImplementedError
+
+    @cached_property
+    def _pivoted_lu(self):
+        return _factorize(self._operator(), self.label)
+
+    def refined_solve(self, rhs):
+        """x with A x = rhs, and the residual r = rhs - A x of the x returned."""
+        tol = REFINE_TOL * (1.0 + np.abs(rhs).max(initial=0.0))
+        if self._lu is not None:
+            x, r = self._refine(self._lu, rhs, tol)
+            if np.abs(r).max(initial=0.0) <= tol:  # a NaN residual fails too
+                return x, r
+            self.fallbacks += 1
+        return self._refine(self._pivoted_lu, rhs, tol)
+
+    def _refine(self, lu, rhs, tol):
+        x = lu.solve(rhs)
+        r = rhs - self._apply(x)
+        for _ in range(REFINE_STEPS):
+            if np.abs(r).max(initial=0.0) <= tol:
+                break
+            x += lu.solve(r)
+            r = rhs - self._apply(x)
+            self.refine_steps += 1
+        return x, r
+
+
+class SaddleFactorization(RefinedFactor):
     """Factorization of K = [[G, B], [B^T, 0]], reusable across solves.
 
     ``_lu`` is the symmetric-mode factor of the quasi-definite
-    ``[[G, B], [B^T, -delta I]]``; ``solve`` refines its solutions against
-    K and falls back to a pivoted LU of K when the refinement gate fails
-    (see the module docstring).  ``refine_steps`` and ``fallbacks`` count,
-    over every solve so far, the refinement steps taken and the solves
-    that fell back.  The factors of K and of G are built on first use.
+    ``[[G, B], [B^T, -delta I]]``, refined against K.  The factor of G is
+    built on first use.
     """
+
+    label = "saddle system"
 
     def __init__(self, G, B):
         self.G = G.tocsr()
         self.B = B.tocsr()
         self.n_test, self.n_trial = B.shape
-        self.refine_steps = 0
-        self.fallbacks = 0
         delta = DELTA_SCALE * self.G.diagonal().max(initial=0.0)
         K_delta = sp.bmat(
             [[self.G, self.B], [self.B.T, -delta * sp.identity(self.n_trial)]], format="csc"
         )
-        self._lu = _factorize(K_delta, "saddle system", symmetric=True)
+        super().__init__(_factorize(K_delta, self.label, symmetric=True))
 
-    @cached_property
-    def _pivoted_lu(self):
-        K = sp.bmat([[self.G, self.B], [self.B.T, None]], format="csc")
-        return _factorize(K, "saddle system")
+    def _operator(self):
+        return sp.bmat([[self.G, self.B], [self.B.T, None]], format="csc")
+
+    def _apply(self, x):
+        """K x for a stacked [test; trial] vector."""
+        x_test, x_trial = x[: self.n_test], x[self.n_test :]
+        return np.concatenate([self.G @ x_test + self.B @ x_trial, self.B.T @ x_test])
 
     @cached_property
     def gram_lu(self):
@@ -121,26 +186,34 @@ class SaddleFactorization:
 
     def solve(self, rhs_test, rhs_trial):
         """Solve K x = rhs; returns x's test and trial blocks and r = rhs - K x."""
-        rhs = np.concatenate([rhs_test, rhs_trial])
-        tol = REFINE_TOL * (1.0 + np.abs(rhs).max(initial=0.0))
-        x = self._lu.solve(rhs)
-        r = rhs - self._apply(x)
-        for _ in range(REFINE_STEPS):
-            if np.abs(r).max(initial=0.0) <= tol:
-                break
-            x += self._lu.solve(r)
-            r = rhs - self._apply(x)
-            self.refine_steps += 1
-        if not np.abs(r).max(initial=0.0) <= tol:  # also catches a NaN residual
-            self.fallbacks += 1
-            x = self._pivoted_lu.solve(rhs)
-            r = rhs - self._apply(x)
+        x, r = self.refined_solve(np.concatenate([rhs_test, rhs_trial]))
         return x[: self.n_test], x[self.n_test :], r
 
+
+class EnrichedFactorization(RefinedFactor):
+    """Factor of the enriched stabilized operator B_full, refined against it.
+
+    With ``positive_real`` B_full is factored without pivoting in symmetric
+    mode; a zero pivot counts as a fallback to the pivoted LU.  Otherwise
+    B_full gets the pivoted LU alone.
+    """
+
+    label = "enriched stabilized operator"
+
+    def __init__(self, B_full, positive_real):
+        super().__init__(None)
+        self.B_full = B_full.tocsr()
+        if positive_real:
+            try:
+                self._lu = _factorize(self.B_full, self.label, symmetric=True)
+            except SolverError:
+                self.fallbacks += 1
+
+    def _operator(self):
+        return self.B_full
+
     def _apply(self, x):
-        """K x for a stacked [test; trial] vector."""
-        x_test, x_trial = x[: self.n_test], x[self.n_test :]
-        return np.concatenate([self.G @ x_test + self.B @ x_trial, self.B.T @ x_test])
+        return self.B_full @ x
 
 
 def solve_saddle(factor, load, trial, test):
@@ -181,16 +254,30 @@ def solve_adjoint(factor, q_trial, q_test, B_full, trial, test):
     )
 
 
-def solve_cip_enriched(B_full, load, space):
+class EnrichedSolution(DiscreteFunction):
+    """The enriched CIP solution theta_h, with the refinement steps and
+    fallbacks of its solve."""
+
+    def __init__(self, space, coefficients, refine_steps, fallbacks):
+        super().__init__(space, coefficients)
+        self.refine_steps = refine_steps
+        self.fallbacks = fallbacks
+
+
+def solve_cip_enriched(B_full, load, space, reaction_floor=0.0):
     """Plain stabilized Galerkin solve on the (enriched) space.
 
     Used for the saturation diagnostic; coercivity of the stabilized form
-    guarantees solvability.
+    guarantees solvability.  ``reaction_floor`` is the floor mu_0 the form
+    was assembled with: where mu_0 > 0, B_full is positive real and is
+    factored without pivoting; with mu_0 = 0, sym(B_full) is only
+    semidefinite and the solve stays on the pivoted LU (see the module
+    docstring).  Either way the solution is refined against B_full.
     """
-    lu = _factorize(B_full, "enriched stabilized operator")
-    theta = lu.solve(load)
-    _require_finite("enriched stabilized solve", theta)
-    return DiscreteFunction(space, theta)
+    factor = EnrichedFactorization(B_full, positive_real=reaction_floor > 0.0)
+    theta, r = factor.refined_solve(np.asarray(load, dtype=float))
+    _require_finite("enriched stabilized solve", theta, r)
+    return EnrichedSolution(space, theta, factor.refine_steps, factor.fallbacks)
 
 
 def orthogonality_residual(B, epsilon):

@@ -385,6 +385,26 @@ class TestAdaptiveLoop:
         with pytest.raises(SolverError, match="non-finite"):
             adaptive_loop(bench, LoopConfig(max_iters=3))
 
+    def test_solver_counts_include_enriched_solve(self, monkeypatch):
+        import bubblefem.solvers
+        from bubblefem import SolverError
+
+        original = bubblefem.solvers._factorize
+
+        def singular_enriched(matrix, label, symmetric=False):
+            if symmetric and label == bubblefem.solvers.EnrichedFactorization.label:
+                raise SolverError(f"{label} factorization failed: zero pivot")
+            return original(matrix, label, symmetric)
+
+        monkeypatch.setattr(bubblefem.solvers, "_factorize", singular_enriched)
+        bench = experiment1(0.5)
+        # the saddle solves never fall back here; each enriched solve does, once
+        plain = adaptive_loop(bench, LoopConfig(max_iters=1, saturation=False))
+        assert [r.solver_fallback for r in plain] == [0, 0]
+        records = adaptive_loop(bench, LoopConfig(max_iters=1, saturation=True))
+        assert [r.solver_fallback for r in records] == [1, 1]
+        assert [r.solver_refine_steps for r in records] == [r.solver_refine_steps for r in plain]
+
     def test_csv_serialization(self, tmp_path):
         bench = experiment1(0.5)
         records = adaptive_loop(bench, LoopConfig(max_iters=2, saturation=True))

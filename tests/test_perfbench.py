@@ -5,7 +5,9 @@ by name, so renaming or re-signaturing one of them shows up here.  The
 exp2 workload runs the goal-oriented route through the CLI.  The factor
 fill the tracer reads off ``SaddleFactorization`` is checked against the
 same run replayed in this process, so a change to the factorization
-cannot silently zero the benchmark's fill metric.
+cannot silently zero the benchmark's fill metric.  The uniform workload
+runs the largest saturation solves, whose factors of B_full must not be
+counted as saddle fill.
 """
 
 import json
@@ -43,7 +45,7 @@ def _replayed_fill(workload, outdir, monkeypatch):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("workload", ["exp1-energy", "exp2-goa-cli"])
+@pytest.mark.parametrize("workload", ["exp1-energy", "exp2-goa-cli", "uniform-p2k4"])
 def test_traced_worker_run(tmp_path, workload, monkeypatch):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")

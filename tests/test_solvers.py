@@ -262,6 +262,39 @@ class TestSolveAdjoint:
         assert np.linalg.norm(adj.eps_star.coefficients - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """(label, symmetric) of every factorization bubblefem.solvers builds."""
+    calls = []
+    original = bubblefem.solvers._factorize
+
+    def spy(matrix, label, symmetric=False):
+        calls.append((label, symmetric))
+        return original(matrix, label, symmetric)
+
+    monkeypatch.setattr(bubblefem.solvers, "_factorize", spy)
+    return calls
+
+
+def enriched_system(bench, p, k, generations):
+    """B_full and the load of bench at (p, k) on its initial mesh refined
+    ``generations`` times around the middle of the domain."""
+    from bubblefem import refine
+    from dataclasses import replace
+
+    data = replace(bench.data, penalty_order=k)
+    m = bench.initial_mesh()
+    for _ in range(generations):
+        c = m.vertices[m.cells].mean(axis=1)
+        m = refine(m, np.flatnonzero(np.abs(c - 0.5).max(axis=1) < 0.25))
+    test = build_space(m, enriched(p, k))
+    tables = FormTables(test, data)
+    return test, data, assemble_stabilized(tables), assemble_load(tables)
+
+
+ENRICHED = bubblefem.solvers.EnrichedFactorization.label
+
+
 class TestCipEnriched:
     def test_manufactured_linear(self, setup):
         m, data, _, test, _, _, load = setup
@@ -283,3 +316,61 @@ class TestCipEnriched:
         theta = solve_cip_enriched(B_full, load, test)
         r = B_full @ theta.coefficients - load
         assert np.abs(r).max() <= 1e-9 * (1.0 + np.abs(load).max())
+
+    @pytest.mark.parametrize("p, k", [(1, 3), (2, 4)], ids=["p1k3", "p2k4"])
+    def test_unpivoted_matches_refined_pivoted_lu(self, p, k, factor_calls):
+        from bubblefem import experiment1
+
+        test, data, B_full, load = enriched_system(experiment1(0.01), p, k, 2)
+        assert data.reaction_floor > 0.0
+        theta = solve_cip_enriched(B_full, load, test, data.reaction_floor)
+        # one unpivoted factor, and no pivoted LU behind it
+        assert factor_calls == [(ENRICHED, True)]
+        assert theta.fallbacks == 0
+        r = np.abs(B_full @ theta.coefficients - load).max()
+        assert r <= bubblefem.solvers.REFINE_TOL * (1.0 + np.abs(load).max())
+        # reference: COLAMD LU of B_full, refined against B_full to roundoff
+        A = sp.csc_matrix(B_full)
+        lu = spla.splu(A)
+        x = lu.solve(load)
+        for _ in range(3):
+            x += lu.solve(load - A @ x)
+        assert np.linalg.norm(theta.coefficients - x) <= 1e-10 * np.linalg.norm(x)
+
+    def test_failed_gate_falls_back_once(self, monkeypatch, factor_calls):
+        from bubblefem import experiment1
+
+        test, data, B_full, load = enriched_system(experiment1(0.01), 1, 3, 1)
+        monkeypatch.setattr(bubblefem.solvers, "REFINE_TOL", 0.0)
+        theta = solve_cip_enriched(B_full, load, test, data.reaction_floor)
+        assert factor_calls == [(ENRICHED, True), (ENRICHED, False)]
+        assert theta.fallbacks == 1
+        r = np.abs(B_full @ theta.coefficients - load).max()
+        assert r <= 1e-9 * (1.0 + np.abs(load).max())
+
+    def test_zero_pivot_falls_back(self, monkeypatch, setup):
+        _, data, _, test, _, _, load = setup
+        B_full = assemble_stabilized(FormTables(test, data))
+        original = bubblefem.solvers._factorize
+
+        def singular_unpivoted(matrix, label, symmetric=False):
+            if symmetric:
+                raise SolverError(f"{label} factorization failed: zero pivot")
+            return original(matrix, label, symmetric)
+
+        monkeypatch.setattr(bubblefem.solvers, "_factorize", singular_unpivoted)
+        theta = solve_cip_enriched(B_full, load, test, data.reaction_floor)
+        assert theta.fallbacks == 1
+        r = np.abs(B_full @ theta.coefficients - load).max()
+        assert r <= 1e-9 * (1.0 + np.abs(load).max())
+
+    def test_no_unpivoted_factor_without_reaction_floor(self, factor_calls):
+        from bubblefem import experiment2
+
+        test, data, B_full, load = enriched_system(experiment2(), 2, 4, 1)
+        assert data.reaction_floor == 0.0
+        theta = solve_cip_enriched(B_full, load, test, data.reaction_floor)
+        assert factor_calls == [(ENRICHED, False)]
+        assert theta.fallbacks == 0
+        r = np.abs(B_full @ theta.coefficients - load).max()
+        assert r <= 1e-9 * (1.0 + np.abs(load).max())
