@@ -17,6 +17,7 @@ import numpy as np
 from .analysis import error_norms, local_energy_products, qoi_error, qoi_reference
 from .forms import (
     FormTables,
+    ProblemData,
     assemble_gram,
     assemble_load,
     assemble_qoi,
@@ -26,7 +27,7 @@ from .forms import (
 from .mesh import refine
 from .reference import MAX_QUAD_DEGREE
 from .solvers import SaddleFactorization, solve_adjoint, solve_cip_enriched, solve_saddle
-from .spaces import build_space, enriched, inject_trial, trial_lagrange
+from .spaces import build_space, enriched
 from .vtkio import write_mesh_txt, write_vtk
 
 
@@ -103,10 +104,12 @@ class AdaptRecord:
 
     Fields beyond the CSV schema (h_max, kkt_residual, orthogonality,
     est_goa, robustness) are diagnostics used by the verification suite;
-    solver_refine_steps and solver_fallback count the refinement steps and
-    the fallbacks to the pivoted LU over every solve of the iteration: the
-    saddle solves and the saturation diagnostic's enriched solve (see
-    ``solvers.RefinedFactor``), so they tell which solver path ran.
+    kkt_residual is the max over the iteration's saddle solves (the primal
+    one, and the adjoint one in goa mode).  solver_refine_steps and
+    solver_fallback count the refinement steps and the fallbacks to the
+    pivoted LU over every solve of the iteration: the saddle solves and the
+    saturation diagnostic's enriched solve (see ``solvers.RefinedFactor``),
+    so they tell which solver path ran.
     """
 
     iteration: int
@@ -147,7 +150,7 @@ class LoopConfig:
     k: int = 3
     theta: float | None = None  # None: 0.2 in goa mode, else 0.5
     mode: str = "energy"  # energy | goa | uniform
-    alpha: float = 3.5
+    alpha: float = ProblemData.penalty_exponent
     max_dofs: int | None = None
     max_iters: int | None = None
     sigma0: float | None = None
@@ -201,8 +204,7 @@ class LoopConfig:
         return self
 
 
-def _diagnose(bench, tables, factor, B_full, load, sol, est_energy, saturation, q_trial,
-              qoi_ref):
+def _diagnose(bench, tables, factor, B_full, load, sol, est_energy, saturation, q, qoi_ref):
     """Exact-solution errors, the saturation ratio and robustness of the
     enriched CIP reference theta_h, and the QoI error, measured on the
     iteration's tables; returns the ``AdaptRecord`` fields it measured,
@@ -210,21 +212,20 @@ def _diagnose(bench, tables, factor, B_full, load, sol, est_energy, saturation, 
     """
     if bench.exact is None:
         return {}
-    u_h = inject_trial(sol.u, tables.space)
     theta_h = None
     if saturation:
-        theta_h = solve_cip_enriched(B_full, load, tables.space, tables.data.reaction_floor)
-    reps = error_norms([u_h, theta_h] if saturation else [u_h], bench.exact, tables)
+        theta_h = solve_cip_enriched(B_full, load, tables)
+    reps = error_norms([sol.u, theta_h] if saturation else [sol.u], bench.exact, tables)
     diag = {"err_l2_rel": reps[0].l2 / reps[0].exact_l2, "err_triple": reps[0].triple}
     if saturation:
         diag["saturation"] = reps[1].triple / reps[0].triple
         # G induces the energy norm on the test space
-        d = theta_h.coefficients - u_h.coefficients
+        d = theta_h.coefficients - sol.u.coefficients
         diag["robustness"] = math.sqrt(d @ (factor.G @ d)) / est_energy
         diag["solver_refine_steps"] = theta_h.refine_steps
         diag["solver_fallback"] = theta_h.fallbacks
     if qoi_ref is not None:
-        diag["err_qoi_rel"] = qoi_error(sol.u, q_trial, qoi_ref)
+        diag["err_qoi_rel"] = qoi_error(sol.u, q, qoi_ref)
     return diag
 
 
@@ -263,7 +264,6 @@ def adaptive_loop(bench, config):
 
     records = []
     while True:
-        trial = build_space(mesh, trial_lagrange(config.p))
         test = build_space(mesh, enriched(config.p, config.k))
         # built lazily: the first assembler to read a table pays for it
         tables = FormTables(test, data, config.quad_degree)
@@ -275,32 +275,30 @@ def adaptive_loop(bench, config):
         B = B_full[:, : test.n_trial]
         load = assemble_load(tables)
         factor = SaddleFactorization(G, B)
-        sol = solve_saddle(factor, load, trial, test)
+        sol = solve_saddle(factor, load, test)
 
-        est_goa, q_trial = math.nan, None
+        est_goa, q, kkt_residual = math.nan, None, sol.kkt_residual
         if goa:
-            q_test = assemble_qoi(test, bench.qoi_region)
-            q_trial = q_test[: test.n_trial]
-            adj = solve_adjoint(factor, q_trial, q_test, B_full, trial, test)
+            q = assemble_qoi(tables, bench.qoi_region)
+            adj = solve_adjoint(factor, q, B_full, test)
             indicators, goa_sq = goa_indicators(sol.epsilon, adj.eps_star, tables)
             est_goa = math.sqrt(goa_sq)
+            kkt_residual = max(kkt_residual, adj.kkt_residual)
         else:
             indicators = energy_indicators(sol.epsilon, tables)
 
-        dofs_total = trial.dim + test.dim
+        dofs_total = test.n_trial + test.dim
         diag = _diagnose(bench, tables, factor, B_full, load, sol, indicators.total,
-                         track_sat and dofs_total <= config.saturation_max_dofs, q_trial,
-                         qoi_ref)
-        scale = 1.0 + float(np.abs(load).max(initial=0.0))
+                         track_sat and dofs_total <= config.saturation_max_dofs, q, qoi_ref)
         record = AdaptRecord(
             iteration=len(records),
-            dofs_trial=trial.dim,
+            dofs_trial=test.n_trial,
             dofs_test=test.dim,
             dofs_total=dofs_total,
             est_energy=indicators.total,
             h_max=float(mesh.cell_diameters.max()),
-            kkt_residual=sol.kkt_residual / scale,
-            orthogonality=sol.orthogonality / scale,
+            kkt_residual=kkt_residual,
+            orthogonality=sol.orthogonality,
             est_goa=est_goa,
             **diag,
         )

@@ -20,7 +20,7 @@ import scipy.sparse.linalg
 
 from .forms import assemble_mass, cell_quadrature, volume_degree
 from .reference import triangle_rule
-from .spaces import DiscreteFunction, build_space, inject_trial, trial_lagrange
+from .spaces import DiscreteFunction, build_space, trial_lagrange
 
 
 @dataclass(frozen=True)
@@ -65,18 +65,19 @@ def error_norms(functions, exact, tables):
     """Broken-norm quadrature of exact - u_h (or of u_h when exact is None)
     for each u_h in ``functions``; returns one ``NormReport`` per function.
 
-    The boundary and jump terms are those of ``tables.energy_terms``, the
-    iteration's one owner of the facet tables; a trial-space u_h is read
-    as its injection into the tables' enriched space.  The exact solution
-    is smooth, so the jump term uses only u_h.  The volume rule is two
-    degrees above assembly; ``exact_l2`` is measured on it (0 without exact).
-    The rule, its basis values and the exact solution's point values are
-    built once and shared by all functions.
+    Every u_h lives on ``tables.space``.  The boundary and jump terms are
+    those of ``tables.energy_terms``, the iteration's one owner of the facet
+    tables.  The exact solution is smooth, so the jump term uses only u_h.
+    The volume rule is two degrees above assembly; ``exact_l2`` is measured
+    on it (0 without exact).  The rule, its basis values and the exact
+    solution's point values are built once and shared by all functions.
     """
-    space, data = tables.space, tables.data
+    space = tables.space
+    if any(u_h.space is not space for u_h in functions):
+        raise ValueError("functions do not live on the tables' space")
     rule = triangle_rule(volume_degree(space) + 2)
     pts, w = cell_quadrature(space.mesh, rule)
-    mass_w = data.effective_gram_weight * w
+    mass_w = tables.data.gram_weight * w
     phi_t = space.local_basis.evaluate(rule.points).T
     _, (bnd_w, bnd_vals, bnd_dofs, _), (jump_w, jump, jump_dofs, _) = tables.energy_terms
     exact_vals = bnd_exact = exact_l2 = 0.0
@@ -88,8 +89,6 @@ def error_norms(functions, exact, tables):
 
     reports = []
     for u_h in functions:
-        if u_h.space is not space:
-            u_h = inject_trial(u_h, space)
         diff_sq = (exact_vals - u_h.coefficients[space.cell_dofs] @ phi_t) ** 2
         bdiff = bnd_exact - _contract(bnd_vals, bnd_dofs, u_h)
         jdiff = _contract(jump, jump_dofs, u_h)

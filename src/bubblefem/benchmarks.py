@@ -144,6 +144,6 @@ def get_benchmark(name, delta=None):
     """Benchmark registry lookup; ``delta`` applies to exp1 only."""
     if name not in BENCHMARKS:
         raise KeyError(f"unknown benchmark {name!r}; choose from {sorted(BENCHMARKS)}")
-    if name == "exp1":
-        return experiment1(delta if delta is not None else 0.01)
+    if name == "exp1" and delta is not None:
+        return experiment1(delta)
     return BENCHMARKS[name]()

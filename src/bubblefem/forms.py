@@ -20,12 +20,12 @@ the mesh-dependent energy norm used by the residual representative.
 
 ``FormTables`` owns the quadrature tables of one space and problem, each
 built on first use.  Every assembler takes the tables and returns the
-square operator on their space, with entries ``A[i, j] = form(phi_j,
-phi_i)``; ``analysis.local_energy_products`` contracts the Gram form's
-terms on point values cell by cell.  The enriched test space numbers its
-trial DoFs first, so the trial x test operator B is the leading column
-block ``[:, :n_trial]`` of the test-space operator, and a trial-space
-operator is its leading ``[:n_trial, :n_trial]`` block.
+square operator, or the load or QoI vector, on their space, with entries
+``A[i, j] = form(phi_j, phi_i)``; ``analysis.local_energy_products``
+contracts the Gram form's terms on point values cell by cell.  The test
+space numbers its trial DoFs first, so the trial x test operator B is the
+leading column block ``[:, :n_trial]`` of the test-space operator, and a
+trial-space operator is its leading ``[:n_trial, :n_trial]`` block.
 
 All assembly loops are vectorized over cells and facets; matrices are
 returned in CSR format.  Bases are evaluated once per reference point set
@@ -65,17 +65,13 @@ class ProblemData:
     reaction_floor: float = 0.0
     penalty_exponent: float = 3.5
     penalty_order: int | None = None
-    gram_weight: float | None = None
+    gram_weight: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.penalty_exponent < math.inf:
             raise ValueError("penalty exponent must be finite and positive")
-        if self.gram_weight is not None and not 0.0 < self.gram_weight < math.inf:
+        if not 0.0 < self.gram_weight < math.inf:
             raise ValueError("gram weight must be finite and positive")
-
-    @property
-    def effective_gram_weight(self):
-        return self.gram_weight if self.gram_weight is not None else 1.0
 
     def require_penalty_order(self):
         if self.penalty_order is None:
@@ -250,7 +246,7 @@ class FormTables:
         _, w, phi = self.volume
         _, bw, bn, vals, bdofs = self.boundary
         return [
-            (self.data.effective_gram_weight * w, phi, self.space.cell_dofs,
+            (self.data.gram_weight * w, phi, self.space.cell_dofs,
              np.arange(len(mesh.cells))[:, None]),
             (bw * (0.5 * np.abs(bn)), vals, bdofs, mesh.boundary_cells[:, None]),
             (*self.interior, np.column_stack([mesh.interior_plus, mesh.interior_minus])),
@@ -419,20 +415,18 @@ def classify_qoi_cells(mesh, region, tol=1e-10):
     return inside
 
 
-def assemble_qoi(space, region, degree=None):
+def assemble_qoi(tables, region):
     """Mean-value functional over the region: q_i = int_region phi_i / |region|.
 
-    Requires the mesh to conform to the region (every cell fully inside
-    or outside).
+    Integrates on the tables' volume rule, exact for every rule of at least
+    the basis degree.  The mesh must conform to the region (no cell straddles it).
     """
-    mesh = space.mesh
+    space, mesh = tables.space, tables.space.mesh
     inside = classify_qoi_cells(mesh, region)
     covered = mesh.cell_areas[inside].sum()
     if abs(covered - region.area) > 1e-10 * region.area:
         raise ValueError("mesh does not cover the quantity-of-interest region")
-    rule = triangle_rule(degree if degree is not None else space.max_degree + 2)
-    pts, w = cell_quadrature(mesh, rule)
-    phi = space.local_basis.evaluate(rule.points)
+    _, w, phi = tables.volume
     local = np.matmul(w[inside], phi)
     vec = np.zeros(space.dim)
     np.add.at(vec, space.cell_dofs[inside], local)

@@ -192,9 +192,8 @@ class Mesh:
                 raise AssertionError("facet normal not unit length")
         if len(self.interior_edges) + len(self.boundary_edges) != len(self.edges):
             raise AssertionError("edge incidence count other than 1 or 2")
-        hT = self._edge_lengths.max(axis=1)
-        if np.max(np.abs(hT - self.cell_diameters)) > 1e-12:
-            raise AssertionError("cell diameter differs from longest edge")
+        if np.max(np.abs(self.edge_lengths[self.cell_edges] - self._edge_lengths)) > 1e-12:
+            raise AssertionError("global edge length differs from the cell's local edge")
         return True
 
 

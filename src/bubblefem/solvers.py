@@ -83,8 +83,8 @@ def _require_finite(label, *values):
 
 @dataclass
 class SaddleSolution:
-    """Residual representative, minimizer, and the max residuals of the block
-    system and of its trial rows, max|B^T eps| (orthogonality)."""
+    """Residual representative, minimizer, and max|r| / (1 + max|rhs|) for the
+    residual r of the block system and of its trial rows (orthogonality)."""
 
     epsilon: DiscreteFunction
     u: DiscreteFunction
@@ -94,7 +94,7 @@ class SaddleSolution:
 
 @dataclass
 class AdjointSolution:
-    """Adjoint pair (nu*, w*) and the adjoint residual representative."""
+    """Adjoint pair (nu*, w*), residual representative, max|r| / (1 + max|rhs|)."""
 
     nu_star: DiscreteFunction
     w_star: DiscreteFunction
@@ -185,9 +185,11 @@ class SaddleFactorization(RefinedFactor):
         return _factorize(self.G, "gram", symmetric=True)
 
     def solve(self, rhs_test, rhs_trial):
-        """Solve K x = rhs; returns x's test and trial blocks and r = rhs - K x."""
-        x, r = self.refined_solve(np.concatenate([rhs_test, rhs_trial]))
-        return x[: self.n_test], x[self.n_test :], r
+        """Solve K x = rhs; returns x's test and trial blocks and the residual
+        rhs - K x over the refinement gate's scale 1 + max|rhs|."""
+        rhs = np.concatenate([rhs_test, rhs_trial])
+        x, r = self.refined_solve(rhs)
+        return x[: self.n_test], x[self.n_test :], r / (1.0 + np.abs(rhs).max(initial=0.0))
 
 
 class EnrichedFactorization(RefinedFactor):
@@ -216,40 +218,47 @@ class EnrichedFactorization(RefinedFactor):
         return self.B_full @ x
 
 
-def solve_saddle(factor, load, trial, test):
+def _on_space(space, x_trial):
+    """The trial block as a function on the enriched ``space``, bubble coefficients zero."""
+    return DiscreteFunction(space, np.concatenate([x_trial, np.zeros(space.dim - space.n_trial)]))
+
+
+def solve_saddle(factor, load, space):
     """Minimize the residual of the load functional over the trial space.
 
-    ``factor`` is the SaddleFactorization of [[G, B], [B^T, 0]].
-    Returns the minimizer ``u`` together with the residual representative
-    ``epsilon`` satisfying ``(eps, v) + b(u, v) = l(v)`` for all test v
-    and ``b(w, eps) = 0`` for all trial w.
+    ``factor`` is the SaddleFactorization of [[G, B], [B^T, 0]] on the
+    enriched test ``space``.  Returns the minimizer ``u``, on ``space`` with
+    zero bubble coefficients, and the residual representative ``epsilon``:
+    ``(eps, v) + b(u, v) = l(v)`` for all test v, ``b(w, eps) = 0`` for all trial w.
     """
     eps, u, r = factor.solve(load, np.zeros(factor.n_trial))
     _require_finite("saddle solve", eps, u, r)
     return SaddleSolution(
-        epsilon=DiscreteFunction(test, eps),
-        u=DiscreteFunction(trial, u),
+        epsilon=DiscreteFunction(space, eps),
+        u=_on_space(space, u),
         kkt_residual=float(np.abs(r).max(initial=0.0)),
         # the trial rows of r are -B^T eps: the orthogonality residual
         orthogonality=float(np.abs(r[factor.n_test :]).max(initial=0.0)),
     )
 
 
-def solve_adjoint(factor, q_trial, q_test, B_full, trial, test):
+def solve_adjoint(factor, q, B_full, space):
     """Solve the adjoint saddle problem and represent the adjoint residual.
 
     The pair (nu*, w*) solves the primal left-hand side, already factored
-    in ``factor``, with right-hand side [0; q]; the adjoint residual
+    in ``factor``, with right-hand side [0; q_trial], the leading n_trial
+    entries of the QoI vector ``q`` on the test ``space``; w* lives on
+    ``space`` with zero bubble coefficients.  The adjoint residual
     representative solves ``(eps*, v)_G = q(v) - b(v, nu*)`` over the test
     space, which needs the full test-by-test operator ``B_full``.
     """
-    nu, w, r = factor.solve(np.zeros(factor.n_test), q_trial)
-    eps_star = factor.gram_lu.solve(q_test - B_full.T @ nu)
+    nu, w, r = factor.solve(np.zeros(factor.n_test), q[: factor.n_trial])
+    eps_star = factor.gram_lu.solve(q - B_full.T @ nu)
     _require_finite("adjoint solve", nu, w, r, eps_star)
     return AdjointSolution(
-        nu_star=DiscreteFunction(test, nu),
-        w_star=DiscreteFunction(trial, w),
-        eps_star=DiscreteFunction(test, eps_star),
+        nu_star=DiscreteFunction(space, nu),
+        w_star=_on_space(space, w),
+        eps_star=DiscreteFunction(space, eps_star),
         kkt_residual=float(np.abs(r).max(initial=0.0)),
     )
 
@@ -264,20 +273,20 @@ class EnrichedSolution(DiscreteFunction):
         self.fallbacks = fallbacks
 
 
-def solve_cip_enriched(B_full, load, space, reaction_floor=0.0):
-    """Plain stabilized Galerkin solve on the (enriched) space.
+def solve_cip_enriched(B_full, load, tables):
+    """Plain stabilized Galerkin solve on the tables' (enriched) space.
 
     Used for the saturation diagnostic; coercivity of the stabilized form
-    guarantees solvability.  ``reaction_floor`` is the floor mu_0 the form
-    was assembled with: where mu_0 > 0, B_full is positive real and is
+    guarantees solvability.  B_full is assembled on ``tables``, whose floor
+    mu_0 picks the factor: where mu_0 > 0, B_full is positive real and is
     factored without pivoting; with mu_0 = 0, sym(B_full) is only
     semidefinite and the solve stays on the pivoted LU (see the module
     docstring).  Either way the solution is refined against B_full.
     """
-    factor = EnrichedFactorization(B_full, positive_real=reaction_floor > 0.0)
+    factor = EnrichedFactorization(B_full, positive_real=tables.data.reaction_floor > 0.0)
     theta, r = factor.refined_solve(np.asarray(load, dtype=float))
     _require_finite("enriched stabilized solve", theta, r)
-    return EnrichedSolution(space, theta, factor.refine_steps, factor.fallbacks)
+    return EnrichedSolution(tables.space, theta, factor.refine_steps, factor.fallbacks)
 
 
 def orthogonality_residual(B, epsilon):

@@ -172,8 +172,8 @@ def test_criterion_1_galerkin_degeneration():
         G = bf.assemble_gram(tables)
         B = bf.assemble_stabilized(tables)[:, : test.n_trial]
         load = bf.assemble_load(tables)
-        sol = bf.solve_saddle(bf.SaddleFactorization(G, B), load, trial, test)
-        plain = bf.solve_cip_enriched(B, load, trial)
+        sol = bf.solve_saddle(bf.SaddleFactorization(G, B), load, test)
+        plain = bf.solve_cip_enriched(B, load, tables)
         eps_norm = math.sqrt(sol.epsilon.coefficients @ (G @ sol.epsilon.coefficients))
         diff = np.abs(sol.u.coefficients - plain.coefficients).max()
         worst_eps = max(worst_eps, eps_norm)

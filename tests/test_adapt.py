@@ -236,9 +236,9 @@ class TestAdaptiveLoop:
         ids=["exp1-energy-saturation", "exp2-goa"],
     )
     def test_one_test_space_assembly_per_iteration(self, monkeypatch, bench, config):
-        # B and q_trial are the trial blocks of B_full and q_test, so each
-        # iteration assembles the operator and the QoI on the test space
-        # only, and the QoI error reads q_trial instead of assembling again
+        # B is the trial block of B_full and the adjoint reads the trial
+        # block of q, so each iteration assembles the operator and the QoI
+        # on the test space only, and the QoI error reads the same q
         import bubblefem.adapt as adapt
         import bubblefem.forms as forms
 
@@ -247,8 +247,8 @@ class TestAdaptiveLoop:
             original = getattr(adapt, name)
 
             def counted(first, *args, _original=original, _seen=seen, **kwargs):
-                # assemble_stabilized takes the form tables, assemble_qoi the space
-                _seen.append(getattr(first, "space", first).kind.family)
+                # both take the form tables
+                _seen.append(first.space.kind.family)
                 return _original(first, *args, **kwargs)
 
             for module in (adapt, forms):
@@ -317,6 +317,47 @@ class TestAdaptiveLoop:
         assert built.count("jump side") == 2 * len(records)
         assert built.count("J") == len(records)
         assert not [b for b in built if b.startswith("trial")]
+
+    @pytest.mark.parametrize(
+        "bench, config",
+        [
+            (experiment1(0.01), LoopConfig(max_iters=2, saturation=True)),
+            (experiment2(), LoopConfig(mode="goa", theta=0.2, max_iters=2)),
+        ],
+        ids=["exp1-energy-saturation", "exp2-goa"],
+    )
+    def test_one_space_per_iteration(self, monkeypatch, bench, config):
+        # the trial space is the leading n_trial block of the enriched test
+        # space, so the solves, the QoI and the error norms share that one space
+        import bubblefem.adapt as adapt
+
+        built = []
+
+        def counted(mesh, kind):
+            built.append(kind.family)
+            return build_space(mesh, kind)
+
+        monkeypatch.setattr(adapt, "build_space", counted)
+        records = adaptive_loop(bench, config)
+        assert built == ["enriched"] * len(records)
+        assert all(r.dofs_total == r.dofs_trial + r.dofs_test for r in records)
+
+    def test_record_carries_adjoint_residual(self, monkeypatch):
+        # the record's kkt_residual is the max over the iteration's saddle
+        # solves, so a bad adjoint solve shows even when the primal one is fine
+        import bubblefem.adapt as adapt
+
+        solve_adjoint = adapt.solve_adjoint
+
+        def bad_residual(*args):
+            adj = solve_adjoint(*args)
+            adj.kkt_residual = 1.0
+            return adj
+
+        monkeypatch.setattr(adapt, "solve_adjoint", bad_residual)
+        records = adaptive_loop(experiment2(), LoopConfig(mode="goa", theta=0.2, max_iters=1))
+        assert [r.kkt_residual for r in records] == [1.0, 1.0]
+        assert all(r.orthogonality < 1e-9 for r in records)
 
     def test_stop_on_max_dofs(self):
         bench = experiment1(0.5)

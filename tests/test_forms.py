@@ -393,7 +393,7 @@ class TestLoad:
         tables = FormTables(trial, data)
         B = assemble_stabilized(tables)
         load = assemble_load(tables)
-        u = solve_cip_enriched(B, load, trial)
+        u = solve_cip_enriched(B, load, tables)
         exact = m.vertices[:, 0] + m.vertices[:, 1]
         assert np.abs(u.coefficients - exact).max() < 1e-10
 
@@ -401,34 +401,53 @@ class TestLoad:
 class TestQoi:
     region = Rectangle(0.7, 0.8, 0.3, 0.5)
 
+    def qoi(self, space):
+        """The QoI vector, integrated on the default tables of ``space``."""
+        return assemble_qoi(FormTables(space, make_data(const_field([1.0, 0.0]))), self.region)
+
     def test_region_area(self):
         assert np.isclose(self.region.area, 0.02)
 
     def test_mean_of_constant_is_one(self):
         m = build_structured_mesh(10)
         space = build_space(m, trial_lagrange(1))
-        q = assemble_qoi(space, self.region)
+        q = self.qoi(space)
         assert abs(q @ np.ones(space.dim) - 1.0) < 1e-12
 
     def test_mean_of_linear(self):
         m = build_structured_mesh(10)
         space = build_space(m, trial_lagrange(1))
-        q = assemble_qoi(space, self.region)
+        q = self.qoi(space)
         assert abs(q @ m.vertices[:, 0] - 0.75) < 1e-12
 
     def test_enriched_space_supported(self):
         m = build_structured_mesh(10)
         space = build_space(m, enriched(1, 3))
-        q = assemble_qoi(space, self.region)
+        q = self.qoi(space)
         ones = np.zeros(space.dim)
         ones[: space.n_trial] = 1.0
         assert abs(q @ ones - 1.0) < 1e-12
+
+    def test_reads_the_tables_volume(self, monkeypatch):
+        # the QoI integrates on the tables' volume rule, exact for the basis
+        # degree, so it builds no quadrature and every admissible rule agrees
+        import bubblefem.forms
+
+        space = build_space(build_structured_mesh(10), enriched(2, 4))
+        data = make_data(const_field([1.0, 0.0]))
+        tables = FormTables(space, data, degree=8)
+        tables.volume
+        monkeypatch.setattr(bubblefem.forms, "cell_quadrature", None)
+        q = assemble_qoi(tables, self.region)
+        monkeypatch.undo()
+        ref = assemble_qoi(FormTables(space, data), self.region)
+        assert np.abs(q - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_straddling_cell_rejected(self):
         m = build_structured_mesh(4)  # 0.25-grid does not conform to the region
         space = build_space(m, trial_lagrange(1))
         with pytest.raises(ValueError):
-            assemble_qoi(space, self.region)
+            self.qoi(space)
 
 
 def test_matrix_market_roundtrip(tmp_path):
@@ -499,7 +518,7 @@ class TestTrialNesting:
     """The enriched test space numbers the trial space first, so its leading
     local basis functions are the trial basis and the trial block of every
     test-space operator is the trial-space operator; the adaptive loop reads
-    B and q_trial off B_full and q_test this way."""
+    B off B_full, and the adjoint solve the trial block of q, this way."""
 
     degrees = pytest.mark.parametrize("p, k", [(1, 3), (2, 4), (3, 5), (2, 2)])
 
@@ -562,6 +581,6 @@ class TestTrialNesting:
             assert self.pattern(block, 1e-15 * scale) == self.pattern(A, 1e-15 * scale)
             assert abs(block.nnz - A.nnz) <= 1e-3 * A.nnz
 
-        q = assemble_qoi(trial, region)
-        q_block = assemble_qoi(test, region)[:n]
+        q = assemble_qoi(FormTables(trial, data), region)
+        q_block = assemble_qoi(FormTables(test, data), region)[:n]
         assert np.abs(q_block - q).max() <= 1e-12 * np.abs(q).max()

@@ -344,6 +344,15 @@ class TestMeshInvariants:
             lengths = [np.linalg.norm(cell[a] - cell[b]) for a, b in ((0, 1), (1, 2), (2, 0))]
             assert np.isclose(m.cell_diameters[i], max(lengths))
 
+    def test_validate_ties_edge_table_to_cells(self):
+        # each cell's local edge i must be the global edge of the same length:
+        # permuting the columns of cell_edges breaks that and fails validate()
+        m = refine(build_structured_mesh(2), [0, 3, 5])
+        assert m.validate()
+        m.cell_edges = m.cell_edges[:, [1, 2, 0]]
+        with pytest.raises(AssertionError, match="edge length"):
+            m.validate()
+
     def test_locate_and_outside_error(self):
         m = build_structured_mesh(2)
         cells = m.locate([[0.1, 0.1], [0.9, 0.9]])

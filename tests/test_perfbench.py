@@ -44,6 +44,30 @@ def _replayed_fill(workload, outdir, monkeypatch):
     return sum(fill)
 
 
+def test_tracer_bindings_resolve(monkeypatch):
+    """Every function the tracer rebinds exists and is callable, and the saddle
+    factor exposes the LU factors whose fill it reads.  The traced worker
+    run is slow, so this keeps the bindings checked in the fast subset."""
+    import importlib
+
+    import numpy as np
+    import scipy.sparse as sp
+
+    from bubblefem.solvers import SaddleFactorization
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import spans
+
+    for layer, names in spans.TRACED.items():
+        module = importlib.import_module(f"bubblefem.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"bubblefem.{layer}.{name}"
+    G = sp.identity(3, format="csr")
+    B = sp.csr_matrix(np.array([[1.0], [0.0], [2.0]]))
+    lu = SaddleFactorization(G, B)._lu
+    assert lu.L.nnz > 0 and lu.U.nnz > 0
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("workload", ["exp1-energy", "exp2-goa-cli", "uniform-p2k4"])
 def test_traced_worker_run(tmp_path, workload, monkeypatch):

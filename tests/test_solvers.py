@@ -46,90 +46,94 @@ def setup():
         reaction_floor=1.0,
         penalty_order=3,
     )
-    trial = build_space(m, trial_lagrange(1))
     test = build_space(m, enriched(1, 3))
     tables = FormTables(test, data)
     G = assemble_gram(tables)
     B = assemble_stabilized(tables)[:, : test.n_trial]
     load = assemble_load(tables)
-    return m, data, trial, test, G, B, load
+    return m, tables, test, G, B, load
 
 
 def assert_reported_residuals(sol, G, B, load):
     """The residuals a solve reports equal, bit for bit, max|K x - rhs| with K
-    built by sp.bmat and max|B^T eps|."""
+    built by sp.bmat and max|B^T eps|, each over 1 + max|load|."""
     K = sp.bmat([[G, B], [B.T, None]], format="csc")
-    n = G.shape[0]
+    n, n_trial = B.shape
     # summed per column block, G eps + B u, in the order the solver sums
-    Kx = K[:, :n] @ sol.epsilon.coefficients + K[:, n:] @ sol.u.coefficients
-    rhs = np.concatenate([load, np.zeros(B.shape[1])])
-    assert sol.kkt_residual == np.abs(Kx - rhs).max()
-    assert sol.orthogonality == orthogonality_residual(B, sol.epsilon)
+    Kx = K[:, :n] @ sol.epsilon.coefficients + K[:, n:] @ sol.u.coefficients[:n_trial]
+    rhs = np.concatenate([load, np.zeros(n_trial)])
+    scale = 1.0 + np.abs(load).max()
+    assert sol.kkt_residual == np.abs(Kx - rhs).max() / scale
+    assert sol.orthogonality == orthogonality_residual(B, sol.epsilon) / scale
 
 
 class TestSolveSaddle:
     def test_manufactured_exactness(self, setup):
-        m, data, trial, test, G, B, load = setup
-        sol = solve_saddle(SaddleFactorization(G, B), load, trial, test)
+        m, _, test, G, B, load = setup
+        sol = solve_saddle(SaddleFactorization(G, B), load, test)
         exact = m.vertices[:, 0] + m.vertices[:, 1]
-        assert np.abs(sol.u.coefficients - exact).max() < 1e-10
+        # u lives on the enriched space, its bubble coefficients zero
+        assert sol.u.space is test and sol.epsilon.space is test
+        assert np.abs(sol.u.coefficients[: test.n_trial] - exact).max() < 1e-10
+        assert not sol.u.coefficients[test.n_trial :].any()
         eps_norm = np.sqrt(sol.epsilon.coefficients @ (G @ sol.epsilon.coefficients))
         assert eps_norm < 1e-10
-        assert sol.kkt_residual < 1e-9 * (1.0 + np.abs(load).max())
+        assert sol.kkt_residual < 1e-9
 
     def test_zero_load(self, setup):
-        _, _, trial, test, G, B, _ = setup
-        sol = solve_saddle(SaddleFactorization(G, B), np.zeros(test.dim), trial, test)
+        _, _, test, G, B, _ = setup
+        sol = solve_saddle(SaddleFactorization(G, B), np.zeros(test.dim), test)
         assert not sol.u.coefficients.any()
         assert not sol.epsilon.coefficients.any()
 
     def test_galerkin_degeneration(self, setup):
         # k <= p: test space equals the trial space, residual vanishes and
         # the minimizer is the plain stabilized Galerkin solution
-        m, data, trial, _, _, _, _ = setup
+        m, tables, _, _, _, _ = setup
         test_eq = build_space(m, enriched(1, 1))
-        assert test_eq.dim == trial.dim
-        tables = FormTables(test_eq, data)
+        assert test_eq.dim == build_space(m, trial_lagrange(1)).dim
+        tables = FormTables(test_eq, tables.data)
         G = assemble_gram(tables)
         B = assemble_stabilized(tables)[:, : test_eq.n_trial]
         load = assemble_load(tables)
-        sol = solve_saddle(SaddleFactorization(G, B), load, trial, test_eq)
-        plain = solve_cip_enriched(B, load, trial)
+        sol = solve_saddle(SaddleFactorization(G, B), load, test_eq)
+        plain = solve_cip_enriched(B, load, tables)
         assert np.sqrt(sol.epsilon.coefficients @ (G @ sol.epsilon.coefficients)) < 1e-10
         assert np.abs(sol.u.coefficients - plain.coefficients).max() < 1e-10
 
     def test_orthogonality(self, setup):
-        _, _, trial, test, G, B, load = setup
-        sol = solve_saddle(SaddleFactorization(G, B), load, trial, test)
+        _, _, test, G, B, load = setup
+        sol = solve_saddle(SaddleFactorization(G, B), load, test)
         assert orthogonality_residual(B, sol.epsilon) <= 1e-9 * (1.0 + np.abs(load).max())
 
     def test_reported_residuals(self, setup):
-        _, _, trial, test, G, B, load = setup
-        assert_reported_residuals(solve_saddle(SaddleFactorization(G, B), load, trial, test),
+        _, _, test, G, B, load = setup
+        assert_reported_residuals(solve_saddle(SaddleFactorization(G, B), load, test),
                                   G, B, load)
 
     def test_minimizer_optimality_fd(self, setup):
         # perturbing the minimizer never decreases 1/2 ||l - B u||^2 in G^-1
-        _, _, trial, test, G, B, load = setup
-        sol = solve_saddle(SaddleFactorization(G, B), load, trial, test)
+        _, _, test, G, B, load = setup
+        sol = solve_saddle(SaddleFactorization(G, B), load, test)
         lu = spla.splu(sp.csc_matrix(G))
 
         def objective(u):
             r = load - B @ u
             return 0.5 * r @ lu.solve(r)
 
-        base = objective(sol.u.coefficients)
+        u = sol.u.coefficients[: test.n_trial]
+        base = objective(u)
         rng = np.random.default_rng(77)
         for _ in range(20):
-            w = rng.standard_normal(trial.dim)
+            w = rng.standard_normal(test.n_trial)
             w /= np.linalg.norm(w)
             for delta in (1e-4, -1e-4):
-                assert objective(sol.u.coefficients + delta * w) >= base - 1e-12 * (1 + abs(base))
+                assert objective(u + delta * w) >= base - 1e-12 * (1 + abs(base))
 
     def test_factorization_determinism(self, setup):
-        _, _, trial, test, G, B, load = setup
-        a = solve_saddle(SaddleFactorization(G, B), load, trial, test)
-        b = solve_saddle(SaddleFactorization(G, B), load, trial, test)
+        _, _, test, G, B, load = setup
+        a = solve_saddle(SaddleFactorization(G, B), load, test)
+        b = solve_saddle(SaddleFactorization(G, B), load, test)
         assert np.array_equal(a.u.coefficients, b.u.coefficients)
         assert np.array_equal(a.epsilon.coefficients, b.epsilon.coefficients)
 
@@ -140,9 +144,9 @@ class TestSolveSaddle:
             SaddleFactorization(G, B)
 
     def test_regularized_factor_refined(self, setup):
-        _, _, trial, test, G, B, load = setup
+        _, _, test, G, B, load = setup
         factor = SaddleFactorization(G, B)
-        solve_saddle(factor, load, trial, test)
+        solve_saddle(factor, load, test)
         # the O(delta) shift of the quasi-definite factor needs refining
         assert 1 <= factor.refine_steps <= bubblefem.solvers.REFINE_STEPS
         assert factor.fallbacks == 0
@@ -151,13 +155,13 @@ class TestSolveSaddle:
     def test_fallback_to_pivoted_lu(self, setup, monkeypatch):
         # a shift this large leaves refinement short of the gate after its steps
         monkeypatch.setattr(bubblefem.solvers, "DELTA_SCALE", 1.0)
-        _, _, trial, test, G, B, load = setup
+        _, _, test, G, B, load = setup
         factor = SaddleFactorization(G, B)
-        sol = solve_saddle(factor, load, trial, test)
+        sol = solve_saddle(factor, load, test)
         assert factor.refine_steps == bubblefem.solvers.REFINE_STEPS
         assert factor.fallbacks == 1
         assert "_pivoted_lu" in vars(factor)
-        assert sol.kkt_residual <= 1e-9 * (1.0 + np.abs(load).max())
+        assert sol.kkt_residual <= 1e-9
         # the reported residuals are those of the fallback's solution
         assert_reported_residuals(sol, G, B, load)
 
@@ -175,31 +179,31 @@ def graded_goal_setup():
     for _ in range(5):
         c = m.vertices[m.cells].mean(axis=1)
         m = refine(m, np.flatnonzero(np.abs(c[:, 1] - c[:, 0] / 3.0 - 0.75) < 0.08))
-    trial = build_space(m, trial_lagrange(2))
     test = build_space(m, enriched(2, 4))
     tables = FormTables(test, data)
     G = assemble_gram(tables)
     B = assemble_stabilized(tables)[:, : test.n_trial]
-    return trial, test, G, B, assemble_load(tables)
+    return test, G, B, assemble_load(tables)
 
 
 class TestGradedSaddle:
     def test_matches_pivoted_lu_of_K(self, graded_goal_setup):
-        trial, test, G, B, load = graded_goal_setup
+        test, G, B, load = graded_goal_setup
         factor = SaddleFactorization(G, B)
-        sol = solve_saddle(factor, load, trial, test)
+        sol = solve_saddle(factor, load, test)
         assert factor.fallbacks == 0
-        assert sol.kkt_residual <= 1e-12 * (1.0 + np.abs(load).max())
+        assert sol.kkt_residual <= 1e-12
         # reference: COLAMD LU of K, refined against K to roundoff (the
         # unrefined epsilon is itself 2e-10 off here)
         K = sp.bmat([[G, B], [B.T, None]], format="csc")
-        rhs = np.concatenate([load, np.zeros(trial.dim)])
+        rhs = np.concatenate([load, np.zeros(test.n_trial)])
         lu = spla.splu(K)
         x = lu.solve(rhs)
         for _ in range(3):
             x += lu.solve(rhs - K @ x)
-        for computed, ref in ((sol.epsilon, x[: test.dim]), (sol.u, x[test.dim :])):
-            assert np.linalg.norm(computed.coefficients - ref) <= 1e-10 * np.linalg.norm(ref)
+        for computed, ref in ((sol.epsilon.coefficients, x[: test.dim]),
+                              (sol.u.coefficients[: test.n_trial], x[test.dim :])):
+            assert np.linalg.norm(computed - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 @pytest.fixture(scope="module")
@@ -210,33 +214,32 @@ def goal_setup():
     bench = experiment2()
     data = replace(bench.data, penalty_order=3)
     m = bench.initial_mesh()
-    trial = build_space(m, trial_lagrange(1))
     test = build_space(m, enriched(1, 3))
     tables = FormTables(test, data)
     G = assemble_gram(tables)
     B_full = assemble_stabilized(tables)
     B = B_full[:, : test.n_trial]
-    q_trial = assemble_qoi(trial, bench.qoi_region)
-    q_test = assemble_qoi(test, bench.qoi_region)
-    return trial, test, G, B, B_full, q_trial, q_test
+    return test, G, B, B_full, assemble_qoi(tables, bench.qoi_region)
 
 
 class TestSolveAdjoint:
     def test_zero_goal(self, goal_setup):
-        trial, test, G, B, B_full, _, _ = goal_setup
-        adj = solve_adjoint(
-            SaddleFactorization(G, B), np.zeros(trial.dim), np.zeros(test.dim), B_full, trial, test
-        )
+        test, G, B, B_full, _ = goal_setup
+        adj = solve_adjoint(SaddleFactorization(G, B), np.zeros(test.dim), B_full, test)
         assert not adj.nu_star.coefficients.any()
         assert not adj.w_star.coefficients.any()
         assert not adj.eps_star.coefficients.any()
 
     def test_block_equations_satisfied(self, goal_setup):
-        trial, test, G, B, B_full, q_trial, q_test = goal_setup
-        adj = solve_adjoint(SaddleFactorization(G, B), q_trial, q_test, B_full, trial, test)
+        test, G, B, B_full, q_test = goal_setup
+        q_trial = q_test[: test.n_trial]
+        adj = solve_adjoint(SaddleFactorization(G, B), q_test, B_full, test)
+        assert adj.w_star.space is test
+        assert not adj.w_star.coefficients[test.n_trial :].any()
         scale = 1.0 + np.abs(q_trial).max()
+        assert adj.kkt_residual <= 1e-9
         # first block row: (nu*, v) + b(w*, v) = 0
-        r1 = G @ adj.nu_star.coefficients + B @ adj.w_star.coefficients
+        r1 = G @ adj.nu_star.coefficients + B @ adj.w_star.coefficients[: test.n_trial]
         assert np.abs(r1).max() <= 1e-9 * scale
         # second block row: b(w, nu*) = q(w) for every trial basis w
         r2 = B.T @ adj.nu_star.coefficients - q_trial
@@ -246,18 +249,18 @@ class TestSolveAdjoint:
         assert np.abs(r3).max() <= 1e-9 * scale
 
     def test_shared_factorization_identical(self, goal_setup):
-        trial, test, G, B, B_full, q_trial, q_test = goal_setup
+        test, G, B, B_full, q_test = goal_setup
         # a factorization that already served another solve gives the fresh answer
         factor = SaddleFactorization(G, B)
-        solve_adjoint(factor, np.zeros(trial.dim), np.zeros(test.dim), B_full, trial, test)
-        shared = solve_adjoint(factor, q_trial, q_test, B_full, trial, test)
-        fresh = solve_adjoint(SaddleFactorization(G, B), q_trial, q_test, B_full, trial, test)
+        solve_adjoint(factor, np.zeros(test.dim), B_full, test)
+        shared = solve_adjoint(factor, q_test, B_full, test)
+        fresh = solve_adjoint(SaddleFactorization(G, B), q_test, B_full, test)
         assert np.abs(fresh.nu_star.coefficients - shared.nu_star.coefficients).max() < 1e-12
         assert np.abs(fresh.eps_star.coefficients - shared.eps_star.coefficients).max() < 1e-12
 
     def test_eps_star_is_gram_solve(self, goal_setup):
-        trial, test, G, B, B_full, q_trial, q_test = goal_setup
-        adj = solve_adjoint(SaddleFactorization(G, B), q_trial, q_test, B_full, trial, test)
+        test, G, B, B_full, q_test = goal_setup
+        adj = solve_adjoint(SaddleFactorization(G, B), q_test, B_full, test)
         ref = spla.spsolve(sp.csc_matrix(G), q_test - B_full.T @ adj.nu_star.coefficients)
         assert np.linalg.norm(adj.eps_star.coefficients - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -277,7 +280,7 @@ def factor_calls(monkeypatch):
 
 
 def enriched_system(bench, p, k, generations):
-    """B_full and the load of bench at (p, k) on its initial mesh refined
+    """The tables, B_full and the load of bench at (p, k) on its initial mesh refined
     ``generations`` times around the middle of the domain."""
     from bubblefem import refine
     from dataclasses import replace
@@ -287,9 +290,8 @@ def enriched_system(bench, p, k, generations):
     for _ in range(generations):
         c = m.vertices[m.cells].mean(axis=1)
         m = refine(m, np.flatnonzero(np.abs(c - 0.5).max(axis=1) < 0.25))
-    test = build_space(m, enriched(p, k))
-    tables = FormTables(test, data)
-    return test, data, assemble_stabilized(tables), assemble_load(tables)
+    tables = FormTables(build_space(m, enriched(p, k)), data)
+    return tables, assemble_stabilized(tables), assemble_load(tables)
 
 
 ENRICHED = bubblefem.solvers.EnrichedFactorization.label
@@ -297,23 +299,21 @@ ENRICHED = bubblefem.solvers.EnrichedFactorization.label
 
 class TestCipEnriched:
     def test_manufactured_linear(self, setup):
-        m, data, _, test, _, _, load = setup
-        B_full = assemble_stabilized(FormTables(test, data))
-        theta = solve_cip_enriched(B_full, load, test)
+        m, tables, test, _, _, load = setup
+        theta = solve_cip_enriched(assemble_stabilized(tables), load, tables)
         exact = m.vertices[:, 0] + m.vertices[:, 1]
         assert np.abs(theta.coefficients[: test.n_trial] - exact).max() < 1e-10
         assert np.abs(theta.coefficients[test.n_trial :]).max() < 1e-9
 
     def test_zero_data(self, setup):
-        _, data, _, test, _, _, _ = setup
-        B_full = assemble_stabilized(FormTables(test, data))
-        theta = solve_cip_enriched(B_full, np.zeros(test.dim), test)
+        _, tables, test, _, _, _ = setup
+        theta = solve_cip_enriched(assemble_stabilized(tables), np.zeros(test.dim), tables)
         assert not theta.coefficients.any()
 
     def test_residual_small(self, setup):
-        _, data, _, test, _, _, load = setup
-        B_full = assemble_stabilized(FormTables(test, data))
-        theta = solve_cip_enriched(B_full, load, test)
+        _, tables, _, _, _, load = setup
+        B_full = assemble_stabilized(tables)
+        theta = solve_cip_enriched(B_full, load, tables)
         r = B_full @ theta.coefficients - load
         assert np.abs(r).max() <= 1e-9 * (1.0 + np.abs(load).max())
 
@@ -321,9 +321,9 @@ class TestCipEnriched:
     def test_unpivoted_matches_refined_pivoted_lu(self, p, k, factor_calls):
         from bubblefem import experiment1
 
-        test, data, B_full, load = enriched_system(experiment1(0.01), p, k, 2)
-        assert data.reaction_floor > 0.0
-        theta = solve_cip_enriched(B_full, load, test, data.reaction_floor)
+        tables, B_full, load = enriched_system(experiment1(0.01), p, k, 2)
+        assert tables.data.reaction_floor > 0.0
+        theta = solve_cip_enriched(B_full, load, tables)
         # one unpivoted factor, and no pivoted LU behind it
         assert factor_calls == [(ENRICHED, True)]
         assert theta.fallbacks == 0
@@ -340,17 +340,17 @@ class TestCipEnriched:
     def test_failed_gate_falls_back_once(self, monkeypatch, factor_calls):
         from bubblefem import experiment1
 
-        test, data, B_full, load = enriched_system(experiment1(0.01), 1, 3, 1)
+        tables, B_full, load = enriched_system(experiment1(0.01), 1, 3, 1)
         monkeypatch.setattr(bubblefem.solvers, "REFINE_TOL", 0.0)
-        theta = solve_cip_enriched(B_full, load, test, data.reaction_floor)
+        theta = solve_cip_enriched(B_full, load, tables)
         assert factor_calls == [(ENRICHED, True), (ENRICHED, False)]
         assert theta.fallbacks == 1
         r = np.abs(B_full @ theta.coefficients - load).max()
         assert r <= 1e-9 * (1.0 + np.abs(load).max())
 
     def test_zero_pivot_falls_back(self, monkeypatch, setup):
-        _, data, _, test, _, _, load = setup
-        B_full = assemble_stabilized(FormTables(test, data))
+        _, tables, _, _, _, load = setup
+        B_full = assemble_stabilized(tables)
         original = bubblefem.solvers._factorize
 
         def singular_unpivoted(matrix, label, symmetric=False):
@@ -359,7 +359,7 @@ class TestCipEnriched:
             return original(matrix, label, symmetric)
 
         monkeypatch.setattr(bubblefem.solvers, "_factorize", singular_unpivoted)
-        theta = solve_cip_enriched(B_full, load, test, data.reaction_floor)
+        theta = solve_cip_enriched(B_full, load, tables)
         assert theta.fallbacks == 1
         r = np.abs(B_full @ theta.coefficients - load).max()
         assert r <= 1e-9 * (1.0 + np.abs(load).max())
@@ -367,9 +367,9 @@ class TestCipEnriched:
     def test_no_unpivoted_factor_without_reaction_floor(self, factor_calls):
         from bubblefem import experiment2
 
-        test, data, B_full, load = enriched_system(experiment2(), 2, 4, 1)
-        assert data.reaction_floor == 0.0
-        theta = solve_cip_enriched(B_full, load, test, data.reaction_floor)
+        tables, B_full, load = enriched_system(experiment2(), 2, 4, 1)
+        assert tables.data.reaction_floor == 0.0
+        theta = solve_cip_enriched(B_full, load, tables)
         assert factor_calls == [(ENRICHED, False)]
         assert theta.fallbacks == 0
         r = np.abs(B_full @ theta.coefficients - load).max()
