@@ -107,9 +107,10 @@ class AdaptRecord:
     kkt_residual is the max over the iteration's saddle solves (the primal
     one, and the adjoint one in goa mode).  solver_refine_steps and
     solver_fallback count the refinement steps and the fallbacks to the
-    pivoted LU over every solve of the iteration: the saddle solves and the
-    saturation diagnostic's enriched solve (see ``solvers.RefinedFactor``),
-    so they tell which solver path ran.
+    pivoted LU over every solve of the iteration: the saddle solves, the
+    adjoint's Gram solve in goa mode and the saturation diagnostic's
+    enriched solve (see ``solvers.RefinedFactor``), so they tell which
+    solver path ran.
     """
 
     iteration: int
@@ -204,7 +205,7 @@ class LoopConfig:
         return self
 
 
-def _diagnose(bench, tables, factor, B_full, load, sol, est_energy, saturation, q, qoi_ref):
+def _diagnose(bench, tables, G, B_full, load, sol, est_energy, saturation, q, qoi_ref):
     """Exact-solution errors, the saturation ratio and robustness of the
     enriched CIP reference theta_h, and the QoI error, measured on the
     iteration's tables; returns the ``AdaptRecord`` fields it measured,
@@ -221,7 +222,7 @@ def _diagnose(bench, tables, factor, B_full, load, sol, est_energy, saturation, 
         diag["saturation"] = reps[1].triple / reps[0].triple
         # G induces the energy norm on the test space
         d = theta_h.coefficients - sol.u.coefficients
-        diag["robustness"] = math.sqrt(d @ (factor.G @ d)) / est_energy
+        diag["robustness"] = math.sqrt(d @ (G @ d)) / est_energy
         diag["solver_refine_steps"] = theta_h.refine_steps
         diag["solver_fallback"] = theta_h.fallbacks
     if qoi_ref is not None:
@@ -272,9 +273,8 @@ def adaptive_loop(bench, config):
         B_full = assemble_stabilized(tables)
         # only G and B_full read the jump penalty; free it before the LU
         del tables.jump_penalty
-        B = B_full[:, : test.n_trial]
         load = assemble_load(tables)
-        factor = SaddleFactorization(G, B)
+        factor = SaddleFactorization(G, B_full[:, : test.n_trial])
         sol = solve_saddle(factor, load, test)
 
         est_goa, q, kkt_residual = math.nan, None, sol.kkt_residual
@@ -287,8 +287,12 @@ def adaptive_loop(bench, config):
         else:
             indicators = energy_indicators(sol.epsilon, tables)
 
+        solved = (factor, factor.gram) if goa else (factor,)
+        refine_steps = sum(f.refine_steps for f in solved)
+        fallbacks = sum(f.fallbacks for f in solved)
+        del factor, solved  # K and its LU leave memory before the diagnostics factor B_full
         dofs_total = test.n_trial + test.dim
-        diag = _diagnose(bench, tables, factor, B_full, load, sol, indicators.total,
+        diag = _diagnose(bench, tables, G, B_full, load, sol, indicators.total,
                          track_sat and dofs_total <= config.saturation_max_dofs, q, qoi_ref)
         record = AdaptRecord(
             iteration=len(records),
@@ -302,9 +306,9 @@ def adaptive_loop(bench, config):
             est_goa=est_goa,
             **diag,
         )
-        # the saddle solves' path, added to the enriched solve's from _diagnose
-        record.solver_refine_steps += factor.refine_steps
-        record.solver_fallback += factor.fallbacks
+        # the saddle and (goa) Gram solves' path, added to the enriched solve's from _diagnose
+        record.solver_refine_steps += refine_steps
+        record.solver_fallback += fallbacks
         records.append(record)
 
         if outdir is not None:
@@ -318,7 +322,8 @@ def adaptive_loop(bench, config):
                 )
             if config.dump_matrices:
                 write_matrix_market(outdir / f"gram_{record.iteration:04d}.mtx", G)
-                write_matrix_market(outdir / f"operator_{record.iteration:04d}.mtx", B)
+                write_matrix_market(outdir / f"operator_{record.iteration:04d}.mtx",
+                                    B_full[:, : test.n_trial])
 
         if (config.max_dofs is not None and dofs_total >= config.max_dofs) or (
             config.max_iters is not None and record.iteration >= config.max_iters

@@ -62,15 +62,15 @@ def local_energy_products(fa, fb, tables):
 
 
 def error_norms(functions, exact, tables):
-    """Broken-norm quadrature of exact - u_h (or of u_h when exact is None)
-    for each u_h in ``functions``; returns one ``NormReport`` per function.
+    """Broken-norm quadrature of exact - u_h for each u_h in ``functions``;
+    returns one ``NormReport`` per function.
 
     Every u_h lives on ``tables.space``.  The boundary and jump terms are
     those of ``tables.energy_terms``, the iteration's one owner of the facet
     tables.  The exact solution is smooth, so the jump term uses only u_h.
     The volume rule is two degrees above assembly; ``exact_l2`` is measured
-    on it (0 without exact).  The rule, its basis values and the exact
-    solution's point values are built once and shared by all functions.
+    on it.  The rule, its basis values and the exact solution's point
+    values are built once and shared by all functions.
     """
     space = tables.space
     if any(u_h.space is not space for u_h in functions):
@@ -80,12 +80,10 @@ def error_norms(functions, exact, tables):
     mass_w = tables.data.gram_weight * w
     phi_t = space.local_basis.evaluate(rule.points).T
     _, (bnd_w, bnd_vals, bnd_dofs, _), (jump_w, jump, jump_dofs, _) = tables.energy_terms
-    exact_vals = bnd_exact = exact_l2 = 0.0
-    if exact is not None:
-        exact_vals = np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
-        bpts = tables.boundary[0]
-        bnd_exact = np.asarray(exact(bpts.reshape(-1, 2)), dtype=float).reshape(bnd_w.shape)
-        exact_l2 = float(np.sqrt(np.einsum("cq,cq->", w, exact_vals**2)))
+    exact_vals = np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
+    bpts = tables.boundary[0]
+    bnd_exact = np.asarray(exact(bpts.reshape(-1, 2)), dtype=float).reshape(bnd_w.shape)
+    exact_l2 = float(np.sqrt(np.einsum("cq,cq->", w, exact_vals**2)))
 
     reports = []
     for u_h in functions:

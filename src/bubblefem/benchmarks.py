@@ -34,7 +34,10 @@ class Benchmark:
     initial_mesh: object  # () -> Mesh
 
 
-def experiment1(delta=0.01):
+EXP1_DELTA = 0.01  # exp1's default layer parameter delta
+
+
+def experiment1(delta=EXP1_DELTA):
     """Curved advection of an arctan interior layer (reaction 0.1).
 
     ``delta`` controls the layer stiffness; the layer sits on the circle

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .adapt import CSV_COLUMNS, LoopConfig, adaptive_loop
-from .benchmarks import BENCHMARKS, get_benchmark
+from .benchmarks import BENCHMARKS, EXP1_DELTA, get_benchmark
 from .solvers import SolverError
 
 
@@ -34,7 +34,7 @@ class RunConfig(LoopConfig):
     the loop settings plus the run-level keys."""
 
     benchmark: str = "exp1"
-    delta: float = 0.01
+    delta: float = EXP1_DELTA
     outdir: str = "out"
     window: int = 5
 

@@ -6,24 +6,27 @@ block system ``K = [[G, B], [B^T, 0]]``, ``K [eps; u] = [l; 0]``.  The
 adjoint problem shares the same left-hand side with right-hand side
 ``[0; q]``, so one factorization serves both solves.
 
-The saddle system and the saturation diagnostic's enriched system are
-solved by one pattern, owned by ``RefinedFactor``: factor a matrix that
-needs no pivoting in SuperLU's symmetric mode, on the minimum-degree
-ordering of its pattern, then run at most ``REFINE_STEPS`` steps of
-iterative refinement against the true operator until the max residual
-is at most ``REFINE_TOL * (1 + max|rhs|)``.  If that gate still fails,
-the solve falls back to a pivoted sparse LU of the operator itself
-(COLAMD column ordering), refined the same way.  Every factor is
-deterministic and shared across right-hand sides.
+Every linear system of an iteration -- the saddle system K, the Gram
+matrix G of the adjoint residual representative and the enriched operator
+B_full of the saturation diagnostic -- is solved by one pattern, owned by
+``RefinedFactor``: factor a matrix that needs no pivoting in SuperLU's
+symmetric mode, on the minimum-degree ordering of its pattern, then run at
+most ``REFINE_STEPS`` steps of iterative refinement against the sparse
+operator A itself until the max residual is at most
+``REFINE_TOL * (1 + max|rhs|)``.  If that gate still fails, the solve
+falls back to a pivoted sparse LU of A (COLAMD column ordering), refined
+the same way; a non-finite solution or residual raises ``SolverError``.
+Every factor is deterministic and shared across right-hand sides.
 
 K is not factored itself.  With ``delta = DELTA_SCALE * max diag(G)``
 the regularized ``K_delta = [[G, B], [B^T, -delta I]]`` is symmetric
 quasi-definite (G is SPD), so it has an LDL^T factor under any symmetric
 ordering without pivoting (Vanderbei, SIAM J. Optim. 5, 1995; Gill,
 Saunders and Shinnerl, SIMAX 17, 1996), with a fraction of the fill of a
-column-ordered, pivoted LU of K.  Refinement against the unregularized K
-removes the O(delta) shift.  The Gram matrix G is SPD and is factored in
-the same symmetric mode.
+column-ordered, pivoted LU of K.  Once factored, K_delta becomes K in
+place: its (2, 2) block's stored diagonal is zeroed.  Refinement against
+K removes the O(delta) shift.  The Gram matrix G is SPD and is factored
+in the same symmetric mode and refined against itself.
 
 The saturation diagnostic solves the nonsymmetric enriched operator
 B_full.  Where the reaction floor mu_0 > 0, coercivity of the stabilized
@@ -75,12 +78,6 @@ def _factorize(matrix, label, symmetric=False):
         raise SolverError(f"{label} factorization failed: {exc}") from exc
 
 
-def _require_finite(label, *values):
-    """Raise SolverError unless every solution entry and residual is finite."""
-    if not all(np.all(np.isfinite(v)) for v in values):
-        raise SolverError(f"{label} has a non-finite solution or residual")
-
-
 @dataclass
 class SaddleSolution:
     """Residual representative, minimizer, and max|r| / (1 + max|rhs|) for the
@@ -103,50 +100,59 @@ class AdjointSolution:
 
 
 class RefinedFactor:
-    """Solves A x = rhs on a factor ``_lu``, refined against A, with a
-    pivoted LU of A as the fallback (see the module docstring).
+    """Solves A x = rhs on a factor ``lu``, refined against the sparse
+    operator ``A``, with a pivoted LU of A as the fallback (see the module
+    docstring).
 
-    ``_lu`` is an unpivoted factor of A or of a matrix near A; None solves
-    on the pivoted LU alone.  A subclass supplies ``label`` (for errors),
-    ``_apply`` (A x) and ``_operator`` (A itself, read only to build the
-    pivoted LU on first use).  ``refine_steps`` and ``fallbacks`` count,
-    over every solve so far, the refinement steps taken and the solves
-    that fell back.
+    ``lu`` is an unpivoted factor of A or of a matrix near A; None solves on
+    the pivoted LU alone, which is built on first use.  ``label`` names A in
+    errors.  ``refine_steps`` and ``fallbacks`` count, over every solve so
+    far, the refinement steps taken and the solves that fell back.
     """
 
-    def __init__(self, lu):
+    def __init__(self, A, lu, label):
+        self.A = A
         self._lu = lu
+        self.label = label
         self.refine_steps = 0
         self.fallbacks = 0
 
-    def _apply(self, x):
-        raise NotImplementedError
-
-    def _operator(self):
-        raise NotImplementedError
+    @staticmethod
+    def unpivoted(A, label):
+        """A factored without pivoting in symmetric mode; a zero pivot counts
+        as a fallback to the pivoted LU."""
+        try:
+            return RefinedFactor(A, _factorize(A, label, symmetric=True), label)
+        except SolverError:
+            factor = RefinedFactor(A, None, label)
+            factor.fallbacks = 1
+            return factor
 
     @cached_property
     def _pivoted_lu(self):
-        return _factorize(self._operator(), self.label)
+        return _factorize(self.A, self.label)
 
     def refined_solve(self, rhs):
-        """x with A x = rhs, and the residual r = rhs - A x of the x returned."""
+        """x with A x = rhs, and the residual r = rhs - A x of the x returned;
+        raises SolverError unless both are finite."""
         tol = REFINE_TOL * (1.0 + np.abs(rhs).max(initial=0.0))
-        if self._lu is not None:
-            x, r = self._refine(self._lu, rhs, tol)
-            if np.abs(r).max(initial=0.0) <= tol:  # a NaN residual fails too
-                return x, r
+        x, r = self._refine(self._pivoted_lu if self._lu is None else self._lu, rhs, tol)
+        # the gate of the unpivoted factor; a NaN residual fails it too
+        if self._lu is not None and not np.abs(r).max(initial=0.0) <= tol:
             self.fallbacks += 1
-        return self._refine(self._pivoted_lu, rhs, tol)
+            x, r = self._refine(self._pivoted_lu, rhs, tol)
+        if not (np.isfinite(x).all() and np.isfinite(r).all()):
+            raise SolverError(f"{self.label} has a non-finite solution or residual")
+        return x, r
 
     def _refine(self, lu, rhs, tol):
         x = lu.solve(rhs)
-        r = rhs - self._apply(x)
+        r = rhs - self.A @ x
         for _ in range(REFINE_STEPS):
             if np.abs(r).max(initial=0.0) <= tol:
                 break
             x += lu.solve(r)
-            r = rhs - self._apply(x)
+            r = rhs - self.A @ x
             self.refine_steps += 1
         return x, r
 
@@ -155,34 +161,27 @@ class SaddleFactorization(RefinedFactor):
     """Factorization of K = [[G, B], [B^T, 0]], reusable across solves.
 
     ``_lu`` is the symmetric-mode factor of the quasi-definite
-    ``[[G, B], [B^T, -delta I]]``, refined against K.  The factor of G is
-    built on first use.
+    ``K_delta = [[G, B], [B^T, -delta I]]``; K_delta is then turned into K
+    in place and the factor is refined against it.  ``gram``, the refined
+    factor of G, is built on first use.
     """
-
-    label = "saddle system"
 
     def __init__(self, G, B):
         self.G = G.tocsr()
-        self.B = B.tocsr()
         self.n_test, self.n_trial = B.shape
         delta = DELTA_SCALE * self.G.diagonal().max(initial=0.0)
-        K_delta = sp.bmat(
-            [[self.G, self.B], [self.B.T, -delta * sp.identity(self.n_trial)]], format="csc"
-        )
-        super().__init__(_factorize(K_delta, self.label, symmetric=True))
-
-    def _operator(self):
-        return sp.bmat([[self.G, self.B], [self.B.T, None]], format="csc")
-
-    def _apply(self, x):
-        """K x for a stacked [test; trial] vector."""
-        x_test, x_trial = x[: self.n_test], x[self.n_test :]
-        return np.concatenate([self.G @ x_test + self.B @ x_trial, self.B.T @ x_test])
+        K = sp.bmat([[self.G, B], [B.T, -delta * sp.identity(self.n_trial)]], format="csc")
+        lu = _factorize(K, "saddle system", symmetric=True)
+        # K_delta -> K: zero the stored diagonal of the trial columns, inserting no entry
+        start = K.indptr[self.n_test]
+        columns = np.repeat(np.arange(self.n_test, K.shape[1]), np.diff(K.indptr[self.n_test :]))
+        K.data[start:][K.indices[start:] == columns] = 0.0
+        super().__init__(K, lu, "saddle system")
 
     @cached_property
-    def gram_lu(self):
-        """Symmetric-mode factor of the SPD Gram matrix G."""
-        return _factorize(self.G, "gram", symmetric=True)
+    def gram(self):
+        """G factored in symmetric mode, refined against G."""
+        return RefinedFactor.unpivoted(self.G, "gram")
 
     def solve(self, rhs_test, rhs_trial):
         """Solve K x = rhs; returns x's test and trial blocks and the residual
@@ -190,32 +189,6 @@ class SaddleFactorization(RefinedFactor):
         rhs = np.concatenate([rhs_test, rhs_trial])
         x, r = self.refined_solve(rhs)
         return x[: self.n_test], x[self.n_test :], r / (1.0 + np.abs(rhs).max(initial=0.0))
-
-
-class EnrichedFactorization(RefinedFactor):
-    """Factor of the enriched stabilized operator B_full, refined against it.
-
-    With ``positive_real`` B_full is factored without pivoting in symmetric
-    mode; a zero pivot counts as a fallback to the pivoted LU.  Otherwise
-    B_full gets the pivoted LU alone.
-    """
-
-    label = "enriched stabilized operator"
-
-    def __init__(self, B_full, positive_real):
-        super().__init__(None)
-        self.B_full = B_full.tocsr()
-        if positive_real:
-            try:
-                self._lu = _factorize(self.B_full, self.label, symmetric=True)
-            except SolverError:
-                self.fallbacks += 1
-
-    def _operator(self):
-        return self.B_full
-
-    def _apply(self, x):
-        return self.B_full @ x
 
 
 def _on_space(space, x_trial):
@@ -232,7 +205,6 @@ def solve_saddle(factor, load, space):
     ``(eps, v) + b(u, v) = l(v)`` for all test v, ``b(w, eps) = 0`` for all trial w.
     """
     eps, u, r = factor.solve(load, np.zeros(factor.n_trial))
-    _require_finite("saddle solve", eps, u, r)
     return SaddleSolution(
         epsilon=DiscreteFunction(space, eps),
         u=_on_space(space, u),
@@ -250,11 +222,11 @@ def solve_adjoint(factor, q, B_full, space):
     entries of the QoI vector ``q`` on the test ``space``; w* lives on
     ``space`` with zero bubble coefficients.  The adjoint residual
     representative solves ``(eps*, v)_G = q(v) - b(v, nu*)`` over the test
-    space, which needs the full test-by-test operator ``B_full``.
+    space, which needs the full test-by-test operator ``B_full``, on the
+    refined factor ``factor.gram``.
     """
     nu, w, r = factor.solve(np.zeros(factor.n_test), q[: factor.n_trial])
-    eps_star = factor.gram_lu.solve(q - B_full.T @ nu)
-    _require_finite("adjoint solve", nu, w, r, eps_star)
+    eps_star, _ = factor.gram.refined_solve(q - B_full.T @ nu)
     return AdjointSolution(
         nu_star=DiscreteFunction(space, nu),
         w_star=_on_space(space, w),
@@ -274,18 +246,18 @@ class EnrichedSolution(DiscreteFunction):
 
 
 def solve_cip_enriched(B_full, load, tables):
-    """Plain stabilized Galerkin solve on the tables' (enriched) space.
-
-    Used for the saturation diagnostic; coercivity of the stabilized form
-    guarantees solvability.  B_full is assembled on ``tables``, whose floor
-    mu_0 picks the factor: where mu_0 > 0, B_full is positive real and is
-    factored without pivoting; with mu_0 = 0, sym(B_full) is only
-    semidefinite and the solve stays on the pivoted LU (see the module
-    docstring).  Either way the solution is refined against B_full.
+    """Plain stabilized Galerkin solve on the tables' (enriched) space, for
+    the saturation diagnostic; coercivity of the stabilized form guarantees
+    solvability.  B_full is assembled on ``tables``, whose floor mu_0 picks
+    the factor: unpivoted where mu_0 > 0, the pivoted LU alone where mu_0 = 0
+    (see the module docstring).  Either way it is refined against B_full.
     """
-    factor = EnrichedFactorization(B_full, positive_real=tables.data.reaction_floor > 0.0)
-    theta, r = factor.refined_solve(np.asarray(load, dtype=float))
-    _require_finite("enriched stabilized solve", theta, r)
+    label = "enriched stabilized operator"
+    if tables.data.reaction_floor > 0.0:
+        factor = RefinedFactor.unpivoted(B_full, label)
+    else:
+        factor = RefinedFactor(B_full, None, label)
+    theta, _ = factor.refined_solve(np.asarray(load, dtype=float))
     return EnrichedSolution(tables.space, theta, factor.refine_steps, factor.fallbacks)
 
 

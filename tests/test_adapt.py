@@ -433,7 +433,7 @@ class TestAdaptiveLoop:
         original = bubblefem.solvers._factorize
 
         def singular_enriched(matrix, label, symmetric=False):
-            if symmetric and label == bubblefem.solvers.EnrichedFactorization.label:
+            if symmetric and label == "enriched stabilized operator":
                 raise SolverError(f"{label} factorization failed: zero pivot")
             return original(matrix, label, symmetric)
 
@@ -445,6 +445,38 @@ class TestAdaptiveLoop:
         records = adaptive_loop(bench, LoopConfig(max_iters=1, saturation=True))
         assert [r.solver_fallback for r in records] == [1, 1]
         assert [r.solver_refine_steps for r in records] == [r.solver_refine_steps for r in plain]
+
+    def test_solver_counts_include_gram_solve(self, monkeypatch):
+        import bubblefem.solvers
+
+        # no residual passes a zero gate: the primal and adjoint saddle solves
+        # and the adjoint's Gram solve each fall back once per iteration
+        monkeypatch.setattr(bubblefem.solvers, "REFINE_TOL", 0.0)
+        records = adaptive_loop(experiment2(), LoopConfig(mode="goa", theta=0.2, max_iters=1))
+        assert [r.solver_fallback for r in records] == [3, 3]
+
+    def test_saddle_factor_freed_before_diagnostics(self, monkeypatch):
+        import weakref
+
+        import bubblefem.adapt
+
+        factors, alive = [], []
+
+        class Tracked(bubblefem.adapt.SaddleFactorization):
+            def __init__(self, G, B):
+                super().__init__(G, B)
+                factors.append(weakref.ref(self))
+
+        def counting(*args):
+            alive.append(sum(ref() is not None for ref in factors))
+            return solve_cip_enriched(*args)
+
+        solve_cip_enriched = bubblefem.adapt.solve_cip_enriched
+        monkeypatch.setattr(bubblefem.adapt, "SaddleFactorization", Tracked)
+        monkeypatch.setattr(bubblefem.adapt, "solve_cip_enriched", counting)
+        # K and its LU are gone before the enriched solve factors B_full
+        adaptive_loop(experiment1(0.5), LoopConfig(max_iters=1, saturation=True))
+        assert alive == [0, 0]
 
     def test_csv_serialization(self, tmp_path):
         bench = experiment1(0.5)

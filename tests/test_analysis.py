@@ -63,7 +63,7 @@ class TestErrorNorms:
         rng = np.random.default_rng(3)
         fn = DiscreteFunction(test, rng.standard_normal(test.dim))
         exact = lambda pts: np.sin(np.atleast_2d(pts)[:, 0]) + np.atleast_2d(pts)[:, 1]
-        assert error_norms([fn], None, tables)[0].exact_l2 == 0.0
+        assert error_norms([fn], const(0.0), tables)[0].exact_l2 == 0.0
         trial = build_space(m, trial_lagrange(1))
         twin = build_space(m, enriched(1, 3))
         for off in (DiscreteFunction(trial), DiscreteFunction(twin, fn.coefficients)):
@@ -96,7 +96,7 @@ class TestErrorNorms:
         tables = FormTables(space, data)
         for _ in range(5):
             fn = DiscreteFunction(space, rng.standard_normal(space.dim))
-            [rep] = error_norms([fn], None, tables)
+            [rep] = error_norms([fn], const(0.0), tables)
             assert rep.l2 >= 0
             assert rep.triple >= np.sqrt(data.gram_weight) * rep.l2 - 1e-12
 

@@ -48,6 +48,18 @@ class TestRunConfig:
         # the library and the CLI share the default
         assert LoopConfig(mode="goa").resolved_theta() == 0.2
 
+    def test_delta_default_is_exp1s(self, tmp_path):
+        import inspect
+
+        from bubblefem import experiment1
+
+        # the CLI and the library read exp1's default delta from one constant
+        default = inspect.signature(experiment1).parameters["delta"].default
+        assert RunConfig().delta == default
+        out = tmp_path / "default-delta"
+        assert main(["run", "--benchmark", "exp1", "--max-iters", "0", "--outdir", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["delta"] == default
+
     def test_validation_errors(self):
         from bubblefem.cli import ConfigError
 

@@ -227,7 +227,7 @@ class TestGram:
         for _ in range(20):
             v = rng.standard_normal(test.dim)
             fn = DiscreteFunction(test, v)
-            [rep] = error_norms([fn], None, tables)
+            [rep] = error_norms([fn], const(0.0), tables)
             triple = rep.triple
             gram = np.sqrt(v @ (G @ v))
             assert abs(triple - gram) < 1e-12 * gram

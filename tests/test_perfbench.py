@@ -68,6 +68,29 @@ def test_tracer_bindings_resolve(monkeypatch):
     assert lu.L.nnz > 0 and lu.U.nnz > 0
 
 
+def test_traced_factorization_counts_fill(monkeypatch):
+    """The tracer's SaddleFactorization subclass records one factor span and
+    reads the LU fill L.nnz + U.nnz; otherwise only the slow traced worker
+    run builds it."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    from bubblefem.solvers import SaddleFactorization
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import spans
+
+    tracer = spans.Tracer("t")
+    G = sp.identity(3, format="csr")
+    B = sp.csr_matrix(np.array([[1.0], [0.0], [2.0]]))
+    factor = spans._traced_factorization(tracer, SaddleFactorization)(G, B)
+    assert [span[0] for span in tracer.spans].count("solvers.factor") == 1
+    assert tracer.counts["solvers.lu_fill"] == factor._lu.L.nnz + factor._lu.U.nnz
+    # the traced factor still solves K x = rhs
+    _, _, r = factor.solve(np.ones(3), np.zeros(1))
+    assert np.abs(r).max() <= 1e-15
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("workload", ["exp1-energy", "exp2-goa-cli", "uniform-p2k4"])
 def test_traced_worker_run(tmp_path, workload, monkeypatch):

@@ -58,9 +58,9 @@ def assert_reported_residuals(sol, G, B, load):
     """The residuals a solve reports equal, bit for bit, max|K x - rhs| with K
     built by sp.bmat and max|B^T eps|, each over 1 + max|load|."""
     K = sp.bmat([[G, B], [B.T, None]], format="csc")
-    n, n_trial = B.shape
-    # summed per column block, G eps + B u, in the order the solver sums
-    Kx = K[:, :n] @ sol.epsilon.coefficients + K[:, n:] @ sol.u.coefficients[:n_trial]
+    n_trial = B.shape[1]
+    # one CSC product over the stacked x, in the order the solver sums
+    Kx = K @ np.concatenate([sol.epsilon.coefficients, sol.u.coefficients[:n_trial]])
     rhs = np.concatenate([load, np.zeros(n_trial)])
     scale = 1.0 + np.abs(load).max()
     assert sol.kkt_residual == np.abs(Kx - rhs).max() / scale
@@ -258,6 +258,26 @@ class TestSolveAdjoint:
         assert np.abs(fresh.nu_star.coefficients - shared.nu_star.coefficients).max() < 1e-12
         assert np.abs(fresh.eps_star.coefficients - shared.eps_star.coefficients).max() < 1e-12
 
+    def test_gram_solve_gated(self, goal_setup, monkeypatch):
+        test, G, B, B_full, q_test = goal_setup
+        factor = SaddleFactorization(G, B)
+        solve_adjoint(factor, q_test, B_full, test)
+        assert factor.gram.fallbacks == 0
+        # no residual passes a zero gate: the Gram solve falls back once to the pivoted LU of G
+        monkeypatch.setattr(bubblefem.solvers, "REFINE_TOL", 0.0)
+        factor = SaddleFactorization(G, B)
+        adj = solve_adjoint(factor, q_test, B_full, test)
+        assert factor.gram.fallbacks == 1
+        assert "_pivoted_lu" in vars(factor.gram)
+        # reference: COLAMD LU of G, refined against G to roundoff
+        rhs = q_test - B_full.T @ adj.nu_star.coefficients
+        A = sp.csc_matrix(G)
+        lu = spla.splu(A)
+        x = lu.solve(rhs)
+        for _ in range(3):
+            x += lu.solve(rhs - A @ x)
+        assert np.linalg.norm(adj.eps_star.coefficients - x) <= 1e-10 * np.linalg.norm(x)
+
     def test_eps_star_is_gram_solve(self, goal_setup):
         test, G, B, B_full, q_test = goal_setup
         adj = solve_adjoint(SaddleFactorization(G, B), q_test, B_full, test)
@@ -294,7 +314,7 @@ def enriched_system(bench, p, k, generations):
     return tables, assemble_stabilized(tables), assemble_load(tables)
 
 
-ENRICHED = bubblefem.solvers.EnrichedFactorization.label
+ENRICHED = "enriched stabilized operator"
 
 
 class TestCipEnriched:
@@ -374,3 +394,31 @@ class TestCipEnriched:
         assert theta.fallbacks == 0
         r = np.abs(B_full @ theta.coefficients - load).max()
         assert r <= 1e-9 * (1.0 + np.abs(load).max())
+
+
+def _nan_saddle(request):
+    _, _, test, G, B, load = request.getfixturevalue("setup")
+    solve_saddle(SaddleFactorization(G, B), np.r_[np.nan, load[1:]], test)
+
+
+def _nan_adjoint(request):
+    # NaN only in the bubble entries of q: the saddle solve reads the finite
+    # trial block, so only the Gram solve sees it
+    test, G, B, B_full, q_test = request.getfixturevalue("goal_setup")
+    q = np.r_[q_test[: test.n_trial], np.full(test.dim - test.n_trial, np.nan)]
+    solve_adjoint(SaddleFactorization(G, B), q, B_full, test)
+
+
+def _nan_enriched(request):
+    _, tables, _, _, _, load = request.getfixturevalue("setup")
+    solve_cip_enriched(assemble_stabilized(tables), np.r_[np.nan, load[1:]], tables)
+
+
+@pytest.mark.parametrize("solve, operator", [(_nan_saddle, "saddle system"),
+                                             (_nan_adjoint, "gram"),
+                                             (_nan_enriched, "enriched stabilized operator")],
+                         ids=["saddle", "adjoint-gram", "enriched"])
+def test_non_finite_solve_names_its_operator(request, solve, operator):
+    # RefinedFactor.refined_solve is the one finiteness check of every system
+    with pytest.raises(SolverError, match=f"^{operator} has a non-finite solution or residual$"):
+        solve(request)
