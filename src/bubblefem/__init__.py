@@ -68,7 +68,6 @@ from .spaces import (
     DiscreteFunction,
     FunctionSpace,
     broken_lagrange,
-    bubble,
     build_space,
     enriched,
     inject_trial,

@@ -261,12 +261,10 @@ class FormTables:
 # -- volume terms -------------------------------------------------------------
 
 
-def assemble_mass(space, weight=None, degree=None):
-    """Weighted mass matrix (weight v, w); weight None means 1."""
+def assemble_mass(space, degree=None):
+    """Mass matrix (v, w)."""
     rule = triangle_rule(degree if degree is not None else volume_degree(space))
-    pts, w = cell_quadrature(space.mesh, rule)
-    if weight is not None:
-        w = w * np.asarray(weight(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
+    _, w = cell_quadrature(space.mesh, rule)
     phi = space.local_basis.evaluate(rule.points)
     return _scatter(_mass_local(phi, w), space.cell_dofs, space.dim)
 
@@ -362,56 +360,18 @@ class Rectangle:
         )
 
 
-def _clip_half_plane(poly, axis, bound, keep_below):
-    out = []
-    n = len(poly)
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        fa, fb = a[axis] - bound, b[axis] - bound
-        ina = fa <= 0.0 if keep_below else fa >= 0.0
-        inb = fb <= 0.0 if keep_below else fb >= 0.0
-        if ina:
-            out.append(a)
-        if ina != inb:
-            t = fa / (fa - fb)
-            out.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-    return out
+def classify_qoi_cells(mesh, region):
+    """Boolean mask of the cells whose vertices all lie in the region.
 
-
-def _clipped_area(tri, rect):
-    poly = [tuple(p) for p in tri]
-    for axis, bound, below in (
-        (0, rect.x0, False),
-        (0, rect.x1, True),
-        (1, rect.y0, False),
-        (1, rect.y1, True),
-    ):
-        poly = _clip_half_plane(poly, axis, bound, below)
-        if len(poly) < 3:
-            return 0.0
-    area = 0.0
-    for i in range(len(poly)):
-        xa, ya = poly[i]
-        xb, yb = poly[(i + 1) % len(poly)]
-        area += xa * yb - xb * ya
-    return 0.5 * abs(area)
-
-
-def classify_qoi_cells(mesh, region, tol=1e-10):
-    """Boolean mask of cells inside the region; rejects straddling cells."""
+    The cells partition the domain, so they cover the region exactly when
+    no cell straddles its boundary and the region lies in the domain.
+    Raises ``ValueError`` unless their area equals the region's to 1e-10
+    of it.
+    """
     tri = mesh.vertices[mesh.cells]
     inside = np.all(region.contains(tri.reshape(-1, 2)).reshape(-1, 3), axis=1)
-    lo, hi = tri.min(axis=1), tri.max(axis=1)
-    disjoint = (
-        (hi[:, 0] <= region.x0 + tol)
-        | (lo[:, 0] >= region.x1 - tol)
-        | (hi[:, 1] <= region.y0 + tol)
-        | (lo[:, 1] >= region.y1 - tol)
-    )
-    for c in np.flatnonzero(~inside & ~disjoint):
-        overlap = _clipped_area(tri[c], region)
-        if overlap > tol * mesh.cell_areas[c]:
-            raise ValueError(f"cell {c} straddles the quantity-of-interest region")
+    if abs(mesh.cell_areas[inside].sum() - region.area) > 1e-10 * region.area:
+        raise ValueError("mesh does not conform to the quantity-of-interest region")
     return inside
 
 
@@ -419,13 +379,11 @@ def assemble_qoi(tables, region):
     """Mean-value functional over the region: q_i = int_region phi_i / |region|.
 
     Integrates on the tables' volume rule, exact for every rule of at least
-    the basis degree.  The mesh must conform to the region (no cell straddles it).
+    the basis degree, over the cells ``classify_qoi_cells`` finds inside the
+    region; it raises unless the mesh conforms to the region.
     """
-    space, mesh = tables.space, tables.space.mesh
-    inside = classify_qoi_cells(mesh, region)
-    covered = mesh.cell_areas[inside].sum()
-    if abs(covered - region.area) > 1e-10 * region.area:
-        raise ValueError("mesh does not cover the quantity-of-interest region")
+    space = tables.space
+    inside = classify_qoi_cells(space.mesh, region)
     _, w, phi = tables.volume
     local = np.matmul(w[inside], phi)
     vec = np.zeros(space.dim)

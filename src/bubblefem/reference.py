@@ -57,19 +57,16 @@ class ReferenceBasis:
 
     Attributes
     ----------
-    family : str
-        'lagrange', 'bubble' or 'enriched'.
     degree : int
         Maximal total polynomial degree.
     count : int
         Number of basis functions.
     nodes : ndarray or None
-        Nodal points for Lagrange families (Kronecker property holds
-        there), None for bubbles.
+        Nodal points of a Lagrange basis (Kronecker property holds
+        there), else None.
     """
 
-    def __init__(self, family, degree, coeffs, exps, nodes=None):
-        self.family = family
+    def __init__(self, degree, coeffs, exps, nodes=None):
         self.degree = degree
         self._coeffs = coeffs  # (n_monomials, count)
         self._exps = exps
@@ -114,7 +111,7 @@ def lagrange_basis(p):
     nodes = _lagrange_nodes(p)
     vander = _eval_monomials(exps, nodes)
     coeffs = np.linalg.inv(vander)
-    return ReferenceBasis("lagrange", p, coeffs, exps, nodes=nodes)
+    return ReferenceBasis(p, coeffs, exps, nodes=nodes)
 
 
 def bubble_basis(k, lowest=0):
@@ -140,7 +137,7 @@ def bubble_basis(k, lowest=0):
             col[index[(a + c, b + d)]] += w
         cols.append(col)
     coeffs = np.stack(cols, axis=1)
-    return ReferenceBasis("bubble", k, coeffs, exps)
+    return ReferenceBasis(k, coeffs, exps)
 
 
 def combine_bases(*bases):
@@ -154,7 +151,7 @@ def combine_bases(*bases):
         for i, e in enumerate(b._exps):
             lifted[index[e]] = b._coeffs[i]
         cols.append(lifted)
-    return ReferenceBasis("enriched", degree, np.hstack(cols), exps)
+    return ReferenceBasis(degree, np.hstack(cols), exps)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,11 @@
 Space kinds:
 
 * ``trial_lagrange(p)`` -- continuous Lagrange space of degree p;
-* ``bubble(k)`` -- per-cell interior bubbles of degree k (k >= 3);
-* ``enriched(p, k)`` -- the sum of the two, as a basis: for p = 3 the
-  cubic bubble already lies in the Lagrange space, so only the bubbles
-  b_T x^a y^b with a + b >= p - 2 are kept, (k-1)(k-2)/2 - 1 per cell.
-  The numbering is nested: the first ``n_trial = dim(trial)`` DoFs, and
+* ``enriched(p, k)`` -- the trial space plus the per-cell interior
+  bubbles of degree k (``reference.bubble_basis``), as a basis: for p = 3
+  the cubic bubble already lies in the Lagrange space, so only the
+  bubbles b_T x^a y^b with a + b >= p - 2 are kept, (k-1)(k-2)/2 - 1 per
+  cell.  The numbering is nested: the first ``n_trial = dim(trial)`` DoFs, and
   the leading local basis functions, coincide with the trial space.  A
   trial function therefore injects by zero-padding, and every assembler
   takes one space: the trial x test operator B is the leading column
@@ -42,10 +42,6 @@ def trial_lagrange(p):
     return SpaceKind("lagrange", p=p)
 
 
-def bubble(k):
-    return SpaceKind("bubble", k=k)
-
-
 def enriched(p, k):
     return SpaceKind("enriched", p=p, k=k)
 
@@ -67,7 +63,7 @@ class FunctionSpace:
         Reference basis matching the cell_dofs layout.
     n_trial : int
         Size of the leading trial block (enriched spaces), else dim for
-        Lagrange spaces and 0 for bubble/broken spaces.
+        Lagrange spaces and 0 for broken spaces.
     """
 
     def __init__(self, mesh, kind, dim, cell_dofs, local_basis, n_trial):
@@ -121,12 +117,6 @@ def build_space(mesh, kind):
         dofs = np.arange(nc * basis.count, dtype=np.int64).reshape(nc, basis.count)
         return FunctionSpace(mesh, kind, nc * basis.count, dofs, basis, 0)
 
-    if kind.family == "bubble":
-        basis = bubble_basis(kind.k)
-        nc = len(mesh.cells)
-        dofs = np.arange(nc * basis.count, dtype=np.int64).reshape(nc, basis.count)
-        return FunctionSpace(mesh, kind, nc * basis.count, dofs, basis, 0)
-
     if kind.family == "enriched":
         trial_dim, trial_dofs = _lagrange_dofs(mesh, kind.p)
         if kind.k <= kind.p:
@@ -162,12 +152,6 @@ class DiscreteFunction:
         cells = self.space.mesh.locate(points)
         return values_in_cells(self, cells, points)
 
-    def evaluate_gradient(self, points):
-        """Point gradients anywhere in the domain, shape (npoints, 2)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        cells = self.space.mesh.locate(points)
-        return gradients_in_cells(self, cells, points)
-
 
 def values_in_cells(fn, cells, points):
     """Values at physical points with known containing cells."""
@@ -175,18 +159,6 @@ def values_in_cells(fn, cells, points):
     phi = fn.space.local_basis.evaluate(xi)  # (n, nloc)
     coeffs = fn.coefficients[fn.space.cell_dofs[cells]]
     return np.einsum("ni,ni->n", coeffs, phi)
-
-
-def gradients_in_cells(fn, cells, points):
-    """Gradients at physical points with known containing cells."""
-    mesh = fn.space.mesh
-    xi = mesh.to_reference(cells, points)
-    gref = fn.space.local_basis.gradient(xi)  # (n, nloc, 2)
-    _, _, Jinv, _ = mesh.affine
-    coeffs = fn.coefficients[fn.space.cell_dofs[cells]]
-    # physical gradient: Jinv^T applied to the reference gradient
-    gref_c = np.einsum("ni,nie->ne", coeffs, gref)
-    return np.einsum("ned,ne->nd", Jinv[cells], gref_c)
 
 
 def inject_trial(fn, target):

@@ -137,13 +137,21 @@ class TestStabilizedOperator:
         assert np.abs(got - expected).max() < 1e-12
 
     def test_jump_vanishes_for_global_linear(self):
-        m = build_structured_mesh(3)
-        test = build_space(m, enriched(1, 3))
-        trial = build_space(m, trial_lagrange(1))
-        data = make_data(const_field([1.0, 0.5]))
-        J = FormTables(test, data).jump_penalty
-        v = inject_trial(DiscreteFunction(trial, m.vertices @ [2.0, -1.0]), test)
-        assert abs(v.coefficients @ (J @ v.coefficients)) < 1e-13
+        # the refined mesh has cells of different shapes, so the jumps of
+        # 2x - y vanish only if every cell pulls its gradients back right
+        for m, p, k in (
+            (build_structured_mesh(3), 1, 3),
+            (refine(build_structured_mesh(2), [0, 1, 4]), 2, 4),
+        ):
+            test = build_space(m, enriched(p, k))
+            trial = build_space(m, trial_lagrange(p))
+            J = FormTables(test, make_data(const_field([1.0, 0.5]), k_pen=k)).jump_penalty
+            # nodal interpolant: vertex values, then edge midpoints for p = 2
+            nodes = m.vertices
+            if p == 2:
+                nodes = np.vstack([nodes, m.vertices[m.edges].mean(axis=1)])
+            v = inject_trial(DiscreteFunction(trial, nodes @ [2.0, -1.0]), test)
+            assert abs(v.coefficients @ (J @ v.coefficients)) < 1e-13
 
     def test_jump_vanishes_for_smooth_polynomial(self):
         # globally C^1 piecewise polynomial of degree <= min(p, k) is a
@@ -448,6 +456,13 @@ class TestQoi:
         space = build_space(m, trial_lagrange(1))
         with pytest.raises(ValueError):
             self.qoi(space)
+
+    def test_region_leaving_the_mesh_rejected(self):
+        # no cell straddles x = 0.9, but the cells inside fill half the region
+        from bubblefem.forms import classify_qoi_cells
+
+        with pytest.raises(ValueError):
+            classify_qoi_cells(build_structured_mesh(10), Rectangle(0.9, 1.1, 0.0, 1.0))
 
 
 def test_matrix_market_roundtrip(tmp_path):

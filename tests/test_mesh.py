@@ -154,12 +154,9 @@ class TestStructuredMesh:
             & (tri[:, :, 1] >= region[2] - 1e-12) & (tri[:, :, 1] <= region[3] + 1e-12),
             axis=1,
         )
-        # every remaining cell must have zero overlap with the open rectangle
-        from bubblefem.forms import Rectangle, _clipped_area
-
-        rect = Rectangle(*region)
-        for c in np.flatnonzero(~inside):
-            assert _clipped_area(tri[c], rect) < 1e-14
+        # the cells partition the square, so the inside cells fill the
+        # rectangle exactly when no cell straddles its boundary
+        assert abs(m.cell_areas[inside].sum() - 0.02) < 1e-14
 
     def test_rejects_bad_grid_lines(self):
         with pytest.raises(ValueError):

@@ -91,6 +91,27 @@ def test_traced_factorization_counts_fill(monkeypatch):
     assert np.abs(r).max() <= 1e-15
 
 
+def test_exp2_grids_conform_to_the_region(monkeypatch):
+    """The jittered exp2 grid of every seed keeps the QoI box's edges as grid
+    lines, so the QoI assembly accepts it; otherwise only a benchmark run
+    would find out."""
+    from bubblefem import build_structured_mesh, experiment2
+    from bubblefem.forms import classify_qoi_cells
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    bench = experiment2()
+    for seed in range(10):
+        params = workloads.inputs("exp2-goa-cli", seed)
+        if params["grid_x"] is None:
+            mesh = bench.initial_mesh()
+        else:
+            mesh = build_structured_mesh(grid_lines_x=params["grid_x"],
+                                         grid_lines_y=params["grid_y"])
+        classify_qoi_cells(mesh, bench.qoi_region)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("workload", ["exp1-energy", "exp2-goa-cli", "uniform-p2k4"])
 def test_traced_worker_run(tmp_path, workload, monkeypatch):

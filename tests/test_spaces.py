@@ -4,15 +4,14 @@ import pytest
 from bubblefem import (
     DiscreteFunction,
     broken_lagrange,
-    bubble,
+    bubble_basis,
     build_space,
     build_structured_mesh,
     enriched,
     inject_trial,
-    refine,
     trial_lagrange,
 )
-from bubblefem.spaces import gradients_in_cells, values_in_cells
+from bubblefem.spaces import values_in_cells
 
 
 @pytest.fixture
@@ -29,16 +28,6 @@ class TestBuildSpace:
         m = build_structured_mesh(3)
         space = build_space(m, trial_lagrange(2))
         assert space.dim == len(m.vertices) + len(m.edges)
-
-    def test_bubble_dim_one_per_cell(self, two_cell_mesh):
-        space = build_space(two_cell_mesh, bubble(3))
-        assert space.dim == 2
-        assert build_space(two_cell_mesh, bubble(4)).dim == 6
-
-    def test_bubble_dofs_not_shared(self, two_cell_mesh):
-        space = build_space(two_cell_mesh, bubble(4))
-        flat = space.cell_dofs.ravel()
-        assert len(np.unique(flat)) == len(flat)
 
     def test_enriched_nested_numbering(self, two_cell_mesh):
         space = build_space(two_cell_mesh, enriched(1, 3))
@@ -58,7 +47,7 @@ class TestBuildSpace:
         with pytest.raises(ValueError):
             build_space(two_cell_mesh, trial_lagrange(4))
         with pytest.raises(ValueError):
-            build_space(two_cell_mesh, bubble(2))
+            bubble_basis(2)
 
 
 class TestInjectTrial:
@@ -113,33 +102,6 @@ class TestEvaluate:
         fn.coefficients[space.n_trial] = 1.0  # bubble of cell 0
         bary = two_cell_mesh.vertices[two_cell_mesh.cells[0]].mean(axis=0)
         assert np.allclose(fn.evaluate([bary]), 1.0 / 27.0)
-
-    def test_gradient_of_linear(self):
-        m = build_structured_mesh(4)
-        space = build_space(m, trial_lagrange(1))
-        fn = DiscreteFunction(space, 3.0 * m.vertices[:, 0] + m.vertices[:, 1])
-        pts = np.random.default_rng(3).random((50, 2))
-        assert np.allclose(fn.evaluate_gradient(pts), [3.0, 1.0], atol=1e-12)
-
-    def test_affine_equivalence_of_gradients(self):
-        # a globally linear function has the same gradient in every cell,
-        # including cells of different shape after refinement
-        m = refine(build_structured_mesh(2), [0, 1, 4])
-        space = build_space(m, trial_lagrange(2))
-        coeffs = np.zeros(space.dim)
-        fn = DiscreteFunction(space, coeffs)
-        # interpolate 2x - y at the nodal points: vertices then edge midpoints
-        nodes_x = {}
-        for c in range(len(m.cells)):
-            ref_nodes = space.local_basis.nodes
-            v0, J, _, _ = m.affine
-            phys = v0[c] + ref_nodes @ J[c].T
-            for ln, dof in enumerate(space.cell_dofs[c]):
-                coeffs[dof] = 2.0 * phys[ln, 0] - phys[ln, 1]
-        cells = np.arange(len(m.cells))
-        centers = m.vertices[m.cells].mean(axis=1)
-        grads = gradients_in_cells(fn, cells, centers)
-        assert np.allclose(grads, [2.0, -1.0], atol=1e-12)
 
     def test_bubble_locality(self, two_cell_mesh):
         space = build_space(two_cell_mesh, enriched(1, 3))
