@@ -16,10 +16,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
+from numpy.polynomial.legendre import leggauss
 
 from .forms import assemble_mass, cell_quadrature, volume_degree
 from .reference import triangle_rule
+from .solvers import RefinedFactor
 from .spaces import DiscreteFunction, build_space, trial_lagrange
 
 
@@ -113,10 +114,7 @@ def l2_project(u, target, quad_degree=None):
     local = np.matmul(w * uv, phi)
     rhs = np.zeros(target.dim)
     np.add.at(rhs, target.cell_dofs, local)
-    try:
-        coeffs = scipy.sparse.linalg.splu(M.tocsc()).solve(rhs)
-    except RuntimeError as exc:
-        raise RuntimeError(f"mass matrix factorization failed: {exc}") from exc
+    coeffs, _ = RefinedFactor.unpivoted(M, "mass matrix").refined_solve(rhs)
     return DiscreteFunction(target, coeffs)
 
 
@@ -145,10 +143,8 @@ def qoi_reference(exact, region, degree=20, rtol=1e-11, max_levels=6):
     the given degree and refines until two consecutive levels agree to
     ``rtol`` (relative); raises RuntimeError after ``max_levels`` levels.
     """
-    from scipy.special import roots_legendre
-
     n = degree // 2 + 1
-    xg, wg = roots_legendre(n)
+    xg, wg = leggauss(n)
     xg = (xg + 1.0) / 2.0
     wg = wg / 2.0
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .reference import edge_rule, reference_facet_points, triangle_rule
@@ -393,4 +392,6 @@ def assemble_qoi(tables, region):
 
 def write_matrix_market(path, matrix):
     """Dump an assembled operator for offline inspection."""
+    import scipy.io  # only --dump-matrices writes matrices, so import on use
+
     scipy.io.mmwrite(str(path), sp.coo_matrix(matrix))

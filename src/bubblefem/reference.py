@@ -11,6 +11,12 @@ evaluates each basis once per reference point set: on a triangle rule,
 or on the six reference-facet cases of an edge rule
 (``reference_facet_points``).  Quadrature rules are cached per degree and
 their arrays are read-only.
+
+The Gauss nodes and weights come from numpy alone.  Gauss-Legendre is
+``numpy.polynomial.legendre.leggauss``.  Gauss-Jacobi for the weight 1 - x
+takes its nodes from the eigenvalues of the symmetric tridiagonal Jacobi
+matrix of the weight's three-term recurrence (Golub and Welsch, Math. Comp.
+23, 1969), polished by one Newton step on that recurrence.
 """
 
 import functools
@@ -18,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 MAX_QUAD_DEGREE = 20
 
@@ -174,6 +180,34 @@ def _frozen_rule(points, weights, exact_degree):
     return QuadratureRule(points, weights, exact_degree)
 
 
+def _monic_jacobi(x, a, b):
+    """pi_{n-1}(x), pi_n(x) and pi_n'(x) from the monic recurrence
+    pi_{j+1} = (x - a_j) pi_j - b_j pi_{j-1}, j = 0 .. n-1."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    d_prev, d = np.zeros_like(x), np.zeros_like(x)
+    for aj, bj in zip(a, b):
+        p_prev, p, d_prev, d = p, (x - aj) * p - bj * p_prev, d, p + (x - aj) * d - bj * d_prev
+    return p_prev, p, d
+
+
+def _gauss_jacobi(n):
+    """n-point Gauss rule on [-1, 1] for the weight 1 - x (Jacobi alpha = 1,
+    beta = 0): ascending nodes and weights summing to 2.
+
+    The weights are proportional to 1 / (pi_{n-1} pi_n') at the nodes.
+    """
+    j = np.arange(n, dtype=float)
+    a = -1.0 / ((2 * j + 1) * (2 * j + 3))
+    b = j * (j + 1) / (2 * j + 1) ** 2  # squared off-diagonal; b_0 = 0
+    off = np.sqrt(b[1:])
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+    _, p, d = _monic_jacobi(x, a, b)
+    x = x - p / d
+    p_prev, _, d = _monic_jacobi(x, a, b)
+    w = 1.0 / (p_prev * d)
+    return x, 2.0 * w / w.sum()
+
+
 @functools.lru_cache(maxsize=None)
 def triangle_rule(degree):
     """Conical-product Gauss rule on the reference triangle.
@@ -185,8 +219,8 @@ def triangle_rule(degree):
     if degree > MAX_QUAD_DEGREE:
         raise ValueError(f"triangle rule degree {degree} exceeds {MAX_QUAD_DEGREE}")
     n = max(1, math.ceil((degree + 1) / 2))
-    xj, wj = roots_jacobi(n, 1.0, 0.0)
-    xl, wl = roots_legendre(n)
+    xj, wj = _gauss_jacobi(n)
+    xl, wl = leggauss(n)
     x = (1.0 + xj) / 2.0
     s = (1.0 + xl) / 2.0
     pts = np.empty((n * n, 2))
@@ -205,7 +239,7 @@ def edge_rule(degree):
     if degree > MAX_QUAD_DEGREE:
         raise ValueError(f"edge rule degree {degree} exceeds {MAX_QUAD_DEGREE}")
     n = max(1, math.ceil((degree + 1) / 2))
-    xl, wl = roots_legendre(n)
+    xl, wl = leggauss(n)
     return _frozen_rule((1.0 + xl) / 2.0, wl / 2.0, 2 * n - 1)
 
 

@@ -26,7 +26,8 @@ Saunders and Shinnerl, SIMAX 17, 1996), with a fraction of the fill of a
 column-ordered, pivoted LU of K.  Once factored, K_delta becomes K in
 place: its (2, 2) block's stored diagonal is zeroed.  Refinement against
 K removes the O(delta) shift.  The Gram matrix G is SPD and is factored
-in the same symmetric mode and refined against itself.
+in the same symmetric mode and refined against itself, as is the SPD mass
+matrix of ``analysis.l2_project``.
 
 The saturation diagnostic solves the nonsymmetric enriched operator
 B_full.  Where the reaction floor mu_0 > 0, coercivity of the stabilized

@@ -130,6 +130,23 @@ class TestQuadrature:
             val = np.sum(rule.weights * rule.points**a)
             assert abs(val - 1.0 / (a + 1)) < 1e-13
 
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_gauss_rules_match_scipy(self, n):
+        # n = 11 points is the largest rule any degree <= MAX_QUAD_DEGREE asks for
+        from scipy.special import roots_jacobi, roots_legendre
+
+        from bubblefem.reference import _gauss_jacobi
+
+        x, w = _gauss_jacobi(n)
+        xs, ws = roots_jacobi(n, 1.0, 0.0)
+        assert np.abs(x - xs).max() <= 1e-14
+        assert np.abs(w - ws).max() <= 1e-14
+        rule = edge_rule(2 * n - 2)
+        xs, ws = roots_legendre(n)
+        assert len(rule.points) == n
+        assert np.abs(rule.points - (1.0 + xs) / 2.0).max() <= 1e-14
+        assert np.abs(rule.weights - ws / 2.0).max() <= 1e-14
+
     def test_rejects_beyond_cap(self):
         with pytest.raises(ValueError):
             triangle_rule(21)
