@@ -59,7 +59,7 @@ def goa_indicators(epsilon, eps_star, tables):
     return Indicators(eta, float(np.sqrt((eta**2).sum()))), float(abs(pab.sum()))
 
 
-def dorfler_mark(indicators, theta, squared=True):
+def dorfler_mark(eta, theta, squared=True):
     """Smallest cell set carrying the requested fraction of the total.
 
     Greedy selection by descending indicator, ties broken by cell index.
@@ -69,7 +69,7 @@ def dorfler_mark(indicators, theta, squared=True):
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("marking fraction must lie in (0, 1]")
-    eta = np.asarray(getattr(indicators, "eta", indicators), dtype=float)
+    eta = np.asarray(eta, dtype=float)
     key = eta**2 if squared else eta
     total = key.sum()
     if total <= 0.0:
@@ -150,11 +150,12 @@ class LoopConfig:
     p: int = 1
     k: int = 3
     theta: float | None = None  # None: 0.2 in goa mode, else 0.5
-    mode: str = "energy"  # energy | goa | uniform
+    MODES = ("energy", "goa", "uniform")  # the values of mode; unannotated, so no field
+    mode: str = "energy"
     alpha: float = ProblemData.penalty_exponent
     max_dofs: int | None = None
     max_iters: int | None = None
-    sigma0: float | None = None
+    sigma0: float = ProblemData.gram_weight
     quad_degree: int | None = None
     saturation: bool | None = None  # None: on for non-goa runs with an exact solution
     saturation_max_dofs: int = 20000
@@ -190,9 +191,9 @@ class LoopConfig:
             raise ValueError("marking fraction theta must lie in (0, 1]")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("penalty exponent alpha must be finite and positive")
-        if self.sigma0 is not None and not (math.isfinite(self.sigma0) and self.sigma0 > 0.0):
+        if not (math.isfinite(self.sigma0) and self.sigma0 > 0.0):
             raise ValueError("Gram weight sigma0 must be finite and positive")
-        if self.mode not in ("energy", "goa", "uniform"):
+        if self.mode not in self.MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_dofs is None and self.max_iters is None:
             raise ValueError("either max_dofs or max_iters must be set")
@@ -243,7 +244,7 @@ def adaptive_loop(bench, config):
         bench.data,
         penalty_order=config.k,
         penalty_exponent=config.alpha,
-        gram_weight=config.sigma0 if config.sigma0 is not None else bench.data.gram_weight,
+        gram_weight=config.sigma0,
     )
     track_sat = (
         config.saturation
@@ -332,7 +333,7 @@ def adaptive_loop(bench, config):
         if config.mode == "uniform":
             marked = np.arange(len(mesh.cells))
         else:
-            marked = dorfler_mark(indicators, config.resolved_theta(), squared=not goa)
+            marked = dorfler_mark(indicators.eta, config.resolved_theta(), squared=not goa)
         record.marked = len(marked)
         if len(marked) == 0:
             break

@@ -55,7 +55,7 @@ class RunConfig(LoopConfig):
         return self
 
 
-def slope(rows, x_column, y_column, window=5):
+def slope(rows, x_column, y_column, window=RunConfig.window):
     """Least-squares slope of log(y) vs log(x) over the trailing window.
 
     ``rows`` is a list of dicts (CSV rows); nonpositive or missing values
@@ -139,27 +139,26 @@ def build_parser():
     runp = sub.add_parser("run", help="execute an adaptive benchmark run")
     runp.add_argument("--config", help="JSON file with RunConfig keys (flags override)")
     runp.add_argument("--benchmark", choices=sorted(BENCHMARKS))
-    runp.add_argument("--mode", choices=["energy", "goa", "uniform"])
+    runp.add_argument("--mode", choices=LoopConfig.MODES)
     runp.add_argument("--p", type=int)
     runp.add_argument("--k", type=int)
     runp.add_argument("--theta", type=float)
     runp.add_argument("--alpha", type=float)
     runp.add_argument("--sigma0", type=float)
-    runp.add_argument("--max-dofs", type=int, dest="max_dofs")
-    runp.add_argument("--max-iters", type=int, dest="max_iters")
+    runp.add_argument("--max-dofs", type=int)
+    runp.add_argument("--max-iters", type=int)
     runp.add_argument("--delta", type=float)
     runp.add_argument("--outdir")
     runp.add_argument("--vtk", action="store_true", default=None)
-    runp.add_argument("--dump-matrices", action="store_true", default=None,
-                      dest="dump_matrices")
-    runp.add_argument("--quad-degree", type=int, dest="quad_degree")
+    runp.add_argument("--dump-matrices", action="store_true", default=None)
+    runp.add_argument("--quad-degree", type=int)
     runp.add_argument("--window", type=int)
 
     slopep = sub.add_parser("slope", help="fit a log-log slope from a records CSV")
     slopep.add_argument("csv")
     slopep.add_argument("x_column")
     slopep.add_argument("y_column")
-    slopep.add_argument("--window", type=int, default=5)
+    slopep.add_argument("--window", type=int, default=RunConfig.window)
     return parser
 
 

@@ -115,19 +115,19 @@ def normal_flux(velocity, pts, normals):
     return np.matmul(bvals, normals[:, :, None])[:, :, 0]
 
 
-def facet_cases(mesh, edge_ids, cells):
-    """Reference-facet case 2 i + r of each (facet, cell) pair.
+def facet_cases(mesh, sides):
+    """Reference-facet case 2 i + r of each cell side 3 c + i.
 
-    i is the local index of the facet in the cell; r = 1 when the cell
-    walks it ((i+1)%3 -> (i+2)%3) against the ``mesh.edges`` order.
+    r = 1 when the side walks its facet ((i+1)%3 -> (i+2)%3) against the
+    ``mesh.edges`` order.
     """
-    local = np.argmax(mesh.cell_edges[cells] == edge_ids[:, None], axis=1)
+    cells, local = np.divmod(sides, 3)
     against = mesh.cells[cells, (local + 1) % 3] > mesh.cells[cells, (local + 2) % 3]
     return 2 * local + against
 
 
-def facet_basis(space, edge_ids, cells, rule, normals=None):
-    """Basis values (nf, nq, nloc) at edge-rule points, seen from given cells.
+def facet_basis(space, sides, rule, normals=None):
+    """Basis values (nf, nq, nloc) at edge-rule points, seen from given cell sides.
 
     The local basis is tabulated on the six reference-facet cases and
     gathered per facet.  With ``normals`` the result is the normal
@@ -135,16 +135,16 @@ def facet_basis(space, edge_ids, cells, rule, normals=None):
     """
     mesh = space.mesh
     basis = space.local_basis
-    case = facet_cases(mesh, edge_ids, cells)
+    case = facet_cases(mesh, sides)
     xi = reference_facet_points(rule.points).reshape(-1, 2)
     nq = len(rule.points)
     if normals is None:
         return basis.evaluate(xi).reshape(6, nq, basis.count)[case]
     _, _, Jinv, _ = mesh.affine
     # n . (Jinv^T gref) = (Jinv n) . gref: contract the normal with Jinv once per facet
-    nJ = np.matmul(Jinv[cells], normals[:, :, None])
+    nJ = np.matmul(Jinv[sides // 3], normals[:, :, None])
     gref = basis.gradient(xi).reshape(6, nq * basis.count, 2)
-    return np.matmul(gref[case], nJ).reshape(len(cells), nq, basis.count)
+    return np.matmul(gref[case], nJ).reshape(len(sides), nq, basis.count)
 
 
 def _facet_local(weights, vals):
@@ -199,8 +199,8 @@ class FormTables:
         mesh = self.space.mesh
         pts, w = facet_quadrature(mesh, mesh.boundary_edges, self.edge_rule)
         bn = normal_flux(self.data.velocity, pts, mesh.boundary_normals)
-        vals = facet_basis(self.space, mesh.boundary_edges, mesh.boundary_cells, self.edge_rule)
-        return pts, w, bn, vals, self.space.cell_dofs[mesh.boundary_cells]
+        vals = facet_basis(self.space, mesh.boundary_sides, self.edge_rule)
+        return pts, w, bn, vals, self.space.cell_dofs[mesh.boundary_sides // 3]
 
     @cached_property
     def interior(self):
@@ -214,15 +214,14 @@ class FormTables:
         k_pen = data.require_penalty_order()
         pts, w = facet_quadrature(mesh, mesh.interior_edges, self.edge_rule)
         bn = normal_flux(data.velocity, pts, mesh.interior_normals)
-        h_e = mesh.interior_lengths
+        h_e = mesh.edge_lengths[mesh.interior_edges]
         gamma = h_e**2 / float(k_pen) ** data.penalty_exponent * np.abs(bn).max(axis=1)
-        sides = np.column_stack([mesh.interior_plus, mesh.interior_minus])
         gn_plus, gn_minus = (
-            facet_basis(space, mesh.interior_edges, cells, self.edge_rule, mesh.interior_normals)
-            for cells in sides.T
+            facet_basis(space, sides, self.edge_rule, mesh.interior_normals)
+            for sides in mesh.interior_sides.T
         )
         jump = np.concatenate([gn_plus, -gn_minus], axis=2)
-        return gamma[:, None] * w, jump, np.hstack(space.cell_dofs[sides.T])
+        return gamma[:, None] * w, jump, np.hstack(space.cell_dofs[mesh.interior_sides.T // 3])
 
     @cached_property
     def jump_penalty(self):
@@ -247,8 +246,8 @@ class FormTables:
         return [
             (self.data.gram_weight * w, phi, self.space.cell_dofs,
              np.arange(len(mesh.cells))[:, None]),
-            (bw * (0.5 * np.abs(bn)), vals, bdofs, mesh.boundary_cells[:, None]),
-            (*self.interior, np.column_stack([mesh.interior_plus, mesh.interior_minus])),
+            (bw * (0.5 * np.abs(bn)), vals, bdofs, mesh.boundary_sides[:, None] // 3),
+            (*self.interior, mesh.interior_sides // 3),
         ]
 
     def boundary_matrix(self, weights):

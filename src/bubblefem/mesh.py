@@ -4,9 +4,14 @@ Meshes are immutable after construction (the arrays are marked read-only);
 refinement returns a new mesh.  Conventions:
 
 * cells are counterclockwise vertex triples;
-* local edge i of a cell is the edge opposite local vertex i;
-* for an interior facet the plus cell ``T+`` is the incident cell with the
-  smaller index and the facet normal is the outward normal of ``T+``;
+* local edge i of a cell is the edge opposite local vertex i, and side
+  ``3 c + i`` is local edge i of cell c walked from its vertex (i+1)%3 to
+  (i+2)%3; the cell of a side is ``side // 3``;
+* a facet keeps its sides in cell order: ``boundary_sides`` (nb,) and
+  ``interior_sides`` (ni, 2), whose first column is the side of the plus
+  cell ``T+``, the incident cell with the smaller index;
+* a facet normal is the outward normal of its first side: the side's walk
+  turned clockwise, since a counterclockwise cell lies left of the walk;
 * ``h_T`` is the longest edge of the cell, ``h_e`` the facet length;
 * the per-cell refinement edge drives newest-vertex bisection.
 """
@@ -57,11 +62,10 @@ class Mesh:
             raise ValueError(f"cell {bad} is not counterclockwise (area {signed[bad]:g})")
         self.cell_areas = signed
 
-        # edge lengths per local edge (edge i opposite vertex i)
-        edge_vecs = np.stack(
-            [tri[:, 2] - tri[:, 1], tri[:, 0] - tri[:, 2], tri[:, 1] - tri[:, 0]], axis=1
-        )
-        self._edge_lengths = np.linalg.norm(edge_vecs, axis=2)  # (nc, 3)
+        # the walk of side 3c + i, from vertex (i+1)%3 to (i+2)%3 of cell c
+        walks = (tri[:, [2, 0, 1]] - tri[:, [1, 2, 0]]).reshape(-1, 2)
+        lengths = np.linalg.norm(walks, axis=1)
+        self._edge_lengths = lengths.reshape(-1, 3)
         self.cell_diameters = self._edge_lengths.max(axis=1)
 
         if refinement_edge is None:
@@ -70,9 +74,15 @@ class Mesh:
         self.parents = None if parents is None else np.ascontiguousarray(parents, dtype=np.int64)
 
         self._build_connectivity()
-        for arr in (self.vertices, self.cells, self.refinement_edge, self.cell_areas,
-                    self.cell_diameters, self.edges, self.cell_edges):
-            arr.setflags(write=False)
+        self.edge_lengths = np.empty(len(self.edges))
+        self.edge_lengths[self.cell_edges] = self._edge_lengths
+        # each side's outward normal: its walk turned clockwise
+        normals = np.column_stack([walks[:, 1], -walks[:, 0]]) / lengths[:, None]
+        self.interior_normals = normals[self.interior_sides[:, 0]]
+        self.boundary_normals = normals[self.boundary_sides]
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
 
     # -- construction helpers -------------------------------------------------
 
@@ -84,53 +94,30 @@ class Mesh:
         return np.argmin(opposite, axis=1).astype(np.int8)
 
     def _build_connectivity(self):
-        nc, nv = len(self.cells), len(self.vertices)
-        a = self.cells[:, [1, 2, 0]]  # local edge i runs (i+1)%3 -> (i+2)%3
-        b = self.cells[:, [2, 0, 1]]
-        # lexicographic order of (min, max) vertex pairs equals that of the key
-        keys, inverse = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
-                                  return_inverse=True)
-        edges = np.column_stack([keys // nv, keys % nv])
-        self.edges = edges
-        self.cell_edges = inverse.reshape(nc, 3)
-
-        ne = len(edges)
-        flat = self.cell_edges.ravel()
-        count = np.bincount(flat, minlength=ne)
+        nv = len(self.vertices)
+        a = self.cells[:, [1, 2, 0]].ravel()
+        b = self.cells[:, [2, 0, 1]].ravel()
+        # sides sorted by the key of their (min, max) vertex pair; the stable sort
+        # keeps each facet's sides in cell order, so T+ comes first
+        keys = np.minimum(a, b) * nv + np.maximum(a, b)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        new = np.ones(len(keys), dtype=bool)
+        new[1:] = keys[1:] != keys[:-1]
+        starts = np.flatnonzero(new)
+        count = np.diff(starts, append=len(keys))
         if np.any(count > 2):
             raise ValueError(f"edge {int(np.argmax(count > 2))} shared by more than two cells")
-        # T+ is the incident cell with the smaller index
-        cell_of = np.repeat(np.arange(nc, dtype=np.int64), 3)
-        first = np.full(ne, nc, dtype=np.int64)
-        second = np.full(ne, -1, dtype=np.int64)
-        np.minimum.at(first, flat, cell_of)
-        np.maximum.at(second, flat, cell_of)
+        self.edges = np.column_stack([keys[starts] // nv, keys[starts] % nv])
+        cell_edges = np.empty(len(keys), dtype=np.int64)
+        cell_edges[order] = np.cumsum(new) - 1
+        self.cell_edges = cell_edges.reshape(-1, 3)
 
-        interior = np.flatnonzero(count == 2)
-        boundary = np.flatnonzero(count == 1)
-        self.interior_edges = interior
-        self.interior_plus = first[interior]
-        self.interior_minus = second[interior]
-        self.boundary_edges = boundary
-        self.boundary_cells = first[boundary]
-
-        self.edge_lengths = np.linalg.norm(
-            self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]], axis=1
-        )
-        self.interior_lengths = self.edge_lengths[interior]
-        self.interior_normals = self._outward_normals(interior, self.interior_plus)
-        self.boundary_normals = self._outward_normals(boundary, self.boundary_cells)
-
-    def _outward_normals(self, edge_ids, owner_cells):
-        va = self.vertices[self.edges[edge_ids, 0]]
-        vb = self.vertices[self.edges[edge_ids, 1]]
-        d = vb - va
-        n = np.stack([d[:, 1], -d[:, 0]], axis=1)
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        centroids = self.vertices[self.cells[owner_cells]].mean(axis=1)
-        flip = np.einsum("fd,fd->f", 0.5 * (va + vb) - centroids, n) < 0.0
-        n[flip] *= -1.0
-        return n
+        self.interior_edges = np.flatnonzero(count == 2)
+        self.boundary_edges = np.flatnonzero(count == 1)
+        first = starts[self.interior_edges]
+        self.interior_sides = np.column_stack([order[first], order[first + 1]])
+        self.boundary_sides = order[starts[self.boundary_edges]]
 
     # -- geometry --------------------------------------------------------------
 
@@ -140,12 +127,14 @@ class Mesh:
         tri = self.vertices[self.cells]
         v0 = tri[:, 0]
         J = np.stack([tri[:, 1] - v0, tri[:, 2] - v0], axis=2)  # columns
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        det = 2.0 * self.cell_areas
         Jinv = np.empty_like(J)
         Jinv[:, 0, 0] = J[:, 1, 1] / det
         Jinv[:, 0, 1] = -J[:, 0, 1] / det
         Jinv[:, 1, 0] = -J[:, 1, 0] / det
         Jinv[:, 1, 1] = J[:, 0, 0] / det
+        for arr in (v0, J, Jinv, det):
+            arr.setflags(write=False)
         return v0, J, Jinv, det
 
     def to_reference(self, cells, points):

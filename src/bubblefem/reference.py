@@ -72,10 +72,10 @@ class ReferenceBasis:
         there), else None.
     """
 
-    def __init__(self, degree, coeffs, exps, nodes=None):
+    def __init__(self, degree, coeffs, nodes=None):
         self.degree = degree
-        self._coeffs = coeffs  # (n_monomials, count)
-        self._exps = exps
+        self._coeffs = coeffs  # (n_monomials, count) over monomial_exponents(degree)
+        self._exps = monomial_exponents(degree)
         self.nodes = None if nodes is None else np.asarray(nodes, dtype=float)
         self.count = coeffs.shape[1]
 
@@ -117,7 +117,7 @@ def lagrange_basis(p):
     nodes = _lagrange_nodes(p)
     vander = _eval_monomials(exps, nodes)
     coeffs = np.linalg.inv(vander)
-    return ReferenceBasis(p, coeffs, exps, nodes=nodes)
+    return ReferenceBasis(p, coeffs, nodes=nodes)
 
 
 def bubble_basis(k, lowest=0):
@@ -143,21 +143,19 @@ def bubble_basis(k, lowest=0):
             col[index[(a + c, b + d)]] += w
         cols.append(col)
     coeffs = np.stack(cols, axis=1)
-    return ReferenceBasis(k, coeffs, exps)
+    return ReferenceBasis(k, coeffs)
 
 
 def combine_bases(*bases):
-    """Stack bases into one (used for the bubble-enriched local basis)."""
+    """Stack bases into one (used for the bubble-enriched local basis).
+
+    The graded monomials of a lower degree are a prefix of those of a
+    higher one, so each coefficient block is padded with zero rows.
+    """
     degree = max(b.degree for b in bases)
-    exps = monomial_exponents(degree)
-    index = {e: i for i, e in enumerate(exps)}
-    cols = []
-    for b in bases:
-        lifted = np.zeros((len(exps), b.count))
-        for i, e in enumerate(b._exps):
-            lifted[index[e]] = b._coeffs[i]
-        cols.append(lifted)
-    return ReferenceBasis(degree, np.hstack(cols), exps)
+    n = len(monomial_exponents(degree))
+    return ReferenceBasis(degree, np.hstack(
+        [np.pad(b._coeffs, ((0, n - len(b._coeffs)), (0, 0))) for b in bases]))
 
 
 @dataclass(frozen=True)

@@ -56,11 +56,11 @@ class TestEnergyIndicators:
         fn.coefficients[space.n_trial + cell] = 1.0
         ind = energy_indicators(fn, FormTables(space, make_data()))
         neighbours = {cell}
-        for f in range(len(m.interior_edges)):
-            if m.interior_plus[f] == cell:
-                neighbours.add(int(m.interior_minus[f]))
-            if m.interior_minus[f] == cell:
-                neighbours.add(int(m.interior_plus[f]))
+        for plus, minus in m.interior_sides // 3:
+            if plus == cell:
+                neighbours.add(int(minus))
+            if minus == cell:
+                neighbours.add(int(plus))
         positive = set(np.flatnonzero(ind.eta > 0).tolist())
         assert positive == neighbours
 
@@ -297,10 +297,10 @@ class TestAdaptiveLoop:
         built = []
         facet_basis, scatter = forms.facet_basis, forms._scatter
 
-        def counted_basis(space, edge_ids, cells, rule, normals=None):
+        def counted_basis(space, sides, rule, normals=None):
             side = "boundary" if normals is None else "jump side"
             built.append(side if space.kind.family == "enriched" else "trial " + side)
-            return facet_basis(space, edge_ids, cells, rule, normals)
+            return facet_basis(space, sides, rule, normals)
 
         def counted_scatter(local, dofs, dim):
             if dofs.shape[1] == 2 * nloc:  # the DoFs of both neighbours of a facet

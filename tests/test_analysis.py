@@ -187,13 +187,12 @@ class TestOswald:
         broken = build_space(m, broken_lagrange(2))
         rng = np.random.default_rng(3)
         out = oswald_interpolate(DiscreteFunction(broken, rng.standard_normal(broken.dim)))
-        for fi in range(len(m.interior_edges)):
-            e = m.interior_edges[fi]
+        for e, (plus_cell, minus_cell) in zip(m.interior_edges, m.interior_sides // 3):
             a, b = m.edges[e]
             t = np.linspace(0.1, 0.9, 5)[:, None]
             pts = m.vertices[a] + t * (m.vertices[b] - m.vertices[a])
-            plus = values_in_cells(out, np.full(5, m.interior_plus[fi]), pts)
-            minus = values_in_cells(out, np.full(5, m.interior_minus[fi]), pts)
+            plus = values_in_cells(out, np.full(5, plus_cell), pts)
+            minus = values_in_cells(out, np.full(5, minus_cell), pts)
             assert np.abs(plus - minus).max() < 1e-12
 
     def test_interpolation_error_bound_constant_stable(self):
@@ -232,9 +231,10 @@ class TestOswald:
                 epts, ew = facet_quadrature(m, m.interior_edges, erule)
                 nf, enq = ew.shape
                 flat = epts.reshape(-1, 2)
+                plus, minus = m.interior_sides.T // 3
                 jump = (
-                    values_in_cells(v, np.repeat(m.interior_plus, enq), flat)
-                    - values_in_cells(v, np.repeat(m.interior_minus, enq), flat)
+                    values_in_cells(v, np.repeat(plus, enq), flat)
+                    - values_in_cells(v, np.repeat(minus, enq), flat)
                 ).reshape(nf, enq)
                 jnorm = np.sqrt(np.einsum("fq,fq->f", ew, jump**2))
                 for c in range(len(m.cells)):

@@ -184,6 +184,7 @@ class TestMain:
     # json reads the NaN literal as a float; each file value must fit its
     # RunConfig field's type
     @pytest.mark.parametrize("key, value", [pytest.param("sigma0", "0.0", id="sigma0"),
+                                            pytest.param("sigma0", "null", id="sigma0-null"),
                                             pytest.param("alpha", "0.0", id="alpha"),
                                             pytest.param("delta", "NaN", id="delta-nan"),
                                             pytest.param("p", "1.0", id="p-float"),

@@ -357,7 +357,8 @@ class TestMixedSignBoundary:
         np.add.at(expected, test.cell_dofs, (w * fv) @ test.local_basis.evaluate(rule.points))
         # -((b.n)^- g, w), facet by facet, pulling each point back to its cell
         erule = edge_rule(facet_degree(test))
-        for e, cell, n in zip(mesh.boundary_edges, mesh.boundary_cells, mesh.boundary_normals):
+        cells = mesh.boundary_sides // 3
+        for e, cell, n in zip(mesh.boundary_edges, cells, mesh.boundary_normals):
             a, b = mesh.vertices[mesh.edges[e]]
             x = a + erule.points[:, None] * (b - a)
             bn = rotating_field(x) @ n
@@ -492,15 +493,15 @@ class TestFacetTables:
     @staticmethod
     def sides(m):
         return [
-            (m.interior_edges, m.interior_plus, m.interior_normals),
-            (m.interior_edges, m.interior_minus, m.interior_normals),
-            (m.boundary_edges, m.boundary_cells, m.boundary_normals),
+            (m.interior_edges, m.interior_sides[:, 0], m.interior_normals),
+            (m.interior_edges, m.interior_sides[:, 1], m.interior_normals),
+            (m.boundary_edges, m.boundary_sides, m.boundary_normals),
         ]
 
     def test_all_six_cases_occur(self, mesh):
         from bubblefem.forms import facet_cases
 
-        cases = np.concatenate([facet_cases(mesh, e, c) for e, c, _ in self.sides(mesh)])
+        cases = np.concatenate([facet_cases(mesh, s) for _, s, _ in self.sides(mesh)])
         assert set(cases.tolist()) == set(range(6))
 
     @pytest.mark.parametrize(
@@ -515,7 +516,8 @@ class TestFacetTables:
         space = build_space(mesh, kind)
         rule = edge_rule(facet_degree(space))
         _, _, Jinv, _ = mesh.affine
-        for edge_ids, cells, normals in self.sides(mesh):
+        for edge_ids, sides, normals in self.sides(mesh):
+            cells = sides // 3
             pts, _ = facet_quadrature(mesh, edge_ids, rule)
             nf, nq = pts.shape[:2]
             xi = mesh.to_reference(np.repeat(cells, nq), pts.reshape(-1, 2))
@@ -524,8 +526,8 @@ class TestFacetTables:
             grad = np.einsum("fed,fqie->fqid", Jinv[cells], gref)
             normal_grad = np.einsum("fqid,fd->fqi", grad, normals)
 
-            assert np.abs(facet_basis(space, edge_ids, cells, rule) - vals).max() < 1e-12
-            got = facet_basis(space, edge_ids, cells, rule, normals)
+            assert np.abs(facet_basis(space, sides, rule) - vals).max() < 1e-12
+            got = facet_basis(space, sides, rule, normals)
             assert np.abs(got - normal_grad).max() < 1e-12 * np.abs(normal_grad).max()
 
 

@@ -107,6 +107,52 @@ def assert_same_refinement(mesh, marked):
     return got
 
 
+def reference_connectivity(mesh):
+    """Reference facet data, built as before the side sort: the np.unique
+    edge numbering, owner cells from min/max passes, each owner's local
+    edge searched with argmax and normals flipped outward by a centroid test.
+    """
+    nc, nv = len(mesh.cells), len(mesh.vertices)
+    a, b = mesh.cells[:, [1, 2, 0]], mesh.cells[:, [2, 0, 1]]
+    keys, inverse = np.unique(np.minimum(a, b) * nv + np.maximum(a, b), return_inverse=True)
+    edges = np.column_stack([keys // nv, keys % nv])
+    cell_edges = inverse.reshape(nc, 3)
+    flat = cell_edges.ravel()
+    count = np.bincount(flat, minlength=len(edges))
+    cell_of = np.repeat(np.arange(nc, dtype=np.int64), 3)
+    first = np.full(len(edges), nc, dtype=np.int64)
+    second = np.full(len(edges), -1, dtype=np.int64)
+    np.minimum.at(first, flat, cell_of)
+    np.maximum.at(second, flat, cell_of)
+    interior, boundary = np.flatnonzero(count == 2), np.flatnonzero(count == 1)
+    lengths = np.linalg.norm(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]], axis=1)
+
+    def normals(edge_ids, owners):
+        va, vb = mesh.vertices[edges[edge_ids, 0]], mesh.vertices[edges[edge_ids, 1]]
+        d = vb - va
+        n = np.stack([d[:, 1], -d[:, 0]], axis=1)
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        centroids = mesh.vertices[mesh.cells[owners]].mean(axis=1)
+        n[np.einsum("fd,fd->f", 0.5 * (va + vb) - centroids, n) < 0.0] *= -1.0
+        return n
+
+    def cases(edge_ids, owners):
+        local = np.argmax(cell_edges[owners] == edge_ids[:, None], axis=1)
+        against = mesh.cells[owners, (local + 1) % 3] > mesh.cells[owners, (local + 2) % 3]
+        return 2 * local + against
+
+    plus, minus, owners = first[interior], second[interior], first[boundary]
+    return {
+        "edges": edges, "cell_edges": cell_edges,
+        "interior_edges": interior, "boundary_edges": boundary,
+        "plus": plus, "minus": minus, "boundary_cells": owners,
+        "edge_lengths": lengths,
+        "interior_normals": normals(interior, plus), "boundary_normals": normals(boundary, owners),
+        "plus_cases": cases(interior, plus), "minus_cases": cases(interior, minus),
+        "boundary_cases": cases(boundary, owners),
+    }
+
+
 def graded_mesh():
     """Structured 4 x 4 mesh bisected 12 times at the cell holding the centre."""
     m = build_structured_mesh(4)
@@ -306,6 +352,56 @@ class TestRefineMatchesRecursiveOracle:
         assert_same_refinement(m, [7, 2, 7, 11, 2])
 
 
+class TestConnectivityMatchesReference:
+    @pytest.fixture(
+        params=[*sorted(START_MESHES), "graded", "random-refined"], scope="class"
+    )
+    def mesh(self, request):
+        if request.param == "graded":
+            return graded_mesh()
+        if request.param == "random-refined":
+            rng = np.random.default_rng(11)
+            m = START_MESHES["graded-grid"]()
+            for _ in range(5):
+                m = refine(m, rng.choice(len(m.cells), size=len(m.cells) // 4, replace=False))
+            return m
+        return START_MESHES[request.param]()
+
+    def test_bit_identical(self, mesh):
+        from bubblefem.forms import facet_cases
+
+        want = reference_connectivity(mesh)
+        plus, minus = mesh.interior_sides.T // 3
+        got = {
+            "edges": mesh.edges, "cell_edges": mesh.cell_edges,
+            "interior_edges": mesh.interior_edges, "boundary_edges": mesh.boundary_edges,
+            "plus": plus, "minus": minus, "boundary_cells": mesh.boundary_sides // 3,
+            "edge_lengths": mesh.edge_lengths,
+            "interior_normals": mesh.interior_normals,
+            "boundary_normals": mesh.boundary_normals,
+            "plus_cases": facet_cases(mesh, mesh.interior_sides[:, 0]),
+            "minus_cases": facet_cases(mesh, mesh.interior_sides[:, 1]),
+            "boundary_cases": facet_cases(mesh, mesh.boundary_sides),
+        }
+        _, J, _, got["det"] = mesh.affine
+        want["det"] = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        for name, b in want.items():
+            a = got[name]
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("make", [lambda: build_structured_mesh(3), graded_mesh],
+                         ids=["structured", "refined"])
+def test_every_array_is_read_only(make):
+    m = make()
+    arrays = {name: v for name, v in vars(m).items() if isinstance(v, np.ndarray)}
+    arrays.update({f"affine[{i}]": v for i, v in enumerate(m.affine)})
+    assert {"interior_sides", "boundary_sides", "edge_lengths", "boundary_normals"} <= set(arrays)
+    for arr in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = arr
+
+
 class TestMeshInvariants:
     def test_rejects_clockwise_cell(self):
         with pytest.raises(ValueError):
@@ -318,8 +414,9 @@ class TestMeshInvariants:
         # interior normal points from T+ into T-
         pairs = m.edges[m.interior_edges]
         mids = 0.5 * (m.vertices[pairs[:, 0]] + m.vertices[pairs[:, 1]])
-        plus_centroids = m.vertices[m.cells[m.interior_plus]].mean(axis=1)
-        minus_centroids = m.vertices[m.cells[m.interior_minus]].mean(axis=1)
+        plus, minus = m.interior_sides.T // 3
+        plus_centroids = m.vertices[m.cells[plus]].mean(axis=1)
+        minus_centroids = m.vertices[m.cells[minus]].mean(axis=1)
         assert np.all(np.einsum("fd,fd->f", mids - plus_centroids, m.interior_normals) > 0)
         assert np.all(np.einsum("fd,fd->f", minus_centroids - mids, m.interior_normals) > 0)
 
@@ -332,7 +429,8 @@ class TestMeshInvariants:
 
     def test_plus_cell_has_smaller_index(self):
         m = build_structured_mesh(4)
-        assert np.all(m.interior_plus < m.interior_minus)
+        plus, minus = m.interior_sides.T // 3
+        assert np.all(plus < minus)
 
     def test_diameter_is_longest_edge(self):
         m = refine(build_structured_mesh(2), [0, 3, 5])
