@@ -206,17 +206,18 @@ class LoopConfig:
         return self
 
 
-def _diagnose(bench, tables, G, B_full, load, sol, est_energy, saturation, q, qoi_ref):
+def _diagnose(bench, tables, G, B_full, load, sol, est_energy, saturation, q, qoi_ref, order):
     """Exact-solution errors, the saturation ratio and robustness of the
     enriched CIP reference theta_h, and the QoI error, measured on the
     iteration's tables; returns the ``AdaptRecord`` fields it measured,
-    with the solver path counts of the theta_h solve.
+    with the solver path counts of the theta_h solve.  B_full is factored
+    on the elimination ``order`` of the saddle factor's test DoFs.
     """
     if bench.exact is None:
         return {}
     theta_h = None
     if saturation:
-        theta_h = solve_cip_enriched(B_full, load, tables)
+        theta_h = solve_cip_enriched(B_full, load, tables, order)
     reps = error_norms([sol.u, theta_h] if saturation else [sol.u], bench.exact, tables)
     diag = {"err_l2_rel": reps[0].l2 / reps[0].exact_l2, "err_triple": reps[0].triple}
     if saturation:
@@ -272,8 +273,8 @@ def adaptive_loop(bench, config):
         G = assemble_gram(tables)
         # the test space nests the trial space first: B is B_full's trial block
         B_full = assemble_stabilized(tables)
-        # only G and B_full read the jump penalty; free it before the LU
-        del tables.jump_penalty
+        # only G and B_full read the pattern and J's data on it; free them before the LU
+        del tables.pattern
         load = assemble_load(tables)
         factor = SaddleFactorization(G, B_full[:, : test.n_trial])
         sol = solve_saddle(factor, load, test)
@@ -291,10 +292,13 @@ def adaptive_loop(bench, config):
         solved = (factor, factor.gram) if goa else (factor,)
         refine_steps = sum(f.refine_steps for f in solved)
         fallbacks = sum(f.fallbacks for f in solved)
+        # the saturation solve factors B_full on K's ordering, so no second ordering runs
+        order = factor.test_order
         del factor, solved  # K and its LU leave memory before the diagnostics factor B_full
         dofs_total = test.n_trial + test.dim
         diag = _diagnose(bench, tables, G, B_full, load, sol, indicators.total,
-                         track_sat and dofs_total <= config.saturation_max_dofs, q, qoi_ref)
+                         track_sat and dofs_total <= config.saturation_max_dofs, q, qoi_ref,
+                         order)
         record = AdaptRecord(
             iteration=len(records),
             dofs_trial=test.n_trial,

@@ -27,10 +27,20 @@ space numbers its trial DoFs first, so the trial x test operator B is the
 leading column block ``[:, :n_trial]`` of the test-space operator, and a
 trial-space operator is its leading ``[:n_trial, :n_trial]`` block.
 
-All assembly loops are vectorized over cells and facets; matrices are
-returned in CSR format.  Bases are evaluated once per reference point set
-(the volume rule, or the six reference-facet cases of the edge rule) and
-gathered per cell or facet, so no physical point is pulled back.
+All assembly loops are vectorized over cells and facets.  Bases are
+evaluated once per reference point set (the volume rule, or the six
+reference-facet cases of the edge rule) and gathered per cell or facet, so
+no physical point is pulled back.
+
+The space's operators share one CSR sparsity pattern, owned by
+``FormTables.pattern``: the cell blocks and the nonzero couplings of the
+interior-facet blocks.  It comes from the one COO scatter of the jump
+penalty J, together with the slot of every cell-block entry, the slot of
+every entry's transpose and J's data on the pattern.  ``assemble_gram``
+and ``assemble_stabilized`` sum their cell blocks, and their boundary-facet
+blocks on the owner cells' slots, with ``np.bincount``, then add J's data;
+the Gram matrix is averaged with its transpose through the slot map, so it
+is bitwise symmetric.  Both return CSR matrices that store no exact zero.
 """
 
 import math
@@ -158,13 +168,37 @@ def _mass_local(phi, w):
     return np.matmul(w, products).reshape(len(w), phi.shape[1], phi.shape[1])
 
 
+def _coo_to_csr(rows, cols, values, dim):
+    """CSR matrix (dim, dim) summing ``values`` at (``rows``, ``cols``)."""
+    return sp.coo_matrix((values, (rows, cols)), shape=(dim, dim)).tocsr()
+
+
 def _scatter(local, dofs, dim):
     """CSR matrix (dim, dim) of local blocks (n, m, m) on DoFs (n, m)."""
     rows = np.broadcast_to(dofs[:, :, None], local.shape)
     cols = np.broadcast_to(dofs[:, None, :], local.shape)
-    return sp.coo_matrix(
-        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(dim, dim)
-    ).tocsr()
+    return _coo_to_csr(rows.ravel(), cols.ravel(), local.ravel(), dim)
+
+
+@dataclass(frozen=True)
+class Pattern:
+    """Sorted, symmetric CSR pattern (``indptr``, ``indices``) of a space's
+    operators.  ``cell_slots`` (nc, m*m) is the position of each cell-block
+    entry (a, b), row-major; ``transpose`` the position of each entry's
+    transpose; ``jump`` the jump penalty J's data on the pattern."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    cell_slots: np.ndarray
+    transpose: np.ndarray
+    jump: np.ndarray
+
+
+def _without_zeros(data, pattern, dim):
+    """CSR matrix of ``data`` on ``pattern`` with its exact zeros dropped."""
+    A = sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()), shape=(dim, dim))
+    A.eliminate_zeros()
+    return A
 
 
 # -- the tables of one space --------------------------------------------------
@@ -224,10 +258,50 @@ class FormTables:
         return gamma[:, None] * w, jump, np.hstack(space.cell_dofs[mesh.interior_sides.T // 3])
 
     @cached_property
-    def jump_penalty(self):
-        """CIP penalty J on normal-gradient jumps; G and B_full both add it."""
+    def pattern(self):
+        """The ``Pattern`` of the space's operators, from J's one scatter."""
+        cd = self.space.cell_dofs
+        m = cd.shape[1]
+        rows, cols = np.repeat(cd, m, axis=1).ravel(), np.tile(cd, m).ravel()
+        J = _coo_to_csr(*self._jump_entries(rows, cols), self.space.dim)
+        # each entry's position in J's CSR; the pattern is symmetric, so its CSC
+        # order lists the position of each entry's transpose
+        positions = sp.csr_array((np.arange(J.nnz, dtype=J.indices.dtype), J.indices, J.indptr),
+                                 shape=J.shape)
+        return Pattern(indptr=J.indptr, indices=J.indices,
+                       cell_slots=positions[rows, cols].reshape(len(cd), -1),
+                       transpose=positions.tocsc().data, jump=J.data)
+
+    def _jump_entries(self, rows, cols):
+        """J's COO entries: first every cell block (a, b) on (``rows``,
+        ``cols``), holding J's blocks on each facet side's own cell summed
+        per cell, so each cell-block entry has a slot even where J vanishes;
+        then the nonzero entries of the blocks coupling a facet's two cells.
+        On a facet the normal-gradient jumps of some DoFs vanish exactly,
+        and storing those zeros would only add fill to every factor.  The
+        facet blocks are freed on return, before J's conversion to CSR.
+        """
+        cells, m = self.space.cell_dofs.shape
         weights, jump, dofs = self.interior
-        return _scatter(_facet_local(weights, jump), dofs, self.space.dim)
+        local = _facet_local(weights, jump)
+        own = np.zeros(cells * m * m)
+        for side, block in zip(self.space.mesh.interior_sides.T // 3,
+                               (local[:, :m, :m], local[:, m:, m:])):
+            slots = side[:, None] * (m * m) + np.arange(m * m)
+            own += np.bincount(slots.ravel(), block.ravel(), len(own))
+        # the (+, -) block and the transpose of the (-, +) block, rows on the + side
+        cross, cross_t = local[:, :m, m:], local[:, m:, :m].transpose(0, 2, 1)
+        nonzero = (cross != 0.0) | (cross_t != 0.0)
+        plus = np.broadcast_to(dofs[:, :m, None], cross.shape)[nonzero]
+        minus = np.broadcast_to(dofs[:, None, m:], cross.shape)[nonzero]
+        return (np.concatenate([rows, plus, minus]), np.concatenate([cols, minus, plus]),
+                np.concatenate([own, cross[nonzero], cross_t[nonzero]]))
+
+    @cached_property
+    def jump_penalty(self):
+        """CIP penalty J on normal-gradient jumps, the one term G and
+        B_full share, as a CSR matrix without stored zeros."""
+        return _without_zeros(self.pattern.jump.copy(), self.pattern, self.space.dim)
 
     @cached_property
     def energy_terms(self):
@@ -267,8 +341,8 @@ def assemble_mass(space, degree=None):
     return _scatter(_mass_local(phi, w), space.cell_dofs, space.dim)
 
 
-def assemble_advection(tables):
-    """Adjoint-form advection block: -(v, b . grad w)."""
+def _advection_local(tables):
+    """Per-cell blocks (nc, m, m) of the adjoint-form advection -(v, b . grad w)."""
     space = tables.space
     pts, w, phi = tables.volume
     nc, nq = w.shape
@@ -280,11 +354,35 @@ def assemble_advection(tables):
     # reference-gradient x value products per point and direction
     products = gref.transpose(0, 2, 1)[:, :, :, None] * phi[:, None, None, :]
     local = -np.matmul(wb.reshape(nc, -1), products.reshape(2 * nq, -1))
-    local = local.reshape(nc, phi.shape[1], phi.shape[1])
-    return _scatter(local, space.cell_dofs, space.dim)
+    return local.reshape(nc, phi.shape[1], phi.shape[1])
+
+
+def assemble_advection(tables):
+    """Adjoint-form advection block: -(v, b . grad w)."""
+    return _scatter(_advection_local(tables), tables.space.cell_dofs, tables.space.dim)
 
 
 # -- composed operators -------------------------------------------------------
+
+
+def _assemble(tables, cell_local, boundary_weights, symmetric=False):
+    """Cell blocks (nc, m, m), the boundary mass weighted per point by
+    ``boundary_weights`` (nf, nq) and J, summed on the tables' pattern.
+
+    Each boundary-facet block lands on its owner cell's slots.
+    ``symmetric`` averages the sum with its transpose, bitwise symmetric.
+    """
+    pattern = tables.pattern
+    *_, vals, _ = tables.boundary
+    owners = tables.space.mesh.boundary_sides // 3
+    size = len(pattern.indices)
+    data = np.bincount(pattern.cell_slots.ravel(), cell_local.ravel(), size)
+    data += np.bincount(pattern.cell_slots[owners].ravel(),
+                        _facet_local(boundary_weights, vals).ravel(), size)
+    data += pattern.jump
+    if symmetric:
+        data = 0.5 * (data + data[pattern.transpose])
+    return _without_zeros(data, pattern, tables.space.dim)
 
 
 def assemble_stabilized(tables):
@@ -294,27 +392,20 @@ def assemble_stabilized(tables):
     whole boundary.  Raises if the reaction coefficient drops below the
     declared floor.
     """
-    space, data = tables.space, tables.data
+    data = tables.data
     pts, w, phi = tables.volume
     mu = np.asarray(data.reaction(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
     if mu.min() < data.reaction_floor - 1e-12:
         raise ValueError("reaction coefficient drops below the declared floor")
     _, bw, bn, _, _ = tables.boundary
-    A = _scatter(_mass_local(phi, w * mu), space.cell_dofs, space.dim)
-    A = A + assemble_advection(tables)
-    A = A + tables.boundary_matrix(bw * np.maximum(bn, 0.0))
-    A = A + tables.jump_penalty
-    return A.tocsr()
+    local = _mass_local(phi, w * mu) + _advection_local(tables)
+    return _assemble(tables, local, bw * np.maximum(bn, 0.0))
 
 
 def assemble_gram(tables):
     """SPD inner-product matrix of the space (symmetrized exactly)."""
-    (mass_w, phi, dofs, _), (boundary_w, *_), _ = tables.energy_terms
-    G = _scatter(_mass_local(phi, mass_w), dofs, tables.space.dim)
-    G = G + tables.boundary_matrix(boundary_w)
-    G = G + tables.jump_penalty
-    G = 0.5 * (G + G.T)
-    return G.tocsr()
+    (mass_w, phi, _, _), (boundary_w, *_), _ = tables.energy_terms
+    return _assemble(tables, _mass_local(phi, mass_w), boundary_w, symmetric=True)
 
 
 def assemble_load(tables):

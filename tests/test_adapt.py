@@ -290,25 +290,24 @@ class TestAdaptiveLoop:
         # (u_h, and theta_h when saturation is on) read one FormTables per
         # iteration, so the test space's boundary table, its two one-sided
         # jump tables and J are each built once, and no facet table of the
-        # trial space is built at all.
+        # trial space is built at all.  J's scatter, which builds the
+        # operators' pattern, is the iteration's one COO -> CSR conversion.
         import bubblefem.forms as forms
 
-        nloc = build_space(bench.initial_mesh(), enriched(config.p, config.k)).local_basis.count
         built = []
-        facet_basis, scatter = forms.facet_basis, forms._scatter
+        facet_basis, coo_to_csr = forms.facet_basis, forms._coo_to_csr
 
         def counted_basis(space, sides, rule, normals=None):
             side = "boundary" if normals is None else "jump side"
             built.append(side if space.kind.family == "enriched" else "trial " + side)
             return facet_basis(space, sides, rule, normals)
 
-        def counted_scatter(local, dofs, dim):
-            if dofs.shape[1] == 2 * nloc:  # the DoFs of both neighbours of a facet
-                built.append("J")
-            return scatter(local, dofs, dim)
+        def counted_coo_to_csr(rows, cols, values, dim):
+            built.append("J")
+            return coo_to_csr(rows, cols, values, dim)
 
         monkeypatch.setattr(forms, "facet_basis", counted_basis)
-        monkeypatch.setattr(forms, "_scatter", counted_scatter)
+        monkeypatch.setattr(forms, "_coo_to_csr", counted_coo_to_csr)
         records = adaptive_loop(bench, config)
         assert len(records) == 3
         if config.saturation:
@@ -426,16 +425,41 @@ class TestAdaptiveLoop:
         with pytest.raises(SolverError, match="non-finite"):
             adaptive_loop(bench, LoopConfig(max_iters=3))
 
+    @pytest.mark.parametrize(
+        "bench, config",
+        [
+            (experiment1(0.01), LoopConfig(max_iters=2, saturation=True)),
+            (experiment2(), LoopConfig(mode="goa", theta=0.2, max_iters=2)),
+        ],
+        ids=["exp1-energy-saturation", "exp2-goa"],
+    )
+    def test_one_ordering_per_iteration(self, monkeypatch, bench, config):
+        # K_delta's minimum-degree ordering is the iteration's only one: the
+        # second factor (B_full for theta_h, G for eps*) reuses it
+        import bubblefem.solvers
+
+        specs = []
+        splu = bubblefem.solvers.splu
+
+        def spy(matrix, permc_spec=None, **options):
+            specs.append(permc_spec)
+            return splu(matrix, permc_spec=permc_spec, **options)
+
+        monkeypatch.setattr(bubblefem.solvers, "splu", spy)
+        records = adaptive_loop(bench, config)
+        assert len(records) == 3
+        assert specs == ["MMD_AT_PLUS_A", "NATURAL"] * len(records)
+
     def test_solver_counts_include_enriched_solve(self, monkeypatch):
         import bubblefem.solvers
         from bubblefem import SolverError
 
         original = bubblefem.solvers._factorize
 
-        def singular_enriched(matrix, label, symmetric=False):
+        def singular_enriched(matrix, label, symmetric=False, order=None):
             if symmetric and label == "enriched stabilized operator":
                 raise SolverError(f"{label} factorization failed: zero pivot")
-            return original(matrix, label, symmetric)
+            return original(matrix, label, symmetric, order)
 
         monkeypatch.setattr(bubblefem.solvers, "_factorize", singular_enriched)
         bench = experiment1(0.5)

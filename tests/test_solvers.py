@@ -291,9 +291,9 @@ def factor_calls(monkeypatch):
     calls = []
     original = bubblefem.solvers._factorize
 
-    def spy(matrix, label, symmetric=False):
+    def spy(matrix, label, symmetric=False, order=None):
         calls.append((label, symmetric))
-        return original(matrix, label, symmetric)
+        return original(matrix, label, symmetric, order)
 
     monkeypatch.setattr(bubblefem.solvers, "_factorize", spy)
     return calls
@@ -373,10 +373,10 @@ class TestCipEnriched:
         B_full = assemble_stabilized(tables)
         original = bubblefem.solvers._factorize
 
-        def singular_unpivoted(matrix, label, symmetric=False):
+        def singular_unpivoted(matrix, label, symmetric=False, order=None):
             if symmetric:
                 raise SolverError(f"{label} factorization failed: zero pivot")
-            return original(matrix, label, symmetric)
+            return original(matrix, label, symmetric, order)
 
         monkeypatch.setattr(bubblefem.solvers, "_factorize", singular_unpivoted)
         theta = solve_cip_enriched(B_full, load, tables)
@@ -394,6 +394,57 @@ class TestCipEnriched:
         assert theta.fallbacks == 0
         r = np.abs(B_full @ theta.coefficients - load).max()
         assert r <= 1e-9 * (1.0 + np.abs(load).max())
+
+
+@pytest.mark.parametrize("p, k", [(1, 3), (2, 4), (3, 5)], ids=["p1k3", "p2k4", "p3k5"])
+@pytest.mark.parametrize("bench_name", ["experiment1", "experiment2"])
+def test_saddle_matrix_gathered_exactly(bench_name, p, k):
+    """K_delta gathered from G and the trial block has the CSC arrays of the
+    sp.bmat construction bit for bit, and the factor keeps it as K: the
+    same arrays with the trial block's diagonal zeroed."""
+    import bubblefem
+
+    tables, B_full, _ = enriched_system(getattr(bubblefem, bench_name)(), p, k, 2)
+    n_test, n_trial = tables.space.dim, tables.space.n_trial
+    G = assemble_gram(tables)
+    B = B_full[:, :n_trial]
+    delta = bubblefem.solvers.DELTA_SCALE * G.diagonal().max()
+    oracle = sp.bmat([[G, B], [B.T, -delta * sp.identity(n_trial)]], format="csc")
+    K = bubblefem.solvers._saddle_matrix(G, B, delta)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(K, name).dtype == getattr(oracle, name).dtype
+        assert np.array_equal(getattr(K, name), getattr(oracle, name))
+    columns = np.repeat(np.arange(n_test + n_trial), np.diff(oracle.indptr))
+    oracle.data[(oracle.indices == columns) & (columns >= n_test)] = 0.0
+    factor = SaddleFactorization(G, B)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(factor.A, name), getattr(oracle, name))
+
+
+@pytest.mark.parametrize("p, k", [(1, 3), (2, 4)], ids=["p1k3", "p2k4"])
+def test_enriched_solve_on_saddle_order(p, k):
+    """theta_h on K_delta's elimination order restricted to the test DoFs,
+    the loop's order for B_full, matches the refined pivoted LU, and the
+    factor fills about as much as on B_full's own minimum-degree ordering
+    (the benchmark loops: -2.4 % to +1.4 % per factor).  argsort(perm_c)
+    is that order; reading perm_c itself as one filled 5-10 times more."""
+    from bubblefem import experiment1
+    from bubblefem.solvers import _factorize
+
+    tables, B_full, load = enriched_system(experiment1(0.01), p, k, 2)
+    order = SaddleFactorization(assemble_gram(tables),
+                                B_full[:, : tables.space.n_trial]).test_order
+    theta = solve_cip_enriched(B_full, load, tables, order)
+    assert theta.fallbacks == 0
+    A = sp.csc_matrix(B_full)
+    lu = spla.splu(A)
+    x = lu.solve(load)
+    for _ in range(3):
+        x += lu.solve(load - A @ x)
+    assert np.linalg.norm(theta.coefficients - x) <= 1e-10 * np.linalg.norm(x)
+    own = _factorize(B_full, ENRICHED, symmetric=True)
+    restricted = _factorize(B_full, ENRICHED, symmetric=True, order=order).lu
+    assert restricted.L.nnz + restricted.U.nnz <= 1.05 * (own.L.nnz + own.U.nnz)
 
 
 def _nan_saddle(request):
