@@ -36,7 +36,10 @@ The space's operators share one CSR sparsity pattern, owned by
 ``FormTables.pattern``: the cell blocks and the nonzero couplings of the
 interior-facet blocks.  It comes from the one COO scatter of the jump
 penalty J, together with the slot of every cell-block entry, the slot of
-every entry's transpose and J's data on the pattern.  ``assemble_gram``
+every entry's transpose and J's data on the pattern.  J's COO is written
+once, a block of facets at a time, into int32 index arrays and a value
+array allocated at their largest size, so neither a concatenated copy of
+it nor every facet's local matrix is ever held.  ``assemble_gram``
 and ``assemble_stabilized`` sum their cell blocks, and their boundary-facet
 blocks on the owner cells' slots, with ``np.bincount``, then add J's data;
 the Gram matrix is averaged with its transpose through the slot map, so it
@@ -168,6 +171,19 @@ def _mass_local(phi, w):
     return np.matmul(w, products).reshape(len(w), phi.shape[1], phi.shape[1])
 
 
+# bytes of one block of facets' local J matrices in ``FormTables._jump_entries``
+_FACET_BLOCK_BYTES = 1 << 19
+
+
+def _occurrences(keys):
+    """How often each entry's key occurs before it in ``keys``."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    count = np.empty(len(keys), dtype=np.intp)
+    count[order] = np.arange(len(keys)) - np.searchsorted(ordered, ordered)
+    return count
+
+
 def _coo_to_csr(rows, cols, values, dim):
     """CSR matrix (dim, dim) summing ``values`` at (``rows``, ``cols``)."""
     return sp.coo_matrix((values, (rows, cols)), shape=(dim, dim)).tocsr()
@@ -261,41 +277,75 @@ class FormTables:
     def pattern(self):
         """The ``Pattern`` of the space's operators, from J's one scatter."""
         cd = self.space.cell_dofs
-        m = cd.shape[1]
-        rows, cols = np.repeat(cd, m, axis=1).ravel(), np.tile(cd, m).ravel()
-        J = _coo_to_csr(*self._jump_entries(rows, cols), self.space.dim)
+        rows, cols, values = self._jump_entries()
+        J = _coo_to_csr(rows, cols, values, self.space.dim)
+        del values
         # each entry's position in J's CSR; the pattern is symmetric, so its CSC
         # order lists the position of each entry's transpose
         positions = sp.csr_array((np.arange(J.nnz, dtype=J.indices.dtype), J.indices, J.indptr),
                                  shape=J.shape)
-        return Pattern(indptr=J.indptr, indices=J.indices,
-                       cell_slots=positions[rows, cols].reshape(len(cd), -1),
+        cell_entries = cd.size * cd.shape[1]  # they lead J's COO
+        cell_slots = positions[rows[:cell_entries], cols[:cell_entries]].reshape(len(cd), -1)
+        del rows, cols
+        return Pattern(indptr=J.indptr, indices=J.indices, cell_slots=cell_slots,
                        transpose=positions.tocsc().data, jump=J.data)
 
-    def _jump_entries(self, rows, cols):
-        """J's COO entries: first every cell block (a, b) on (``rows``,
-        ``cols``), holding J's blocks on each facet side's own cell summed
-        per cell, so each cell-block entry has a slot even where J vanishes;
-        then the nonzero entries of the blocks coupling a facet's two cells.
-        On a facet the normal-gradient jumps of some DoFs vanish exactly,
-        and storing those zeros would only add fill to every factor.  The
-        facet blocks are freed on return, before J's conversion to CSR.
+    def _jump_entries(self):
+        """J's COO entries (rows, cols, values), the indices in int32.
+
+        First every cell block (a, b) on the cell's DoFs, holding J's blocks
+        on each facet side's own cell summed per cell, so each cell-block
+        entry has a slot even where J vanishes; then the nonzero entries of
+        the blocks coupling a facet's two cells, rows on the plus side, and
+        their transposes.  On a facet the normal-gradient jumps of some DoFs
+        vanish exactly, and storing those zeros would only add fill to every
+        factor.  The facets' local matrices are formed a block of facets at
+        a time and every entry is written into arrays allocated once at their
+        largest size, so neither all (nf, 2m, 2m) local matrices nor a
+        concatenated copy of the COO is ever held.
         """
-        cells, m = self.space.cell_dofs.shape
+        cd = self.space.cell_dofs
+        cells, m = cd.shape
         weights, jump, dofs = self.interior
-        local = _facet_local(weights, jump)
-        own = np.zeros(cells * m * m)
-        for side, block in zip(self.space.mesh.interior_sides.T // 3,
-                               (local[:, :m, :m], local[:, m:, m:])):
-            slots = side[:, None] * (m * m) + np.arange(m * m)
-            own += np.bincount(slots.ravel(), block.ravel(), len(own))
-        # the (+, -) block and the transpose of the (-, +) block, rows on the + side
-        cross, cross_t = local[:, :m, m:], local[:, m:, :m].transpose(0, 2, 1)
-        nonzero = (cross != 0.0) | (cross_t != 0.0)
-        plus = np.broadcast_to(dofs[:, :m, None], cross.shape)[nonzero]
-        minus = np.broadcast_to(dofs[:, None, m:], cross.shape)[nonzero]
-        return (np.concatenate([rows, plus, minus]), np.concatenate([cols, minus, plus]),
-                np.concatenate([own, cross[nonzero], cross_t[nonzero]]))
+        sides = self.space.mesh.interior_sides // 3
+        start = cells * m * m  # the facet-coupling entries follow the cell blocks
+        most = len(dofs) * m * m  # of them on one side, at most
+        size = start + 2 * most
+        rows, cols, values = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)
+        rows[:start].reshape(cells, m, m)[...] = cd[:, :, None]
+        cols[:start].reshape(cells, m, m)[...] = cd[:, None, :]
+        # J's blocks on each side's own cell, summed per cell in facet order: the
+        # + sides' sum, then the - sides'.  A cell's k-th facet on a side is added
+        # in round k, so no round repeats a cell.
+        own, own_minus = values[:start].reshape(cells, m, m), np.zeros((cells, m, m))
+        own.fill(0.0)
+        rounds = np.column_stack([_occurrences(side) for side in sides.T])
+        end = start
+        step = max(1, _FACET_BLOCK_BYTES // (32 * m * m))
+        for first in range(0, len(dofs), step):
+            block = slice(first, first + step)
+            local = _facet_local(weights[block], jump[block])
+            for total, side, rank, own_block in zip((own, own_minus), sides[block].T,
+                                                    rounds[block].T,
+                                                    (local[:, :m, :m], local[:, m:, m:])):
+                for k in range(3):
+                    on = rank == k
+                    total[side[on]] += own_block[on]
+            # the (+, -) block and the transpose of the (-, +) block, rows on the + side
+            cross, cross_t = local[:, :m, m:], local[:, m:, :m].transpose(0, 2, 1)
+            nonzero = (cross != 0.0) | (cross_t != 0.0)
+            count = np.count_nonzero(nonzero)
+            rows[end : end + count] = np.broadcast_to(dofs[block, :m, None], cross.shape)[nonzero]
+            cols[end : end + count] = np.broadcast_to(dofs[block, None, m:], cross.shape)[nonzero]
+            values[end : end + count] = cross[nonzero]
+            # the transposes' values wait ``most`` behind, clear of the + entries
+            values[end + most : end + most + count] = cross_t[nonzero]
+            end += count
+        own += own_minus
+        stop = 2 * end - start
+        rows[end:stop], cols[end:stop] = cols[start:end], rows[start:end]
+        values[end:stop] = values[start + most : end + most]  # numpy moves overlapping slices safely
+        return rows[:stop], cols[:stop], values[:stop]
 
     @cached_property
     def jump_penalty(self):

@@ -26,9 +26,10 @@ Saunders and Shinnerl, SIMAX 17, 1996), with a fraction of the fill of a
 column-ordered, pivoted LU of K.  Once factored, K_delta becomes K in
 place: its (2, 2) block's stored diagonal is zeroed.  Refinement against
 K removes the O(delta) shift.  K_delta is gathered column by column
-from the CSC arrays of its blocks, without sorting a COO copy of it.  The
-Gram matrix G is SPD and is factored in the same symmetric mode and
-refined against itself, as is the SPD mass matrix of
+into CSC arrays allocated once at their final size, straight from its
+blocks' arrays, without sorting a COO copy of it or stacking block
+columns.  The Gram matrix G is SPD and is factored in the same
+symmetric mode and refined against itself, as is the SPD mass matrix of
 ``analysis.l2_project``.
 
 One minimum-degree ordering runs per iteration, K_delta's.  G, B_full
@@ -190,16 +191,38 @@ class RefinedFactor:
         return x, r
 
 
+def _stack_columns(indices, data, lead, trail):
+    """Fill ``indices`` and ``data`` column by column with the entries of
+    column j of ``lead``, then those of column j of ``trail``; each is the
+    (indptr, indices, data) of a compressed matrix with the same columns."""
+    from_lead = np.repeat(np.tile([True, False], len(lead[0]) - 1),
+                          np.column_stack([np.diff(lead[0]), np.diff(trail[0])]).ravel())
+    indices[from_lead], data[from_lead] = lead[1], lead[2]
+    np.logical_not(from_lead, out=from_lead)
+    indices[from_lead], data[from_lead] = trail[1], trail[2]
+
+
 def _saddle_matrix(G, B, delta):
     """K_delta = [[G, B], [B^T, -delta I]] in CSC, for a symmetric CSR G.
 
-    Every block goes in as CSC without a copy -- G's CSR arrays are its CSC
-    arrays, and B^T's CSC arrays are B's CSR ones -- so ``bmat`` gathers
-    K_delta's columns from the blocks' arrays instead of sorting a COO of it.
+    K_delta's arrays are allocated once at their final size and filled from
+    the blocks' arrays: column j < n_test is G's row j (G's CSR arrays are
+    its CSC arrays) followed by B's row j shifted by n_test, and column
+    n_test + t is B's column t followed by the -delta diagonal entry.  The
+    rows of each column stay sorted, so no COO of K_delta is sorted.
     """
     B = sp.csr_matrix(B)
-    return sp.bmat([[G.T, B.tocsc()], [B.T, -delta * sp.identity(B.shape[1], format="csc")]],
-                   format="csc")
+    n_test, n_trial = B.shape
+    columns = B.tocsc()
+    diagonal = np.arange(n_trial + 1, dtype=np.int32)  # -delta I's indptr
+    head = G.nnz + B.nnz  # the test columns' entries
+    indptr = np.concatenate([G.indptr + B.indptr, head + columns.indptr[1:] + diagonal[1:]])
+    indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
+    _stack_columns(indices[:head], data[:head], (G.indptr, G.indices, G.data),
+                   (B.indptr, B.indices + np.int32(n_test), B.data))
+    _stack_columns(indices[head:], data[head:], (columns.indptr, columns.indices, columns.data),
+                   (diagonal, n_test + diagonal[:-1], np.full(n_trial, -delta)))
+    return sp.csc_matrix((data, indices, indptr), shape=(n_test + n_trial,) * 2)
 
 
 class SaddleFactorization(RefinedFactor):
@@ -218,10 +241,9 @@ class SaddleFactorization(RefinedFactor):
         delta = DELTA_SCALE * self.G.diagonal().max(initial=0.0)
         K = _saddle_matrix(self.G, B, delta)
         lu = _factorize(K, "saddle system", symmetric=True)
-        # K_delta -> K: zero the stored diagonal of the trial columns, inserting no entry
-        start = K.indptr[self.n_test]
-        columns = np.repeat(np.arange(self.n_test, K.shape[1]), np.diff(K.indptr[self.n_test :]))
-        K.data[start:][K.indices[start:] == columns] = 0.0
+        # K_delta -> K: zero the stored diagonal of the trial columns, each one's
+        # last entry, inserting no entry
+        K.data[K.indptr[self.n_test + 1 :] - 1] = 0.0
         super().__init__(K, lu, "saddle system")
 
     @cached_property

@@ -1,6 +1,16 @@
-"""Legacy ASCII VTK output and plain-text mesh dumps."""
+"""Legacy ASCII VTK output and plain-text mesh dumps.
+
+Each block of values is formatted by one ``%`` operation over the whole
+array, one line per row.
+"""
 
 import numpy as np
+
+
+def _lines(fmt, values):
+    """One line ``fmt % row`` per row of the 2-D ``values``."""
+    values = np.asarray(values)
+    return (fmt + "\n") * len(values) % tuple(values.ravel().tolist())
 
 
 def write_vtk(path, mesh, cell_data=None, point_data=None):
@@ -9,45 +19,28 @@ def write_vtk(path, mesh, cell_data=None, point_data=None):
     ``cell_data`` and ``point_data`` are dicts of name -> scalar array
     (per cell / per vertex).
     """
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "bubblefem mesh",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {len(mesh.vertices)} double",
+    nv, nc = len(mesh.vertices), len(mesh.cells)
+    parts = [
+        "# vtk DataFile Version 3.0\nbubblefem mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {nv} double\n",
+        _lines("%.16g %.16g 0", mesh.vertices),
+        f"CELLS {nc} {4 * nc}\n",
+        _lines("3 %d %d %d", mesh.cells),
+        f"CELL_TYPES {nc}\n",
+        "5\n" * nc,  # VTK_TRIANGLE
     ]
-    for x, y in mesh.vertices.tolist():
-        lines.append(f"{x:.16g} {y:.16g} 0")
-    nc = len(mesh.cells)
-    lines.append(f"CELLS {nc} {4 * nc}")
-    for a, b, c in mesh.cells.tolist():
-        lines.append(f"3 {a} {b} {c}")
-    lines.append(f"CELL_TYPES {nc}")
-    lines.extend(["5"] * nc)  # VTK_TRIANGLE
-    if cell_data:
-        lines.append(f"CELL_DATA {nc}")
-        for name, values in cell_data.items():
-            values = np.asarray(values, dtype=float).tolist()
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.16g}" for v in values)
-    if point_data:
-        lines.append(f"POINT_DATA {len(mesh.vertices)}")
-        for name, values in point_data.items():
-            values = np.asarray(values, dtype=float).tolist()
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.16g}" for v in values)
+    for section, count, arrays in (("CELL_DATA", nc, cell_data), ("POINT_DATA", nv, point_data)):
+        if arrays:
+            parts.append(f"{section} {count}\n")
+            for name, values in arrays.items():
+                parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+                parts.append(_lines("%.16g", np.asarray(values, dtype=float).reshape(-1, 1)))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))
 
 
 def write_mesh_txt(path, mesh):
     """Plain-text mesh dump (vertex list + cell list) for fixtures."""
     with open(path, "w") as fh:
-        fh.write(f"# vertices {len(mesh.vertices)}\n")
-        for x, y in mesh.vertices.tolist():
-            fh.write(f"{x:.16g} {y:.16g}\n")
-        fh.write(f"# cells {len(mesh.cells)}\n")
-        for a, b, c in mesh.cells.tolist():
-            fh.write(f"{a} {b} {c}\n")
+        fh.write(f"# vertices {len(mesh.vertices)}\n" + _lines("%.16g %.16g", mesh.vertices)
+                 + f"# cells {len(mesh.cells)}\n" + _lines("%d %d %d", mesh.cells))

@@ -282,6 +282,53 @@ def coo_plus_sum(tables):
     return J, G, B_full + J
 
 
+def oracle_pattern(tables):
+    """The pattern by the concatenating construction: J's COO as int64 cell
+    blocks, then every facet's full local matrices, concatenated, and the
+    slot maps read off a CSR of positions."""
+    import bubblefem.forms as forms
+
+    cd = tables.space.cell_dofs
+    cells, m = cd.shape
+    rows, cols = np.repeat(cd, m, axis=1).ravel(), np.tile(cd, m).ravel()
+    weights, jump, dofs = tables.interior
+    local = forms._facet_local(weights, jump)
+    own = np.zeros(cells * m * m)
+    for side, block in zip(tables.space.mesh.interior_sides.T // 3,
+                           (local[:, :m, :m], local[:, m:, m:])):
+        slots = side[:, None] * (m * m) + np.arange(m * m)
+        own += np.bincount(slots.ravel(), block.ravel(), len(own))
+    cross, cross_t = local[:, :m, m:], local[:, m:, :m].transpose(0, 2, 1)
+    nonzero = (cross != 0.0) | (cross_t != 0.0)
+    plus = np.broadcast_to(dofs[:, :m, None], cross.shape)[nonzero]
+    minus = np.broadcast_to(dofs[:, None, m:], cross.shape)[nonzero]
+    J = forms._coo_to_csr(np.concatenate([rows, plus, minus]), np.concatenate([cols, minus, plus]),
+                          np.concatenate([own, cross[nonzero], cross_t[nonzero]]), tables.space.dim)
+    positions = sp.csr_array((np.arange(J.nnz, dtype=J.indices.dtype), J.indices, J.indptr),
+                             shape=J.shape)
+    return forms.Pattern(indptr=J.indptr, indices=J.indices,
+                         cell_slots=positions[rows, cols].reshape(cells, -1),
+                         transpose=positions.tocsc().data, jump=J.data)
+
+
+def pattern_tables(case):
+    """Tables of uniform p2k4 at n = 8, of a graded exp2 p1k3 mesh or of one cell."""
+    import bubblefem
+
+    if case == "uniform-p2k4":
+        bench = experiment1(0.5)
+        return FormTables(build_space(bench.initial_mesh(), enriched(2, 4)),
+                          replace(bench.data, penalty_order=4))
+    if case == "graded-p1k3":
+        bench = experiment2()
+        mesh = bench.initial_mesh()
+        for _ in range(4):  # graded towards the lower left corner
+            mesh = refine(mesh, np.flatnonzero(mesh.vertices[mesh.cells].mean(axis=1).sum(axis=1) < 0.5))
+        return FormTables(build_space(mesh, enriched(1, 3)), replace(bench.data, penalty_order=3))
+    mesh = bubblefem.Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
+    return FormTables(build_space(mesh, enriched(2, 4)), make_data(const_field([1.0, 0.0]), k_pen=4))
+
+
 class TestPattern:
     def test_operators_store_no_exact_zero(self):
         """On the uniform p2k4 loop's first space J's facet blocks couple DoF
@@ -302,6 +349,27 @@ class TestPattern:
             assert np.array_equal(A.indptr, oracle.indptr)
             assert np.array_equal(A.indices, oracle.indices)
             assert np.abs(A.data - oracle.data).max() <= 1e-14 * np.abs(oracle.data).max()
+
+    @pytest.mark.parametrize("block_bytes", [1, 20000, None], ids=["one-facet", "few-facets", "default"])
+    @pytest.mark.parametrize("case", ["uniform-p2k4", "graded-p1k3", "one-cell"])
+    def test_arrays_equal_concatenating_construction(self, monkeypatch, case, block_bytes):
+        """Every array of the pattern equals the concatenating construction's
+        bit for bit, and its index arrays are int32, whether the facets'
+        local matrices are formed one facet at a time, a few at a time (7
+        at p2k4, 39 at p1k3) or in the default blocks (one block on these
+        meshes, so a cell meets up to three of its facets in a block)."""
+        import bubblefem.forms as forms
+
+        if block_bytes is not None:
+            monkeypatch.setattr(forms, "_FACET_BLOCK_BYTES", block_bytes)
+        tables = pattern_tables(case)
+        pattern, oracle = tables.pattern, oracle_pattern(tables)
+        for name in ("indptr", "indices", "cell_slots", "transpose", "jump"):
+            assert getattr(pattern, name).dtype == getattr(oracle, name).dtype
+            assert np.array_equal(getattr(pattern, name), getattr(oracle, name))
+        for name in ("indptr", "indices", "cell_slots", "transpose"):
+            assert getattr(pattern, name).dtype == np.int32
+        assert (np.count_nonzero(pattern.jump) == 0) == (case == "one-cell")
 
 
 class TestCoercivityAndSplit:
