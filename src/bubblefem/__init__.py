@@ -29,7 +29,6 @@ from .forms import (
     FormTables,
     ProblemData,
     Rectangle,
-    assemble_advection,
     assemble_gram,
     assemble_load,
     assemble_mass,

@@ -287,8 +287,9 @@ class FormTables:
         cell_entries = cd.size * cd.shape[1]  # they lead J's COO
         cell_slots = positions[rows[:cell_entries], cols[:cell_entries]].reshape(len(cd), -1)
         del rows, cols
-        return Pattern(indptr=J.indptr, indices=J.indices, cell_slots=cell_slots,
-                       transpose=positions.tocsc().data, jump=J.data)
+        # J's indices and data can be views into its COO-sized buffers: copy them out
+        return Pattern(indptr=J.indptr, indices=J.indices.copy(), cell_slots=cell_slots,
+                       transpose=positions.tocsc().data, jump=J.data.copy())
 
     def _jump_entries(self):
         """J's COO entries (rows, cols, values), the indices in int32.
@@ -405,11 +406,6 @@ def _advection_local(tables):
     products = gref.transpose(0, 2, 1)[:, :, :, None] * phi[:, None, None, :]
     local = -np.matmul(wb.reshape(nc, -1), products.reshape(2 * nq, -1))
     return local.reshape(nc, phi.shape[1], phi.shape[1])
-
-
-def assemble_advection(tables):
-    """Adjoint-form advection block: -(v, b . grad w)."""
-    return _scatter(_advection_local(tables), tables.space.cell_dofs, tables.space.dim)
 
 
 # -- composed operators -------------------------------------------------------

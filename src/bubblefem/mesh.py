@@ -158,20 +158,6 @@ class Mesh:
             raise ValueError(f"point {tuple(bad)} lies outside the mesh")
         return found
 
-    @property
-    def min_angle(self):
-        """Smallest interior angle over all cells (radians)."""
-        tri = self.vertices[self.cells]
-        angles = []
-        for i in range(3):
-            u = tri[:, (i + 1) % 3] - tri[:, i]
-            v = tri[:, (i + 2) % 3] - tri[:, i]
-            cosa = np.einsum("cd,cd->c", u, v) / (
-                np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-            )
-            angles.append(np.arccos(np.clip(cosa, -1.0, 1.0)))
-        return float(np.min(angles))
-
     def validate(self):
         """Check conformity and geometric invariants; raises on violation."""
         if np.any(self.cell_areas <= 0.0):

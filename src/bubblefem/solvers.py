@@ -53,6 +53,15 @@ B_full is factored in symmetric mode and refined against itself; the
 gate and the pivoted fallback, also taken on a zero pivot, still guard
 it.  With mu_0 = 0, sym(B_full) is only semidefinite, no unpivoted
 factor is guaranteed, and B_full gets the pivoted LU directly.
+
+Every factor runs with SuperLU's supernode relaxation at 1
+(``SUPERNODE_RELAX``; SuperLU: Demmel et al., SIMAX 20, 1999).  With the
+default, the time of a K_delta factor jumps with its sparsity pattern, at
+equal fill and flops: on the goal-oriented p = 1 loop of experiment 2 it
+took 2.2, 8.4, 2.7 and 18.2 s at 35k-50k DoFs, against 0.5-0.7 s with
+relax = 1, and the slow factors touched far more memory.  Zero padding in
+relaxed supernodes, which ``L.nnz + U.nnz`` does not count, is the likely
+cause; that is not verified against SuperLU's source.
 """
 
 from dataclasses import dataclass
@@ -71,6 +80,12 @@ DELTA_SCALE = 1e-8
 REFINE_TOL = 1e-12
 # ... or after this many steps, when the solve falls back to the pivoted LU of A
 REFINE_STEPS = 3
+# SuperLU's supernode relaxation, passed to every factor.  With the default, a
+# K_delta factor's time jumps with its sparsity pattern at equal fill and flops
+# (2.2 -> 8.4 -> 2.7 -> 18.2 s at 35k-50k DoFs on goa p1), against 0.5-0.7 s
+# with 1.  Zero padding of relaxed supernodes, which L.nnz + U.nnz does not
+# count, is the likely cause; that is unverified against SuperLU's source.
+SUPERNODE_RELAX = 1
 
 
 class SolverError(RuntimeError):
@@ -86,9 +101,9 @@ def _factorize(matrix, label, symmetric=False, order=None):
     ``order``, on that elimination order of its rows and columns: P A P^T
     is factored in natural order, and the factor solves in A's numbering.
     """
-    options = {}
+    options = dict(relax=SUPERNODE_RELAX)
     if symmetric:
-        options = dict(permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
+        options.update(permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     try:
         if order is None:

@@ -435,20 +435,24 @@ class TestAdaptiveLoop:
     )
     def test_one_ordering_per_iteration(self, monkeypatch, bench, config):
         # K_delta's minimum-degree ordering is the iteration's only one: the
-        # second factor (B_full for theta_h, G for eps*) reuses it
+        # second factor (B_full for theta_h, G for eps*) reuses it.  Every
+        # factor runs with relax=1: the default's time cliff (solvers'
+        # SUPERNODE_RELAX) needs factors far larger than a test can time.
         import bubblefem.solvers
 
-        specs = []
+        specs, relaxes = [], []
         splu = bubblefem.solvers.splu
 
-        def spy(matrix, permc_spec=None, **options):
+        def spy(matrix, permc_spec=None, relax=None, **options):
             specs.append(permc_spec)
-            return splu(matrix, permc_spec=permc_spec, **options)
+            relaxes.append(relax)
+            return splu(matrix, permc_spec=permc_spec, relax=relax, **options)
 
         monkeypatch.setattr(bubblefem.solvers, "splu", spy)
         records = adaptive_loop(bench, config)
         assert len(records) == 3
         assert specs == ["MMD_AT_PLUS_A", "NATURAL"] * len(records)
+        assert relaxes == [1] * len(specs)
 
     def test_solver_counts_include_enriched_solve(self, monkeypatch):
         import bubblefem.solvers

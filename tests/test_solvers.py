@@ -299,6 +299,26 @@ def factor_calls(monkeypatch):
     return calls
 
 
+def test_pivoted_factor_relaxes_supernodes_to_one(monkeypatch):
+    """The pivoted COLAMD LU runs with relax=1 like every other factor (the
+    loops' spy in test_adapt covers the unpivoted ones): on exp2's B_full
+    (mu_0 = 0) at 5k-41k test DoFs it took 0.94-1.07 times the default's
+    median time, with no consistent direction, so one setting serves every
+    call."""
+    relaxes = []
+    splu = bubblefem.solvers.splu
+
+    def spy(matrix, relax=None, **options):
+        relaxes.append(relax)
+        return splu(matrix, relax=relax, **options)
+
+    monkeypatch.setattr(bubblefem.solvers, "splu", spy)
+    A = sp.csr_matrix(np.array([[4.0, -1, 0, -1], [-1, 4, -1, 0], [0, -1, 4, -1], [-1, 0, -1, 4]]))
+    lu = bubblefem.solvers._factorize(A, "laplacian")
+    assert np.allclose(A @ lu.solve(np.ones(4)), 1.0)
+    assert relaxes == [1]
+
+
 def enriched_system(bench, p, k, generations):
     """The tables, B_full and the load of bench at (p, k) on its initial mesh refined
     ``generations`` times around the middle of the domain."""
