@@ -10,6 +10,7 @@ adjoint residual representatives.
 import csv
 import math
 import pathlib
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -102,15 +103,18 @@ CSV_COLUMNS = list(CSV_SCHEMA)
 class AdaptRecord:
     """One adaptive iteration: sizes, estimates, errors, marking.
 
-    Fields beyond the CSV schema (h_max, kkt_residual, orthogonality,
-    est_goa, robustness) are diagnostics used by the verification suite;
-    kkt_residual is the max over the iteration's saddle solves (the primal
-    one, and the adjoint one in goa mode).  solver_refine_steps and
-    solver_fallback count the refinement steps and the fallbacks to the
-    pivoted LU over every solve of the iteration: the saddle solves, the
-    adjoint's Gram solve in goa mode and the saturation diagnostic's
-    enriched solve (see ``solvers.RefinedFactor``), so they tell which
-    solver path ran.
+    ``adaptive_loop`` builds it with the sizes and h_max; its steps write the
+    rest: ``_solve_and_estimate`` the estimates, kkt_residual (the max over
+    the primal and, in goa mode, adjoint saddle solves) and orthogonality,
+    ``_diagnose`` the errors, saturation and robustness, ``_mark_and_refine``
+    marked, and the two solving steps the counts of their solves.  Fields
+    beyond the CSV schema (h_max, kkt_residual, orthogonality, est_goa,
+    robustness and the solver counts) are diagnostics used by the
+    verification suite.  solver_refine_steps and solver_fallback count the
+    refinement steps and the fallbacks to the pivoted LU over every solve of
+    the iteration: the saddle solves, the Gram solve of eps* in goa mode and
+    theta_h's (see ``solvers.RefinedFactor``), so they tell which solver
+    path ran.
     """
 
     iteration: int
@@ -206,60 +210,113 @@ class LoopConfig:
         return self
 
 
-def _diagnose(bench, tables, G, B_full, load, sol, est_energy, saturation, q, qoi_ref, order):
-    """Exact-solution errors, the saturation ratio and robustness of the
-    enriched CIP reference theta_h, and the QoI error, measured on the
-    iteration's tables; returns the ``AdaptRecord`` fields it measured,
-    with the solver path counts of the theta_h solve.  B_full is factored
-    on the elimination ``order`` of the saddle factor's test DoFs.
-    """
-    if bench.exact is None:
-        return {}
+# the solve step's results that the later steps read; q is None outside goa mode
+_Solved = namedtuple("_Solved", "G B_full load q u eta test_order")
+
+
+def _count_solves(record, *solvers):
+    """Add the solver counts of ``solvers`` (``RefinedFactor``s or theta_h) to the record."""
+    record.solver_refine_steps += sum(s.refine_steps for s in solvers)
+    record.solver_fallback += sum(s.fallbacks for s in solvers)
+
+
+def _solve_and_estimate(record, tables, qoi_region):
+    """Assemble on ``tables``, solve the saddle system and, given the
+    ``qoi_region`` (goa mode), the adjoint one on one factor of K, and write
+    the estimates and residuals into the record.  K and its LU are freed on
+    return, before the diagnostics factor B_full."""
+    G = assemble_gram(tables)
+    # the test space nests the trial space first: B is B_full's trial block
+    B_full = assemble_stabilized(tables)
+    # only G and B_full read the pattern and J's data on it; free them before the LU
+    del tables.pattern
+    load = assemble_load(tables)
+    test, q = tables.space, None
+    factor = SaddleFactorization(G, B_full[:, : test.n_trial])
+    sol = solve_saddle(factor, load, test)
+    record.kkt_residual, record.orthogonality = sol.kkt_residual, sol.orthogonality
+    if qoi_region is None:
+        indicators = energy_indicators(sol.epsilon, tables)
+        _count_solves(record, factor)
+    else:
+        q = assemble_qoi(tables, qoi_region)
+        adj = solve_adjoint(factor, q, B_full, test)
+        indicators, goa_sq = goa_indicators(sol.epsilon, adj.eps_star, tables)
+        record.est_goa = math.sqrt(goa_sq)
+        record.kkt_residual = max(record.kkt_residual, adj.kkt_residual)
+        # counted in goa mode only: reading factor.gram builds it
+        _count_solves(record, factor, factor.gram)
+    record.est_energy = indicators.total
+    return _Solved(G, B_full, load, q, sol.u, indicators.eta, factor.test_order)
+
+
+def _diagnose(record, exact, tables, solved, qoi_ref, saturation):
+    """Write the errors against ``exact``, the QoI error given ``qoi_ref`` and,
+    with ``saturation``, the saturation ratio and robustness of the enriched
+    CIP reference theta_h into the record.  theta_h factors B_full on K's
+    ``test_order``, so no second ordering runs."""
+    u = solved.u
     theta_h = None
     if saturation:
-        theta_h = solve_cip_enriched(B_full, load, tables, order)
-    reps = error_norms([sol.u, theta_h] if saturation else [sol.u], bench.exact, tables)
-    diag = {"err_l2_rel": reps[0].l2 / reps[0].exact_l2, "err_triple": reps[0].triple}
+        theta_h = solve_cip_enriched(solved.B_full, solved.load, tables, solved.test_order)
+    reps = error_norms([u, theta_h] if saturation else [u], exact, tables)
+    record.err_l2_rel, record.err_triple = reps[0].l2 / reps[0].exact_l2, reps[0].triple
     if saturation:
-        diag["saturation"] = reps[1].triple / reps[0].triple
+        record.saturation = reps[1].triple / reps[0].triple
         # G induces the energy norm on the test space
-        d = theta_h.coefficients - sol.u.coefficients
-        diag["robustness"] = math.sqrt(d @ (G @ d)) / est_energy
-        diag["solver_refine_steps"] = theta_h.refine_steps
-        diag["solver_fallback"] = theta_h.fallbacks
+        d = theta_h.coefficients - u.coefficients
+        record.robustness = math.sqrt(d @ (solved.G @ d)) / record.est_energy
+        _count_solves(record, theta_h)
     if qoi_ref is not None:
-        diag["err_qoi_rel"] = qoi_error(sol.u, q, qoi_ref)
-    return diag
+        record.err_qoi_rel = qoi_error(u, solved.q, qoi_ref)
+
+
+def _write_iteration(outdir, config, record, mesh, solved):
+    """The requested files: the VTK mesh with the indicators and u_h at the
+    vertices, and G and B as Matrix Market."""
+    name = f"{record.iteration:04d}"
+    if config.vtk:
+        write_vtk(outdir / f"mesh_{name}.vtk", mesh, cell_data={"indicator": solved.eta},
+                  point_data={"u": solved.u.coefficients[: len(mesh.vertices)]})
+    if config.dump_matrices:
+        write_matrix_market(outdir / f"gram_{name}.mtx", solved.G)
+        write_matrix_market(outdir / f"operator_{name}.mtx", solved.B_full[:, : record.dofs_trial])
+
+
+def _mark_and_refine(record, mesh, eta, config):
+    """Mark by the bulk criterion on ``eta``, or every cell in uniform mode,
+    write the count into the record and refine; returns ``mesh`` itself
+    when no cell is marked."""
+    if config.mode == "uniform":
+        record.marked = len(mesh.cells)
+        # two full bisection sweeps: together they halve h and quadruple the cells
+        for _ in range(2):
+            mesh = refine(mesh, np.arange(len(mesh.cells)))
+        return mesh
+    marked = dorfler_mark(eta, config.resolved_theta(), squared=config.mode != "goa")
+    record.marked = len(marked)
+    return refine(mesh, marked) if len(marked) else mesh
 
 
 def adaptive_loop(bench, config):
     """SOLVE -> ESTIMATE -> DIAGNOSE -> MARK -> REFINE until the stop rule fires.
 
-    Returns the list of per-iteration records; when ``config.outdir`` is
-    set the records are also serialized as CSV there together with any
-    requested per-iteration dumps.
+    Each iteration's record starts with its sizes and the steps write the
+    rest.  Returns the records; with ``config.outdir`` set they are also
+    written there as CSV, with any requested per-iteration dumps.
     """
     config.validate()
     mesh = bench.initial_mesh()
-    data = replace(
-        bench.data,
-        penalty_order=config.k,
-        penalty_exponent=config.alpha,
-        gram_weight=config.sigma0,
-    )
-    track_sat = (
-        config.saturation
-        if config.saturation is not None
-        else (bench.exact is not None and config.mode != "goa")
-    )
+    data = replace(bench.data, penalty_order=config.k, penalty_exponent=config.alpha,
+                   gram_weight=config.sigma0)
     goa = config.mode == "goa"
     if goa and bench.qoi_region is None:
         raise ValueError("goal-oriented mode needs a benchmark with a QoI region")
-
+    # only runs with an exact solution reach the diagnostics
+    track_sat = not goa if config.saturation is None else config.saturation
     qoi_ref = None
     if goa and bench.exact is not None:
         qoi_ref = qoi_reference(bench.exact, bench.qoi_region)
-
     outdir = None
     if config.outdir is not None:
         outdir = pathlib.Path(config.outdir)
@@ -268,83 +325,24 @@ def adaptive_loop(bench, config):
     records = []
     while True:
         test = build_space(mesh, enriched(config.p, config.k))
+        record = AdaptRecord(len(records), test.n_trial, test.dim, test.n_trial + test.dim,
+                             est_energy=math.nan, h_max=float(mesh.cell_diameters.max()))
+        records.append(record)
         # built lazily: the first assembler to read a table pays for it
         tables = FormTables(test, data, config.quad_degree)
-        G = assemble_gram(tables)
-        # the test space nests the trial space first: B is B_full's trial block
-        B_full = assemble_stabilized(tables)
-        # only G and B_full read the pattern and J's data on it; free them before the LU
-        del tables.pattern
-        load = assemble_load(tables)
-        factor = SaddleFactorization(G, B_full[:, : test.n_trial])
-        sol = solve_saddle(factor, load, test)
-
-        est_goa, q, kkt_residual = math.nan, None, sol.kkt_residual
-        if goa:
-            q = assemble_qoi(tables, bench.qoi_region)
-            adj = solve_adjoint(factor, q, B_full, test)
-            indicators, goa_sq = goa_indicators(sol.epsilon, adj.eps_star, tables)
-            est_goa = math.sqrt(goa_sq)
-            kkt_residual = max(kkt_residual, adj.kkt_residual)
-        else:
-            indicators = energy_indicators(sol.epsilon, tables)
-
-        solved = (factor, factor.gram) if goa else (factor,)
-        refine_steps = sum(f.refine_steps for f in solved)
-        fallbacks = sum(f.fallbacks for f in solved)
-        # the saturation solve factors B_full on K's ordering, so no second ordering runs
-        order = factor.test_order
-        del factor, solved  # K and its LU leave memory before the diagnostics factor B_full
-        dofs_total = test.n_trial + test.dim
-        diag = _diagnose(bench, tables, G, B_full, load, sol, indicators.total,
-                         track_sat and dofs_total <= config.saturation_max_dofs, q, qoi_ref,
-                         order)
-        record = AdaptRecord(
-            iteration=len(records),
-            dofs_trial=test.n_trial,
-            dofs_test=test.dim,
-            dofs_total=dofs_total,
-            est_energy=indicators.total,
-            h_max=float(mesh.cell_diameters.max()),
-            kkt_residual=kkt_residual,
-            orthogonality=sol.orthogonality,
-            est_goa=est_goa,
-            **diag,
-        )
-        # the saddle and (goa) Gram solves' path, added to the enriched solve's from _diagnose
-        record.solver_refine_steps += refine_steps
-        record.solver_fallback += fallbacks
-        records.append(record)
-
+        solved = _solve_and_estimate(record, tables, bench.qoi_region if goa else None)
+        if bench.exact is not None:
+            _diagnose(record, bench.exact, tables, solved, qoi_ref,
+                      track_sat and record.dofs_total <= config.saturation_max_dofs)
         if outdir is not None:
-            if config.vtk:
-                point_u = sol.u.coefficients[: len(mesh.vertices)]
-                write_vtk(
-                    outdir / f"mesh_{record.iteration:04d}.vtk",
-                    mesh,
-                    cell_data={"indicator": indicators.eta},
-                    point_data={"u": point_u},
-                )
-            if config.dump_matrices:
-                write_matrix_market(outdir / f"gram_{record.iteration:04d}.mtx", G)
-                write_matrix_market(outdir / f"operator_{record.iteration:04d}.mtx",
-                                    B_full[:, : test.n_trial])
-
-        if (config.max_dofs is not None and dofs_total >= config.max_dofs) or (
-            config.max_iters is not None and record.iteration >= config.max_iters
-        ):
+            _write_iteration(outdir, config, record, mesh, solved)
+        if (config.max_dofs is not None and record.dofs_total >= config.max_dofs
+                or config.max_iters is not None and record.iteration >= config.max_iters):
             break
-        if config.mode == "uniform":
-            marked = np.arange(len(mesh.cells))
-        else:
-            marked = dorfler_mark(indicators.eta, config.resolved_theta(), squared=not goa)
-        record.marked = len(marked)
-        if len(marked) == 0:
+        mesh = _mark_and_refine(record, mesh, solved.eta, config)
+        if record.marked == 0:
             break
-        mesh = refine(mesh, marked)
-        if config.mode == "uniform":
-            # the second full bisection sweep: together they halve h and quadruple the cells
-            mesh = refine(mesh, np.arange(len(mesh.cells)))
+        del solved  # this iteration's operators leave memory before the next K is factored
 
     if outdir is not None:
         write_records_csv(outdir / "records.csv", records)

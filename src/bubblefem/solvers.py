@@ -80,11 +80,7 @@ DELTA_SCALE = 1e-8
 REFINE_TOL = 1e-12
 # ... or after this many steps, when the solve falls back to the pivoted LU of A
 REFINE_STEPS = 3
-# SuperLU's supernode relaxation, passed to every factor.  With the default, a
-# K_delta factor's time jumps with its sparsity pattern at equal fill and flops
-# (2.2 -> 8.4 -> 2.7 -> 18.2 s at 35k-50k DoFs on goa p1), against 0.5-0.7 s
-# with 1.  Zero padding of relaxed supernodes, which L.nnz + U.nnz does not
-# count, is the likely cause; that is unverified against SuperLU's source.
+# SuperLU's supernode relaxation, passed to every factor (why 1: the module docstring)
 SUPERNODE_RELAX = 1
 
 

@@ -474,14 +474,27 @@ class TestAdaptiveLoop:
         assert [r.solver_fallback for r in records] == [1, 1]
         assert [r.solver_refine_steps for r in records] == [r.solver_refine_steps for r in plain]
 
-    def test_solver_counts_include_gram_solve(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "bench, config, fallbacks",
+        [
+            (experiment1(0.5), LoopConfig(max_iters=1, saturation=False), 1),
+            (experiment1(0.5), LoopConfig(max_iters=1, saturation=True), 2),
+            (experiment2(), LoopConfig(mode="goa", theta=0.2, max_iters=1), 3),
+        ],
+        ids=["exp1-energy", "exp1-energy-saturation", "exp2-goa"],
+    )
+    def test_solver_counts_cover_every_solve(self, monkeypatch, bench, config, fallbacks):
         import bubblefem.solvers
 
-        # no residual passes a zero gate: the primal and adjoint saddle solves
-        # and the adjoint's Gram solve each fall back once per iteration
+        # no residual passes a zero gate, so every solve of an iteration falls
+        # back once and runs all REFINE_STEPS steps on each of its two factors:
+        # the saddle solve, with saturation theta_h's, and in goa mode the
+        # adjoint saddle solve and its Gram solve
         monkeypatch.setattr(bubblefem.solvers, "REFINE_TOL", 0.0)
-        records = adaptive_loop(experiment2(), LoopConfig(mode="goa", theta=0.2, max_iters=1))
-        assert [r.solver_fallback for r in records] == [3, 3]
+        records = adaptive_loop(bench, config)
+        assert [r.solver_fallback for r in records] == [fallbacks] * 2
+        steps = 2 * bubblefem.solvers.REFINE_STEPS * fallbacks
+        assert [r.solver_refine_steps for r in records] == [steps] * 2
 
     def test_saddle_factor_freed_before_diagnostics(self, monkeypatch):
         import weakref
