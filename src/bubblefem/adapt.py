@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import error_norms, local_energy_products, qoi_error, qoi_reference
+from .analysis import energy_products, error_norms, local_energy_products, qoi_error, qoi_reference
 from .forms import (
     FormTables,
     ProblemData,
@@ -51,12 +51,10 @@ def goa_indicators(epsilon, eps_star, tables):
     """Product indicators |||eps|||_T |||eps*|||_T and the scalar estimate.
 
     Returns (indicators, E^2) where E^2 = |(eps, eps*)| in the energy
-    inner product.
+    inner product.  Each representative is contracted once per energy term.
     """
-    pa = np.maximum(local_energy_products(epsilon, epsilon, tables), 0.0)
-    pb = np.maximum(local_energy_products(eps_star, eps_star, tables), 0.0)
-    pab = local_energy_products(epsilon, eps_star, tables)
-    eta = np.sqrt(pa) * np.sqrt(pb)
+    pa, pb, pab = energy_products([epsilon, eps_star], [(0, 0), (1, 1), (0, 1)], tables)
+    eta = np.sqrt(np.maximum(pa, 0.0)) * np.sqrt(np.maximum(pb, 0.0))
     return Indicators(eta, float(np.sqrt((eta**2).sum()))), float(abs(pab.sum()))
 
 
@@ -215,22 +213,26 @@ _Solved = namedtuple("_Solved", "G B_full load q u eta test_order")
 
 
 def _count_solves(record, *solvers):
-    """Add the solver counts of ``solvers`` (``RefinedFactor``s or theta_h) to the record."""
+    """Add the solver counts of the ``RefinedFactor``s ``solvers`` to the record."""
     record.solver_refine_steps += sum(s.refine_steps for s in solvers)
     record.solver_fallback += sum(s.fallbacks for s in solvers)
 
 
-def _solve_and_estimate(record, tables, qoi_region):
+def _solve_and_estimate(record, tables, qoi_region, last):
     """Assemble on ``tables``, solve the saddle system and, given the
     ``qoi_region`` (goa mode), the adjoint one on one factor of K, and write
     the estimates and residuals into the record.  K and its LU are freed on
-    return, before the diagnostics factor B_full."""
+    return, before the diagnostics factor B_full.  On the ``last`` iteration,
+    whose K factor is the run's memory peak, the tables' coefficients, which
+    only a next iteration would read, are freed before it."""
     G = assemble_gram(tables)
     # the test space nests the trial space first: B is B_full's trial block
     B_full = assemble_stabilized(tables)
     # only G and B_full read the pattern and J's data on it; free them before the LU
     del tables.pattern
     load = assemble_load(tables)
+    if last:
+        tables.drop("coefficients")
     test, q = tables.space, None
     factor = SaddleFactorization(G, B_full[:, : test.n_trial])
     sol = solve_saddle(factor, load, test)
@@ -258,7 +260,9 @@ def _diagnose(record, exact, tables, solved, qoi_ref, saturation):
     u = solved.u
     theta_h = None
     if saturation:
-        theta_h = solve_cip_enriched(solved.B_full, solved.load, tables, solved.test_order)
+        theta_h, factor = solve_cip_enriched(solved.B_full, solved.load, tables, solved.test_order)
+        _count_solves(record, factor)
+        del factor  # B_full's LU leaves memory before the error norms
     reps = error_norms([u, theta_h] if saturation else [u], exact, tables)
     record.err_l2_rel, record.err_triple = reps[0].l2 / reps[0].exact_l2, reps[0].triple
     if saturation:
@@ -266,7 +270,6 @@ def _diagnose(record, exact, tables, solved, qoi_ref, saturation):
         # G induces the energy norm on the test space
         d = theta_h.coefficients - u.coefficients
         record.robustness = math.sqrt(d @ (solved.G @ d)) / record.est_energy
-        _count_solves(record, theta_h)
     if qoi_ref is not None:
         record.err_qoi_rel = qoi_error(u, solved.q, qoi_ref)
 
@@ -322,22 +325,24 @@ def adaptive_loop(bench, config):
         outdir = pathlib.Path(config.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
 
-    records = []
+    records, tables = [], None
     while True:
         test = build_space(mesh, enriched(config.p, config.k))
         record = AdaptRecord(len(records), test.n_trial, test.dim, test.n_trial + test.dim,
                              est_energy=math.nan, h_max=float(mesh.cell_diameters.max()))
         records.append(record)
-        # built lazily: the first assembler to read a table pays for it
-        tables = FormTables(test, data, config.quad_degree)
-        solved = _solve_and_estimate(record, tables, bench.qoi_region if goa else None)
+        # built lazily: the first assembler to read a table pays for it, and
+        # only for the cells and facets that the last refinement created
+        tables = FormTables(test, data, config.quad_degree, tables)
+        last = (config.max_dofs is not None and record.dofs_total >= config.max_dofs
+                or config.max_iters is not None and record.iteration >= config.max_iters)
+        solved = _solve_and_estimate(record, tables, bench.qoi_region if goa else None, last)
         if bench.exact is not None:
             _diagnose(record, bench.exact, tables, solved, qoi_ref,
                       track_sat and record.dofs_total <= config.saturation_max_dofs)
         if outdir is not None:
             _write_iteration(outdir, config, record, mesh, solved)
-        if (config.max_dofs is not None and record.dofs_total >= config.max_dofs
-                or config.max_iters is not None and record.iteration >= config.max_iters):
+        if last:
             break
         mesh = _mark_and_refine(record, mesh, solved.eta, config)
         if record.marked == 0:

@@ -3,13 +3,19 @@
 The mesh-dependent energy ("triple") norm combines a weighted L2 term,
 a |b.n|-weighted boundary term and the gradient-jump penalty: the three
 terms of ``forms.FormTables.energy_terms``, which also give the Gram
-matrix.  ``local_energy_products`` integrates point values on those
-terms; ``error_norms`` integrates its boundary and jump terms on them
-and its volume term on a finer rule, so the norm of a discrete test
-function agrees with the Gram quadratic form to rounding.  It measures
-the L2 and triple norms of several functions (u_h and the enriched
-reference theta_h) in one pass, evaluating the exact solution once.
-``qoi_error`` reads the QoI vector the loop has already assembled.
+matrix.  ``energy_products`` integrates point values on those terms,
+contracting each function once per term for all the products asked of
+it; ``local_energy_products`` is its one-product form.  ``error_norms``
+integrates its boundary and jump terms on them and its volume term on a
+finer rule, so the norm of a discrete test function agrees with the Gram
+quadratic form to rounding.  It reads that rule, its weights and the
+exact solution's values there and at the boundary points from the
+tables' ``error_terms``, which carry the rows of the cells and facets
+that refinement kept across iterations like every other table, so the
+exact solution is evaluated only where refinement created cells and
+facets.  It measures the L2 and triple norms of several functions (u_h
+and the enriched reference theta_h) in one pass.  ``qoi_error`` reads
+the QoI vector the loop has already assembled.
 """
 
 import warnings
@@ -41,25 +47,33 @@ def _contract(table, dofs, fn):
     return np.matmul(table, fn.coefficients[dofs][:, :, None])[:, :, 0]
 
 
-def local_energy_products(fa, fb, tables):
-    """Per-cell contributions of the energy inner product (fa, fb).
+def energy_products(functions, pairs, tables):
+    """Per-cell contributions of the energy inner products (f_i, f_j), one
+    array per index pair (i, j) of ``pairs``.
 
-    Integrates the point values of both functions on each of the tables'
-    energy terms and splits the result among the term's owners (an
-    interior facet's share half to each neighbour), so the cell values sum
-    to the global inner product.
+    Contracts each of ``functions`` once per energy term of the tables,
+    integrates the point values of each pair on the term and splits the
+    result among the term's owners (an interior facet's share half to each
+    neighbour), so the cell values sum to the global inner product.
     """
     space = tables.space
-    if fa.space is not space or fb.space is not space:
+    if any(f.space is not space for f in functions):
         raise ValueError("functions do not live on the tables' space")
-    parts = np.zeros(len(space.mesh.cells))
+    parts = [np.zeros(len(space.mesh.cells)) for _ in pairs]
     for weights, table, dofs, owners in tables.energy_terms:
-        va = _contract(table, dofs, fa)
-        vb = va if fb is fa else _contract(table, dofs, fb)
-        share = np.einsum("fq,fq->f", weights, va * vb) / owners.shape[1]
-        for cells in owners.T:
-            np.add.at(parts, cells, share)
+        values = [_contract(table, dofs, f) for f in functions]
+        for out, (i, j) in zip(parts, pairs):
+            share = np.einsum("fq,fq->f", weights, values[i] * values[j]) / owners.shape[1]
+            for cells in owners.T:
+                np.add.at(out, cells, share)
     return parts
+
+
+def local_energy_products(fa, fb, tables):
+    """Per-cell contributions of the energy inner product (fa, fb); see
+    ``energy_products``."""
+    functions = [fa] if fb is fa else [fa, fb]
+    return energy_products(functions, [(0, len(functions) - 1)], tables)[0]
 
 
 def error_norms(functions, exact, tables):
@@ -71,19 +85,17 @@ def error_norms(functions, exact, tables):
     tables.  The exact solution is smooth, so the jump term uses only u_h.
     The volume rule is two degrees above assembly; ``exact_l2`` is measured
     on it.  The rule, its basis values and the exact solution's point
-    values are built once and shared by all functions.
+    values are the tables' ``error_terms``, shared by all functions, so
+    the exact solution is evaluated only on the cells and boundary facets
+    that refinement created since the previous tables.
     """
     space = tables.space
     if any(u_h.space is not space for u_h in functions):
         raise ValueError("functions do not live on the tables' space")
-    rule = triangle_rule(volume_degree(space) + 2)
-    pts, w = cell_quadrature(space.mesh, rule)
+    w, phi, exact_vals, bnd_exact = tables.error_terms(exact)
     mass_w = tables.data.gram_weight * w
-    phi_t = space.local_basis.evaluate(rule.points).T
+    phi_t = phi.T
     _, (bnd_w, bnd_vals, bnd_dofs, _), (jump_w, jump, jump_dofs, _) = tables.energy_terms
-    exact_vals = np.asarray(exact(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
-    bpts = tables.boundary[0]
-    bnd_exact = np.asarray(exact(bpts.reshape(-1, 2)), dtype=float).reshape(bnd_w.shape)
     exact_l2 = float(np.sqrt(np.einsum("cq,cq->", w, exact_vals**2)))
 
     reports = []

@@ -27,6 +27,19 @@ space numbers its trial DoFs first, so the trial x test operator B is the
 leading column block ``[:, :n_trial]`` of the test-space operator, and a
 trial-space operator is its leading ``[:n_trial, :n_trial]`` block.
 
+Tables cross a refinement.  Given the previous iteration's tables on the
+same problem data, space kind and rules, ``FormTables`` copies the rows of
+the cells and facets that refinement kept (see ``_kept_rows``) and
+evaluates only the new rows, so the coefficients and the exact solution
+see only the points of what refinement created.  The carried tables hold
+point values: the coefficients on the volume rule, the boundary and
+interior-facet tables, and the error rule's (``error_terms``, which
+``analysis.error_norms`` reads).  The products over all cells are formed
+from them every iteration, because OpenBLAS can round a product over some
+rows differently from the same rows of the full product (one row takes
+gemv, a small product its small-matrix kernel); so every table and
+operator is bitwise the one built afresh.
+
 All assembly loops are vectorized over cells and facets.  Bases are
 evaluated once per reference point set (the volume rule, or the six
 reference-facet cases of the edge rule) and gathered per cell or facet, so
@@ -104,11 +117,12 @@ def facet_degree(space):
 # -- quadrature geometry ------------------------------------------------------
 
 
-def cell_quadrature(mesh, rule):
-    """Physical quadrature points (nc, nq, 2) and scaled weights (nc, nq)."""
+def cell_quadrature(mesh, rule, cells=slice(None)):
+    """Physical quadrature points (n, nq, 2) and scaled weights (n, nq) of the
+    given cells, by default all."""
     v0, J, _, det = mesh.affine
-    pts = v0[:, None, :] + np.matmul(rule.points, J.transpose(0, 2, 1))
-    return pts, det[:, None] * rule.weights[None, :]
+    pts = v0[cells, None, :] + np.matmul(rule.points, J[cells].transpose(0, 2, 1))
+    return pts, det[cells, None] * rule.weights[None, :]
 
 
 def facet_quadrature(mesh, edge_ids, rule):
@@ -121,11 +135,16 @@ def facet_quadrature(mesh, edge_ids, rule):
     return pts, w
 
 
+def _point_values(fn, pts):
+    """Values of the vectorized callable ``fn`` at points (..., 2), shaped
+    like the points: (...) for a scalar field, (..., 2) for a vector field."""
+    values = np.asarray(fn(pts.reshape(-1, 2)), dtype=float)
+    return values.reshape(pts.shape[:-1] + values.shape[1:])
+
+
 def normal_flux(velocity, pts, normals):
     """b.n at facet points (nf, nq, 2) for per-facet normals (nf, 2)."""
-    nf, nq = pts.shape[:2]
-    bvals = np.asarray(velocity(pts.reshape(-1, 2)), dtype=float).reshape(nf, nq, 2)
-    return np.matmul(bvals, normals[:, :, None])[:, :, 0]
+    return np.matmul(_point_values(velocity, pts), normals[:, :, None])[:, :, 0]
 
 
 def facet_cases(mesh, sides):
@@ -220,37 +239,162 @@ def _without_zeros(data, pattern, dim):
 # -- the tables of one space --------------------------------------------------
 
 
+def _kept_rows(old, new):
+    """The cells and facets of mesh ``new`` that refinement left unchanged
+    from mesh ``old``, or None unless ``old``'s vertices lead ``new``'s.
+
+    Maps each row kind ("cells", "boundary", "interior") to the row in
+    ``old`` of each row of ``new``, -1 where the row is new.  A cell is kept
+    when ``old`` has the same ordered vertex triple; a facet when each of
+    its sides lies on a kept cell and is the same side of the same ``old``
+    facet.
+    """
+    nv = len(new.vertices)
+    if len(old.vertices) > nv or not np.array_equal(new.vertices[: len(old.vertices)],
+                                                     old.vertices):
+        return None
+    # a directed edge belongs to one counterclockwise cell at most, so a cell's
+    # first two vertices name its only candidate in ``old``
+    old_keys = old.cells[:, 0] * nv + old.cells[:, 1]
+    order = np.argsort(old_keys)
+    keys = new.cells[:, 0] * nv + new.cells[:, 1]
+    found = order[np.searchsorted(old_keys[order], keys).clip(max=len(order) - 1)]
+    old_cell = np.where((old_keys[found] == keys) & (old.cells[found, 2] == new.cells[:, 2]),
+                        found, -1)
+
+    def facets(old_sides, sides):
+        """Sides (n, 1) of boundary or (n, 2) of interior facets."""
+        cells = sides // 3
+        mapped = np.where(old_cell[cells] >= 0, 3 * old_cell[cells] + sides % 3, -1)
+        facet = np.full(3 * len(old.cells), -1)
+        facet[old_sides[:, 0]] = np.arange(len(old_sides))
+        # the first side names the only candidate; the last must match it too
+        source = np.where(mapped[:, 0] >= 0, facet[mapped[:, 0]], -1)
+        same = source >= 0
+        same[same] = old_sides[source[same], -1] == mapped[same, -1]
+        return np.where(same, source, -1)
+
+    return {"cells": old_cell,
+            "boundary": facets(old.boundary_sides[:, None], new.boundary_sides[:, None]),
+            "interior": facets(old.interior_sides, new.interior_sides)}
+
+
 class FormTables:
     """Quadrature tables of one space and problem, each built on first use.
 
     One object serves every form of an adaptive iteration: the operator,
-    the Gram matrix, the load and the energy indicators read the same
-    volume, boundary and interior-facet tables, so each is computed once.
-    ``degree`` is the volume quadrature exactness (default
+    the Gram matrix, the load, the energy indicators and the error norms
+    read the same volume, boundary and interior-facet tables, so each is
+    computed once.  ``degree`` is the volume quadrature exactness (default
     ``volume_degree``); facets use the ``facet_degree`` edge rule.
+
+    ``previous``, the previous iteration's tables, lends the rows that
+    refinement kept (see the module docstring); they are copied here, so
+    ``previous`` can be released at once.
     """
 
-    def __init__(self, space, data, degree=None):
+    def __init__(self, space, data, degree=None, previous=None):
         self.space = space
         self.data = data
         self.volume_rule = triangle_rule(degree if degree is not None else volume_degree(space))
         self.edge_rule = edge_rule(facet_degree(space))
+        # name -> (row kind, key, arrays) of each table built, for the next tables
+        self._tables = {}
+        # name -> (key, arrays) copied from ``previous``, their new rows still to
+        # compute, and row kind -> those new rows
+        self._carried, self._fresh = {}, {}
+        if (previous is not None and previous.data == data and previous.space.kind == space.kind
+                and previous.volume_rule is self.volume_rule
+                and previous.edge_rule is self.edge_rule):
+            self._inherit(previous)
+
+    def _inherit(self, previous):
+        kept = _kept_rows(previous.space.mesh, self.space.mesh)
+        if kept is None:
+            return
+        for kind, source in kept.items():
+            fresh = np.flatnonzero(source < 0)
+            if len(fresh) < len(source):
+                self._fresh[kind] = fresh
+        for name, (kind, key, arrays) in previous._tables.items():
+            if kind in self._fresh:
+                # one gather per array; each new row holds a placeholder until computed
+                self._carried[name] = (key, [a.take(kept[kind], axis=0) for a in arrays])
+
+    def _table(self, name, kind, compute, key=None):
+        """The arrays ``compute(rows)`` over all rows of ``kind``, one row per
+        cell, boundary facet or interior facet.  Rows carried from the
+        previous tables are reused, so ``compute`` gets only the others.
+        ``key`` (the exact solution of an error table) must be the same
+        object for a table to be reused."""
+        if name in self._tables and self._tables[name][1] is key:
+            return self._tables[name][2]
+        carried_key, arrays = self._carried.pop(name, (None, None))
+        if arrays is None or carried_key is not key:
+            arrays = compute(slice(None))
+        else:
+            fresh = self._fresh[kind]
+            for out, values in zip(arrays, compute(fresh)):
+                out[fresh] = values
+        self._tables[name] = (kind, key, arrays)
+        return arrays
+
+    def drop(self, name):
+        """Free the table ``name``, a cached property, which no later reader,
+        the next iteration's tables included, will read."""
+        self._tables.pop(name, None)
+        self.__dict__.pop(name, None)
 
     @cached_property
-    def volume(self):
-        """Points (nc, nq, 2), scaled weights (nc, nq) and basis values (nq, n)."""
-        pts, w = cell_quadrature(self.space.mesh, self.volume_rule)
-        return pts, w, self.space.local_basis.evaluate(self.volume_rule.points)
+    def volume_basis(self):
+        """Basis values (nq, n) at the volume rule's points."""
+        return self.space.local_basis.evaluate(self.volume_rule.points)
+
+    def volume_weights(self, cells=slice(None)):
+        """The volume rule's scaled weights (n, nq) on the given cells."""
+        return self.space.mesh.affine[3][cells, None] * self.volume_rule.weights[None, :]
+
+    @cached_property
+    def coefficients(self):
+        """The coefficients on the volume rule, as the cell weights of the
+        forms: w mu (nc, nq) of the reaction mass, w Jinv b (nc, nq, 2) of
+        the advection, b pulled back through each cell's affine map, and w f
+        (nc, nq) of the load.  Raises if the reaction coefficient drops below
+        the declared floor."""
+        mesh, data = self.space.mesh, self.data
+        _, _, Jinv, _ = mesh.affine
+
+        def compute(cells):
+            pts, w = cell_quadrature(mesh, self.volume_rule, cells)
+            mu = _point_values(data.reaction, pts)
+            if mu.min(initial=math.inf) < data.reaction_floor - 1e-12:
+                raise ValueError("reaction coefficient drops below the declared floor")
+            bvals = _point_values(data.velocity, pts)
+            return (w * mu, w[:, :, None] * np.matmul(bvals, Jinv[cells].transpose(0, 2, 1)),
+                    w * _point_values(data.source, pts))
+
+        return self._table("coefficients", "cells", compute)
 
     @cached_property
     def boundary(self):
         """Points, scaled weights, b.n and owner-cell basis values (nf, nq, n)
         on every boundary facet, and the owner cells' DoFs."""
         mesh = self.space.mesh
-        pts, w = facet_quadrature(mesh, mesh.boundary_edges, self.edge_rule)
-        bn = normal_flux(self.data.velocity, pts, mesh.boundary_normals)
-        vals = facet_basis(self.space, mesh.boundary_sides, self.edge_rule)
+
+        def compute(facets):
+            pts, w = facet_quadrature(mesh, mesh.boundary_edges[facets], self.edge_rule)
+            bn = normal_flux(self.data.velocity, pts, mesh.boundary_normals[facets])
+            return pts, w, bn, facet_basis(self.space, mesh.boundary_sides[facets], self.edge_rule)
+
+        pts, w, bn, vals = self._table("boundary", "boundary", compute)
         return pts, w, bn, vals, self.space.cell_dofs[mesh.boundary_sides // 3]
+
+    @cached_property
+    def inflow(self):
+        """The inflow data g at the boundary points (nf, nq)."""
+        pts = self.boundary[0]
+        return self._table("inflow", "boundary",
+                           lambda facets: (_point_values(self.data.inflow_data, pts[facets]),))[0]
 
     @cached_property
     def interior(self):
@@ -262,16 +406,36 @@ class FormTables:
         """
         mesh, space, data = self.space.mesh, self.space, self.data
         k_pen = data.require_penalty_order()
-        pts, w = facet_quadrature(mesh, mesh.interior_edges, self.edge_rule)
-        bn = normal_flux(data.velocity, pts, mesh.interior_normals)
-        h_e = mesh.edge_lengths[mesh.interior_edges]
-        gamma = h_e**2 / float(k_pen) ** data.penalty_exponent * np.abs(bn).max(axis=1)
-        gn_plus, gn_minus = (
-            facet_basis(space, sides, self.edge_rule, mesh.interior_normals)
-            for sides in mesh.interior_sides.T
-        )
-        jump = np.concatenate([gn_plus, -gn_minus], axis=2)
-        return gamma[:, None] * w, jump, np.hstack(space.cell_dofs[mesh.interior_sides.T // 3])
+
+        def compute(facets):
+            edges, normals = mesh.interior_edges[facets], mesh.interior_normals[facets]
+            pts, w = facet_quadrature(mesh, edges, self.edge_rule)
+            bn = normal_flux(data.velocity, pts, normals)
+            h_e = mesh.edge_lengths[edges]
+            gamma = h_e**2 / float(k_pen) ** data.penalty_exponent * np.abs(bn).max(axis=1)
+            gn_plus, gn_minus = (facet_basis(space, sides, self.edge_rule, normals)
+                                 for sides in mesh.interior_sides[facets].T)
+            return gamma[:, None] * w, np.concatenate([gn_plus, -gn_minus], axis=2)
+
+        weights, jump = self._table("interior", "interior", compute)
+        return weights, jump, np.hstack(space.cell_dofs[mesh.interior_sides.T // 3])
+
+    def error_terms(self, exact):
+        """The error norms' volume rule, two degrees above ``volume_degree``:
+        its scaled weights (nc, nq) and basis values (nq, n), with the values
+        of ``exact`` there (nc, nq) and at the boundary points (nf, nq)."""
+        mesh = self.space.mesh
+        rule = triangle_rule(volume_degree(self.space) + 2)
+
+        def on_cells(cells):
+            pts, w = cell_quadrature(mesh, rule, cells)
+            return w, _point_values(exact, pts)
+
+        w, values = self._table("error", "cells", on_cells, exact)
+        pts = self.boundary[0]
+        (boundary,) = self._table("boundary exact", "boundary",
+                                  lambda facets: (_point_values(exact, pts[facets]),), exact)
+        return w, self.space.local_basis.evaluate(rule.points), values, boundary
 
     @cached_property
     def pattern(self):
@@ -366,10 +530,9 @@ class FormTables:
         interior facet, so the owned shares sum to the global form.
         """
         mesh = self.space.mesh
-        _, w, phi = self.volume
         _, bw, bn, vals, bdofs = self.boundary
         return [
-            (self.data.gram_weight * w, phi, self.space.cell_dofs,
+            (self.data.gram_weight * self.volume_weights(), self.volume_basis, self.space.cell_dofs,
              np.arange(len(mesh.cells))[:, None]),
             (bw * (0.5 * np.abs(bn)), vals, bdofs, mesh.boundary_sides[:, None] // 3),
             (*self.interior, mesh.interior_sides // 3),
@@ -394,14 +557,10 @@ def assemble_mass(space, degree=None):
 
 def _advection_local(tables):
     """Per-cell blocks (nc, m, m) of the adjoint-form advection -(v, b . grad w)."""
-    space = tables.space
-    pts, w, phi = tables.volume
-    nc, nq = w.shape
-    bvals = np.asarray(tables.data.velocity(pts.reshape(-1, 2)), dtype=float).reshape(nc, nq, 2)
-    _, _, Jinv, _ = space.mesh.affine
-    # b . grad(test basis): pull b back through the affine map once
-    wb = w[:, :, None] * np.matmul(bvals, Jinv.transpose(0, 2, 1))
-    gref = space.local_basis.gradient(tables.volume_rule.points)
+    phi = tables.volume_basis
+    _, wb, _ = tables.coefficients
+    nc, nq = wb.shape[:2]
+    gref = tables.space.local_basis.gradient(tables.volume_rule.points)
     # reference-gradient x value products per point and direction
     products = gref.transpose(0, 2, 1)[:, :, :, None] * phi[:, None, None, :]
     local = -np.matmul(wb.reshape(nc, -1), products.reshape(2 * nq, -1))
@@ -438,13 +597,9 @@ def assemble_stabilized(tables):
     whole boundary.  Raises if the reaction coefficient drops below the
     declared floor.
     """
-    data = tables.data
-    pts, w, phi = tables.volume
-    mu = np.asarray(data.reaction(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
-    if mu.min() < data.reaction_floor - 1e-12:
-        raise ValueError("reaction coefficient drops below the declared floor")
+    mass_w, _, _ = tables.coefficients
     _, bw, bn, _, _ = tables.boundary
-    local = _mass_local(phi, w * mu) + _advection_local(tables)
+    local = _mass_local(tables.volume_basis, mass_w) + _advection_local(tables)
     return _assemble(tables, local, bw * np.maximum(bn, 0.0))
 
 
@@ -456,15 +611,13 @@ def assemble_gram(tables):
 
 def assemble_load(tables):
     """Load vector (f, w) - ((b.n)^- g, w) over the whole boundary."""
-    space, data = tables.space, tables.data
-    pts, w, phi = tables.volume
-    fv = np.asarray(data.source(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
+    space = tables.space
+    *_, source_w = tables.coefficients
     vec = np.zeros(space.dim)
-    np.add.at(vec, space.cell_dofs, np.matmul(w * fv, phi))
+    np.add.at(vec, space.cell_dofs, np.matmul(source_w, tables.volume_basis))
 
-    bpts, bw, bn, vals, bdofs = tables.boundary
-    g = np.asarray(data.inflow_data(bpts.reshape(-1, 2)), dtype=float).reshape(bw.shape)
-    local_e = -np.matmul((bw * np.minimum(bn, 0.0) * g)[:, None, :], vals)[:, 0]
+    _, bw, bn, vals, bdofs = tables.boundary
+    local_e = -np.matmul((bw * np.minimum(bn, 0.0) * tables.inflow)[:, None, :], vals)[:, 0]
     np.add.at(vec, bdofs, local_e)
     return vec
 
@@ -519,8 +672,7 @@ def assemble_qoi(tables, region):
     """
     space = tables.space
     inside = classify_qoi_cells(space.mesh, region)
-    _, w, phi = tables.volume
-    local = np.matmul(w[inside], phi)
+    local = np.matmul(tables.volume_weights(inside), tables.volume_basis)
     vec = np.zeros(space.dim)
     np.add.at(vec, space.cell_dofs[inside], local)
     return vec / region.area

@@ -321,16 +321,6 @@ def solve_adjoint(factor, q, B_full, space):
     )
 
 
-class EnrichedSolution(DiscreteFunction):
-    """The enriched CIP solution theta_h, with the refinement steps and
-    fallbacks of its solve."""
-
-    def __init__(self, space, coefficients, refine_steps, fallbacks):
-        super().__init__(space, coefficients)
-        self.refine_steps = refine_steps
-        self.fallbacks = fallbacks
-
-
 def solve_cip_enriched(B_full, load, tables, order=None):
     """Plain stabilized Galerkin solve on the tables' (enriched) space, for
     the saturation diagnostic; coercivity of the stabilized form guarantees
@@ -338,7 +328,9 @@ def solve_cip_enriched(B_full, load, tables, order=None):
     the factor: unpivoted where mu_0 > 0, on the elimination ``order`` of
     the test DoFs if given (``SaddleFactorization.test_order``), and the
     pivoted LU alone where mu_0 = 0 (see the module docstring).  Either way
-    it is refined against B_full.
+    it is refined against B_full.  Returns theta_h as a ``DiscreteFunction``
+    and the ``RefinedFactor`` that solved for it, whose counts tell which
+    solver path ran.
     """
     label = "enriched stabilized operator"
     if tables.data.reaction_floor > 0.0:
@@ -346,7 +338,7 @@ def solve_cip_enriched(B_full, load, tables, order=None):
     else:
         factor = RefinedFactor(B_full, None, label)
     theta, _ = factor.refined_solve(np.asarray(load, dtype=float))
-    return EnrichedSolution(tables.space, theta, factor.refine_steps, factor.fallbacks)
+    return DiscreteFunction(tables.space, theta), factor
 
 
 def orthogonality_residual(B, epsilon):

@@ -496,6 +496,78 @@ class TestAdaptiveLoop:
         steps = 2 * bubblefem.solvers.REFINE_STEPS * fallbacks
         assert [r.solver_refine_steps for r in records] == [steps] * 2
 
+    @pytest.mark.parametrize(
+        "make_bench, config",
+        [
+            (lambda: experiment1(0.01), LoopConfig(max_iters=4, saturation=True)),
+            (experiment2, LoopConfig(mode="goa", theta=0.2, max_iters=3)),
+        ],
+        ids=["exp1-energy-saturation", "exp2-goa"],
+    )
+    def test_carried_tables_leave_records_bit_identical(self, monkeypatch, make_bench, config):
+        # each iteration's tables copy the rows of the cells and facets that
+        # refinement kept from the previous iteration's; built afresh
+        # instead, every record field must come out the same, bit for bit
+        import dataclasses
+        import struct
+        from dataclasses import replace
+
+        import bubblefem.adapt
+
+        def run():
+            bench, points = make_bench(), []
+            reaction = bench.data.reaction
+
+            def counted(x):
+                points.append(len(x))
+                return reaction(x)
+
+            bench.data = replace(bench.data, reaction=counted)
+            return adaptive_loop(bench, config), sum(points)
+
+        carried, carried_points = run()
+        monkeypatch.setattr(bubblefem.adapt, "FormTables",
+                            lambda space, data, degree=None, previous=None:
+                            FormTables(space, data, degree))
+        afresh, afresh_points = run()
+        # the carried run evaluates the reaction only where refinement created cells
+        assert carried_points < afresh_points
+        assert len(carried) == len(afresh) == config.max_iters + 1
+
+        def bits(value):
+            if isinstance(value, float):
+                return "nan" if math.isnan(value) else struct.pack("<d", value)
+            return value
+
+        for a, b in zip(carried, afresh):
+            for field in dataclasses.fields(a):
+                assert bits(getattr(a, field.name)) == bits(getattr(b, field.name)), field.name
+
+    def test_last_iteration_frees_coefficients_before_factor(self, monkeypatch):
+        # only the next iteration's tables read an iteration's coefficients
+        # after its load, so the last iteration, whose K factor is the run's
+        # memory peak, holds none while it factors K
+        import weakref
+
+        import bubblefem.adapt
+
+        coefficients, held = [], []
+        assemble_load = bubblefem.adapt.assemble_load
+
+        def tracked_load(tables):
+            coefficients[:] = [weakref.ref(a) for a in tables.coefficients]
+            return assemble_load(tables)
+
+        class Tracked(bubblefem.adapt.SaddleFactorization):
+            def __init__(self, G, B):
+                held.append(any(ref() is not None for ref in coefficients))
+                super().__init__(G, B)
+
+        monkeypatch.setattr(bubblefem.adapt, "assemble_load", tracked_load)
+        monkeypatch.setattr(bubblefem.adapt, "SaddleFactorization", Tracked)
+        adaptive_loop(experiment1(0.5), LoopConfig(max_iters=2, saturation=False))
+        assert held == [True, True, False]
+
     def test_saddle_factor_freed_before_diagnostics(self, monkeypatch):
         import weakref
 

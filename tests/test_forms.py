@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from bubblefem import (
     DiscreteFunction,
     FormTables,
+    Mesh,
     ProblemData,
     Rectangle,
     assemble_gram,
@@ -280,7 +281,7 @@ def coo_plus_sum(tables):
     G = forms._scatter(forms._mass_local(phi, mass_w), cell_dofs, dim)
     G = G + tables.boundary_matrix(boundary_w) + J
     G = 0.5 * (G + G.T)
-    pts, w, phi = tables.volume
+    pts, w = forms.cell_quadrature(tables.space.mesh, tables.volume_rule)
     mu = tables.data.reaction(pts.reshape(-1, 2)).reshape(w.shape)
     _, bw, bn, _, _ = tables.boundary
     B_full = forms._scatter(forms._mass_local(phi, w * mu), cell_dofs, dim)
@@ -529,7 +530,7 @@ class TestLoad:
         tables = FormTables(trial, data)
         B = assemble_stabilized(tables)
         load = assemble_load(tables)
-        u = solve_cip_enriched(B, load, tables)
+        u, _ = solve_cip_enriched(B, load, tables)
         exact = m.vertices[:, 0] + m.vertices[:, 1]
         assert np.abs(u.coefficients - exact).max() < 1e-10
 
@@ -572,7 +573,7 @@ class TestQoi:
         space = build_space(build_structured_mesh(10), enriched(2, 4))
         data = make_data(const_field([1.0, 0.0]))
         tables = FormTables(space, data, degree=8)
-        tables.volume
+        tables.volume_basis
         monkeypatch.setattr(bubblefem.forms, "cell_quadrature", None)
         q = assemble_qoi(tables, self.region)
         monkeypatch.undo()
@@ -728,3 +729,168 @@ class TestTrialNesting:
         q = assemble_qoi(FormTables(trial, data), region)
         q_block = assemble_qoi(FormTables(test, data), region)[:n]
         assert np.abs(q_block - q).max() <= 1e-12 * np.abs(q).max()
+
+
+class TestCarriedTables:
+    """Tables built with the previous iteration's tables copy the rows of the
+    cells and facets that refinement kept and evaluate only the others; every
+    array and operator equals the one built afresh, bit for bit."""
+
+    @staticmethod
+    def counted(data, exact):
+        """``data`` and ``exact`` with callables that record how many points
+        each call receives, and those records by callable."""
+        calls = {"velocity": [], "reaction": [], "source": [], "inflow_data": [], "exact": []}
+
+        def wrap(name, fn):
+            def counted_fn(x):
+                calls[name].append(len(x))
+                return fn(x)
+
+            return counted_fn
+
+        fields = {name: wrap(name, getattr(data, name)) for name in calls if name != "exact"}
+        return replace(data, **fields), wrap("exact", exact), calls
+
+    @staticmethod
+    def build(tables, exact):
+        """Every table the adaptive loop reads, and G, B_full and the load."""
+        G, B_full = assemble_gram(tables), assemble_stabilized(tables)
+        arrays = {
+            "volume": [tables.volume_weights(), tables.volume_basis],
+            "coefficients": tables.coefficients, "boundary": tables.boundary, "inflow": [tables.inflow], "interior": tables.interior,
+            "error": tables.error_terms(exact), "load": [assemble_load(tables)],
+            "G": [G.indptr, G.indices, G.data], "B_full": [B_full.indptr, B_full.indices, B_full.data],
+        }
+        for i, term in enumerate(tables.energy_terms):
+            arrays[f"energy term {i}"] = term
+        return arrays
+
+    @staticmethod
+    def assert_bitwise_equal(got, want):
+        assert got.keys() == want.keys()
+        for name in want:
+            assert len(got[name]) == len(want[name]), name
+            for a, b in zip(got[name], want[name]):
+                assert a.shape == b.shape and a.dtype == b.dtype, name
+                assert a.tobytes() == b.tobytes(), name
+
+    @staticmethod
+    def problem(p=1, k=3):
+        bench = experiment1(0.01)
+        return replace(bench.data, penalty_order=k), bench.exact, enriched(p, k)
+
+    @staticmethod
+    def new_rows(old, new):
+        """How many cells, boundary facets and interior facets of ``new`` have
+        a cell whose vertex triple ``old`` lacks."""
+        triples = {tuple(c) for c in old.cells.tolist()}
+        fresh = np.array([tuple(c) not in triples for c in new.cells.tolist()])
+        return (int(fresh.sum()), int(fresh[new.boundary_sides // 3].sum()),
+                int(fresh[new.interior_sides // 3].any(axis=1).sum()))
+
+    @staticmethod
+    def refined(case):
+        mesh = build_structured_mesh(4)
+        if case == "uniform":
+            new = mesh
+            for _ in range(2):
+                new = refine(new, np.arange(len(new.cells)))
+            return mesh, new
+        if case == "interior cell":
+            # the lower half of grid square (1, 1) shares its refinement edge,
+            # the square's diagonal, with the upper half only
+            return mesh, refine(mesh, [10])
+        # a cell whose refinement edge lies on the boundary: the children of a
+        # bisected corner cell are refined across its legs
+        mesh = refine(mesh, [0])
+        ref_edges = mesh.cell_edges[np.arange(len(mesh.cells)), mesh.refinement_edge]
+        return mesh, refine(mesh, [int(np.flatnonzero(np.isin(ref_edges, mesh.boundary_edges))[0])])
+
+    cases = pytest.mark.parametrize("case", ["interior cell", "boundary cell", "uniform"])
+
+    @cases
+    @pytest.mark.parametrize("p, k", [(1, 3), (2, 4)], ids=["p1k3", "p2k4"])
+    def test_equal_to_tables_built_afresh(self, case, p, k):
+        data, exact, kind = self.problem(p, k)
+        old, new = self.refined(case)
+        previous = FormTables(build_space(old, kind), data)
+        self.build(previous, exact)
+        space = build_space(new, kind)
+        carried = self.build(FormTables(space, data, previous=previous), exact)
+        self.assert_bitwise_equal(carried, self.build(FormTables(space, data), exact))
+
+    @cases
+    def test_callables_see_only_new_points(self, case):
+        data, exact, kind = self.problem()
+        data, exact, calls = self.counted(data, exact)
+        old, new = self.refined(case)
+        previous = FormTables(build_space(old, kind), data)
+        self.build(previous, exact)
+        for seen in calls.values():
+            seen.clear()
+        tables = FormTables(build_space(new, kind), data, previous=previous)
+        self.build(tables, exact)
+        cells, boundary, interior = self.new_rows(old, new)
+        if case == "uniform":
+            assert (cells, boundary, interior) == (len(new.cells), len(new.boundary_edges),
+                                                   len(new.interior_edges))
+        else:
+            assert 0 < cells < len(new.cells)
+            assert 0 < interior < len(new.interior_edges)
+            assert (boundary > 0) == (case == "boundary cell")
+        nq, ne = len(tables.volume_rule.weights), len(tables.edge_rule.weights)
+        nq_error = tables.error_terms(exact)[0].shape[1]
+        assert sorted(calls["velocity"]) == sorted([cells * nq, boundary * ne, interior * ne])
+        assert calls["reaction"] == calls["source"] == [cells * nq]
+        assert calls["inflow_data"] == [boundary * ne]
+        assert sorted(calls["exact"]) == sorted([cells * nq_error, boundary * ne])
+
+    @pytest.mark.parametrize("other", ["problem data", "degree", "space kind", "mesh",
+                                       "exact solution"])
+    def test_other_previous_tables_contribute_nothing(self, other):
+        data, exact, kind = self.problem()
+        data, exact, calls = self.counted(data, exact)
+        old, new = self.refined("interior cell")
+        previous_data, previous_exact, degree = data, exact, None
+        if other == "problem data":
+            previous_data = replace(data, penalty_exponent=3.0)
+        elif other == "degree":
+            degree = 8
+        elif other == "space kind":
+            kind = enriched(1, 4)
+        elif other == "mesh":
+            # the same cells on a moved vertex: the old vertices do not lead the new ones
+            vertices = old.vertices.copy()
+            vertices[6] += 0.01
+            old = Mesh(vertices, old.cells)
+        else:
+            previous_exact = lambda x: exact(x) + 1.0
+        previous = FormTables(build_space(old, kind), previous_data, degree)
+        self.build(previous, previous_exact)
+        for seen in calls.values():
+            seen.clear()
+        space = build_space(new, enriched(1, 3))
+        tables = FormTables(space, data, previous=previous)
+        carried = self.build(tables, exact)
+        nq, ne = len(tables.volume_rule.weights), len(tables.edge_rule.weights)
+        nq_error = tables.error_terms(exact)[0].shape[1]
+        assert sorted(calls["exact"]) == sorted([len(new.cells) * nq_error,
+                                                 len(new.boundary_edges) * ne])
+        if other != "exact solution":
+            assert calls["reaction"] == [len(new.cells) * nq]
+            assert calls["inflow_data"] == [len(new.boundary_edges) * ne]
+        self.assert_bitwise_equal(carried, self.build(FormTables(space, data), exact))
+
+    def test_cell_with_another_third_vertex_is_new(self):
+        # cell (0, 1, 4) shares its first two vertices with the old cell (0, 1, 2)
+        data, exact, kind = self.problem()
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        old = Mesh(square, np.array([[0, 1, 2], [0, 2, 3]]))
+        new = Mesh(np.vstack([square, [[0.5, 0.5]]]),
+                   np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]))
+        previous = FormTables(build_space(old, kind), data)
+        self.build(previous, exact)
+        space = build_space(new, kind)
+        carried = self.build(FormTables(space, data, previous=previous), exact)
+        self.assert_bitwise_equal(carried, self.build(FormTables(space, data), exact))

@@ -97,7 +97,7 @@ class TestSolveSaddle:
         B = assemble_stabilized(tables)[:, : test_eq.n_trial]
         load = assemble_load(tables)
         sol = solve_saddle(SaddleFactorization(G, B), load, test_eq)
-        plain = solve_cip_enriched(B, load, tables)
+        plain, _ = solve_cip_enriched(B, load, tables)
         assert np.sqrt(sol.epsilon.coefficients @ (G @ sol.epsilon.coefficients)) < 1e-10
         assert np.abs(sol.u.coefficients - plain.coefficients).max() < 1e-10
 
@@ -340,20 +340,20 @@ ENRICHED = "enriched stabilized operator"
 class TestCipEnriched:
     def test_manufactured_linear(self, setup):
         m, tables, test, _, _, load = setup
-        theta = solve_cip_enriched(assemble_stabilized(tables), load, tables)
+        theta, _ = solve_cip_enriched(assemble_stabilized(tables), load, tables)
         exact = m.vertices[:, 0] + m.vertices[:, 1]
         assert np.abs(theta.coefficients[: test.n_trial] - exact).max() < 1e-10
         assert np.abs(theta.coefficients[test.n_trial :]).max() < 1e-9
 
     def test_zero_data(self, setup):
         _, tables, test, _, _, _ = setup
-        theta = solve_cip_enriched(assemble_stabilized(tables), np.zeros(test.dim), tables)
+        theta, _ = solve_cip_enriched(assemble_stabilized(tables), np.zeros(test.dim), tables)
         assert not theta.coefficients.any()
 
     def test_residual_small(self, setup):
         _, tables, _, _, _, load = setup
         B_full = assemble_stabilized(tables)
-        theta = solve_cip_enriched(B_full, load, tables)
+        theta, _ = solve_cip_enriched(B_full, load, tables)
         r = B_full @ theta.coefficients - load
         assert np.abs(r).max() <= 1e-9 * (1.0 + np.abs(load).max())
 
@@ -363,10 +363,10 @@ class TestCipEnriched:
 
         tables, B_full, load = enriched_system(experiment1(0.01), p, k, 2)
         assert tables.data.reaction_floor > 0.0
-        theta = solve_cip_enriched(B_full, load, tables)
+        theta, factor = solve_cip_enriched(B_full, load, tables)
         # one unpivoted factor, and no pivoted LU behind it
         assert factor_calls == [(ENRICHED, True)]
-        assert theta.fallbacks == 0
+        assert factor.fallbacks == 0
         r = np.abs(B_full @ theta.coefficients - load).max()
         assert r <= bubblefem.solvers.REFINE_TOL * (1.0 + np.abs(load).max())
         # reference: COLAMD LU of B_full, refined against B_full to roundoff
@@ -382,9 +382,9 @@ class TestCipEnriched:
 
         tables, B_full, load = enriched_system(experiment1(0.01), 1, 3, 1)
         monkeypatch.setattr(bubblefem.solvers, "REFINE_TOL", 0.0)
-        theta = solve_cip_enriched(B_full, load, tables)
+        theta, factor = solve_cip_enriched(B_full, load, tables)
         assert factor_calls == [(ENRICHED, True), (ENRICHED, False)]
-        assert theta.fallbacks == 1
+        assert factor.fallbacks == 1
         r = np.abs(B_full @ theta.coefficients - load).max()
         assert r <= 1e-9 * (1.0 + np.abs(load).max())
 
@@ -399,8 +399,8 @@ class TestCipEnriched:
             return original(matrix, label, symmetric, order)
 
         monkeypatch.setattr(bubblefem.solvers, "_factorize", singular_unpivoted)
-        theta = solve_cip_enriched(B_full, load, tables)
-        assert theta.fallbacks == 1
+        theta, factor = solve_cip_enriched(B_full, load, tables)
+        assert factor.fallbacks == 1
         r = np.abs(B_full @ theta.coefficients - load).max()
         assert r <= 1e-9 * (1.0 + np.abs(load).max())
 
@@ -409,9 +409,9 @@ class TestCipEnriched:
 
         tables, B_full, load = enriched_system(experiment2(), 2, 4, 1)
         assert tables.data.reaction_floor == 0.0
-        theta = solve_cip_enriched(B_full, load, tables)
+        theta, factor = solve_cip_enriched(B_full, load, tables)
         assert factor_calls == [(ENRICHED, False)]
-        assert theta.fallbacks == 0
+        assert factor.fallbacks == 0
         r = np.abs(B_full @ theta.coefficients - load).max()
         assert r <= 1e-9 * (1.0 + np.abs(load).max())
 
@@ -459,7 +459,7 @@ def test_assembly_transient_memory():
         mesh = refine(mesh, np.arange(len(mesh.cells)))
     tables = FormTables(build_space(mesh, enriched(2, 4)), replace(bench.data, penalty_order=4))
     assert tables.space.dim == 2625
-    tables.volume, tables.boundary, tables.interior
+    tables.volume_basis, tables.coefficients, tables.boundary, tables.interior
 
     def traced_peak(build):
         tracemalloc.start()
@@ -495,8 +495,8 @@ def test_enriched_solve_on_saddle_order(p, k):
     tables, B_full, load = enriched_system(experiment1(0.01), p, k, 2)
     order = SaddleFactorization(assemble_gram(tables),
                                 B_full[:, : tables.space.n_trial]).test_order
-    theta = solve_cip_enriched(B_full, load, tables, order)
-    assert theta.fallbacks == 0
+    theta, factor = solve_cip_enriched(B_full, load, tables, order)
+    assert factor.fallbacks == 0
     A = sp.csc_matrix(B_full)
     lu = spla.splu(A)
     x = lu.solve(load)
