@@ -10,12 +10,12 @@ integrates its boundary and jump terms on them and its volume term on a
 finer rule, so the norm of a discrete test function agrees with the Gram
 quadratic form to rounding.  It reads that rule, its weights and the
 exact solution's values there and at the boundary points from the
-tables' ``error_terms``, which carry the rows of the cells and facets
-that refinement kept across iterations like every other table, so the
-exact solution is evaluated only where refinement created cells and
-facets.  It measures the L2 and triple norms of several functions (u_h
-and the enriched reference theta_h) in one pass.  ``qoi_error`` reads
-the QoI vector the loop has already assembled.
+tables' ``error_terms``: the cell values carry the rows of the cells that
+refinement kept across iterations like the coefficients, so the exact
+solution is evaluated on the volume points of the new cells only, and on
+every boundary point once per iteration.  It measures the L2 and triple
+norms of several functions (u_h and the enriched reference theta_h) in one
+pass.  ``qoi_error`` reads the QoI vector the loop has already assembled.
 """
 
 import warnings
@@ -86,8 +86,9 @@ def error_norms(functions, exact, tables):
     The volume rule is two degrees above assembly; ``exact_l2`` is measured
     on it.  The rule, its basis values and the exact solution's point
     values are the tables' ``error_terms``, shared by all functions, so
-    the exact solution is evaluated only on the cells and boundary facets
-    that refinement created since the previous tables.
+    the exact solution is evaluated on the volume points of the cells that
+    refinement created since the previous tables and on every boundary
+    point.
     """
     space = tables.space
     if any(u_h.space is not space for u_h in functions):

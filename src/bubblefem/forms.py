@@ -29,16 +29,18 @@ trial-space operator is its leading ``[:n_trial, :n_trial]`` block.
 
 Tables cross a refinement.  Given the previous iteration's tables on the
 same problem data, space kind and rules, ``FormTables`` copies the rows of
-the cells and facets that refinement kept (see ``_kept_rows``) and
-evaluates only the new rows, so the coefficients and the exact solution
-see only the points of what refinement created.  The carried tables hold
-point values: the coefficients on the volume rule, the boundary and
-interior-facet tables, and the error rule's (``error_terms``, which
-``analysis.error_norms`` reads).  The products over all cells are formed
-from them every iteration, because OpenBLAS can round a product over some
-rows differently from the same rows of the full product (one row takes
-gemv, a small product its small-matrix kernel); so every table and
-operator is bitwise the one built afresh.
+the cells and interior facets that refinement kept (see ``_kept_rows``)
+and evaluates only the new rows, and nothing when no row is new.  The
+carried tables hold point values: the coefficients on the volume rule,
+the interior-facet table and the error rule's cell values (``error_terms``,
+which ``analysis.error_norms`` reads).  The boundary tables, the inflow
+data and the exact solution's boundary values are evaluated on every
+boundary facet: they are a few per cent of the facet rows, and carrying
+them saved no measurable time.  The products over all cells are formed
+from the point values every iteration, because OpenBLAS can round a
+product over some rows differently from the same rows of the full product
+(one row takes gemv, a small product its small-matrix kernel); so every
+table and operator is bitwise the one built afresh.
 
 All assembly loops are vectorized over cells and facets.  Bases are
 evaluated once per reference point set (the volume rule, or the six
@@ -194,15 +196,6 @@ def _mass_local(phi, w):
 _FACET_BLOCK_BYTES = 1 << 19
 
 
-def _occurrences(keys):
-    """How often each entry's key occurs before it in ``keys``."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    count = np.empty(len(keys), dtype=np.intp)
-    count[order] = np.arange(len(keys)) - np.searchsorted(ordered, ordered)
-    return count
-
-
 def _coo_to_csr(rows, cols, values, dim):
     """CSR matrix (dim, dim) summing ``values`` at (``rows``, ``cols``)."""
     return sp.coo_matrix((values, (rows, cols)), shape=(dim, dim)).tocsr()
@@ -240,13 +233,14 @@ def _without_zeros(data, pattern, dim):
 
 
 def _kept_rows(old, new):
-    """The cells and facets of mesh ``new`` that refinement left unchanged
-    from mesh ``old``, or None unless ``old``'s vertices lead ``new``'s.
+    """The cells and interior facets of mesh ``new`` that refinement left
+    unchanged from mesh ``old``, or None unless ``old``'s vertices lead
+    ``new``'s.
 
-    Maps each row kind ("cells", "boundary", "interior") to the row in
-    ``old`` of each row of ``new``, -1 where the row is new.  A cell is kept
-    when ``old`` has the same ordered vertex triple; a facet when each of
-    its sides lies on a kept cell and is the same side of the same ``old``
+    Maps each row kind ("cells", "interior") to the row in ``old`` of each
+    row of ``new``, -1 where the row is new.  A cell is kept when ``old``
+    has the same ordered vertex triple; an interior facet when each of its
+    sides lies on a kept cell and is the same side of the same ``old``
     facet.
     """
     nv = len(new.vertices)
@@ -261,22 +255,16 @@ def _kept_rows(old, new):
     found = order[np.searchsorted(old_keys[order], keys).clip(max=len(order) - 1)]
     old_cell = np.where((old_keys[found] == keys) & (old.cells[found, 2] == new.cells[:, 2]),
                         found, -1)
-
-    def facets(old_sides, sides):
-        """Sides (n, 1) of boundary or (n, 2) of interior facets."""
-        cells = sides // 3
-        mapped = np.where(old_cell[cells] >= 0, 3 * old_cell[cells] + sides % 3, -1)
-        facet = np.full(3 * len(old.cells), -1)
-        facet[old_sides[:, 0]] = np.arange(len(old_sides))
-        # the first side names the only candidate; the last must match it too
-        source = np.where(mapped[:, 0] >= 0, facet[mapped[:, 0]], -1)
-        same = source >= 0
-        same[same] = old_sides[source[same], -1] == mapped[same, -1]
-        return np.where(same, source, -1)
-
-    return {"cells": old_cell,
-            "boundary": facets(old.boundary_sides[:, None], new.boundary_sides[:, None]),
-            "interior": facets(old.interior_sides, new.interior_sides)}
+    sides = new.interior_sides
+    side_cell = old_cell[sides // 3]
+    mapped = np.where(side_cell >= 0, 3 * side_cell + sides % 3, -1)
+    facet = np.full(3 * len(old.cells), -1)
+    facet[old.interior_sides[:, 0]] = np.arange(len(old.interior_sides))
+    # the plus side names the only candidate; the minus side must match it too
+    source = np.where(mapped[:, 0] >= 0, facet[mapped[:, 0]], -1)
+    same = source >= 0
+    same[same] = old.interior_sides[source[same], 1] == mapped[same, 1]
+    return {"cells": old_cell, "interior": np.where(same, source, -1)}
 
 
 class FormTables:
@@ -288,9 +276,10 @@ class FormTables:
     computed once.  ``degree`` is the volume quadrature exactness (default
     ``volume_degree``); facets use the ``facet_degree`` edge rule.
 
-    ``previous``, the previous iteration's tables, lends the rows that
-    refinement kept (see the module docstring); they are copied here, so
-    ``previous`` can be released at once.
+    ``previous``, the previous iteration's tables, lends the rows of the
+    cells and interior facets that refinement kept (see the module
+    docstring); they are copied here, so ``previous`` can be released at
+    once.
     """
 
     def __init__(self, space, data, degree=None, previous=None):
@@ -303,6 +292,8 @@ class FormTables:
         # name -> (key, arrays) copied from ``previous``, their new rows still to
         # compute, and row kind -> those new rows
         self._carried, self._fresh = {}, {}
+        # the exact solution last passed to ``error_terms`` and its boundary values
+        self._boundary_exact = (None, None)
         if (previous is not None and previous.data == data and previous.space.kind == space.kind
                 and previous.volume_rule is self.volume_rule
                 and previous.edge_rule is self.edge_rule):
@@ -323,17 +314,16 @@ class FormTables:
 
     def _table(self, name, kind, compute, key=None):
         """The arrays ``compute(rows)`` over all rows of ``kind``, one row per
-        cell, boundary facet or interior facet.  Rows carried from the
-        previous tables are reused, so ``compute`` gets only the others.
-        ``key`` (the exact solution of an error table) must be the same
-        object for a table to be reused."""
+        cell or interior facet.  Rows carried from the previous tables are
+        reused, so ``compute`` gets only the others, and is not called when
+        every row is carried.  ``key`` (the exact solution of an error
+        table) must be the same object for a table to be reused."""
         if name in self._tables and self._tables[name][1] is key:
             return self._tables[name][2]
         carried_key, arrays = self._carried.pop(name, (None, None))
         if arrays is None or carried_key is not key:
             arrays = compute(slice(None))
-        else:
-            fresh = self._fresh[kind]
+        elif len(fresh := self._fresh[kind]):
             for out, values in zip(arrays, compute(fresh)):
                 out[fresh] = values
         self._tables[name] = (kind, key, arrays)
@@ -380,21 +370,15 @@ class FormTables:
         """Points, scaled weights, b.n and owner-cell basis values (nf, nq, n)
         on every boundary facet, and the owner cells' DoFs."""
         mesh = self.space.mesh
-
-        def compute(facets):
-            pts, w = facet_quadrature(mesh, mesh.boundary_edges[facets], self.edge_rule)
-            bn = normal_flux(self.data.velocity, pts, mesh.boundary_normals[facets])
-            return pts, w, bn, facet_basis(self.space, mesh.boundary_sides[facets], self.edge_rule)
-
-        pts, w, bn, vals = self._table("boundary", "boundary", compute)
+        pts, w = facet_quadrature(mesh, mesh.boundary_edges, self.edge_rule)
+        bn = normal_flux(self.data.velocity, pts, mesh.boundary_normals)
+        vals = facet_basis(self.space, mesh.boundary_sides, self.edge_rule)
         return pts, w, bn, vals, self.space.cell_dofs[mesh.boundary_sides // 3]
 
     @cached_property
     def inflow(self):
         """The inflow data g at the boundary points (nf, nq)."""
-        pts = self.boundary[0]
-        return self._table("inflow", "boundary",
-                           lambda facets: (_point_values(self.data.inflow_data, pts[facets]),))[0]
+        return _point_values(self.data.inflow_data, self.boundary[0])
 
     @cached_property
     def interior(self):
@@ -423,7 +407,8 @@ class FormTables:
     def error_terms(self, exact):
         """The error norms' volume rule, two degrees above ``volume_degree``:
         its scaled weights (nc, nq) and basis values (nq, n), with the values
-        of ``exact`` there (nc, nq) and at the boundary points (nf, nq)."""
+        of ``exact`` there (nc, nq), carried like the coefficients, and at the
+        boundary points (nf, nq), evaluated once per ``exact``."""
         mesh = self.space.mesh
         rule = triangle_rule(volume_degree(self.space) + 2)
 
@@ -432,10 +417,9 @@ class FormTables:
             return w, _point_values(exact, pts)
 
         w, values = self._table("error", "cells", on_cells, exact)
-        pts = self.boundary[0]
-        (boundary,) = self._table("boundary exact", "boundary",
-                                  lambda facets: (_point_values(exact, pts[facets]),), exact)
-        return w, self.space.local_basis.evaluate(rule.points), values, boundary
+        if self._boundary_exact[0] is not exact:
+            self._boundary_exact = (exact, _point_values(exact, self.boundary[0]))
+        return w, self.space.local_basis.evaluate(rule.points), values, self._boundary_exact[1]
 
     @cached_property
     def pattern(self):
@@ -459,15 +443,17 @@ class FormTables:
         """J's COO entries (rows, cols, values), the indices in int32.
 
         First every cell block (a, b) on the cell's DoFs, holding J's blocks
-        on each facet side's own cell summed per cell, so each cell-block
-        entry has a slot even where J vanishes; then the nonzero entries of
-        the blocks coupling a facet's two cells, rows on the plus side, and
-        their transposes.  On a facet the normal-gradient jumps of some DoFs
-        vanish exactly, and storing those zeros would only add fill to every
-        factor.  The facets' local matrices are formed a block of facets at
-        a time and every entry is written into arrays allocated once at their
-        largest size, so neither all (nf, 2m, 2m) local matrices nor a
-        concatenated copy of the COO is ever held.
+        on each facet side's own cell summed per cell by one ``np.add.at``
+        per side and block of facets, which adds a cell's facets in facet
+        order, so each cell-block entry has a slot even where J vanishes;
+        then the nonzero entries of the blocks coupling a facet's two cells,
+        rows on the plus side, and their transposes.  On a facet the
+        normal-gradient jumps of some DoFs vanish exactly, and storing those
+        zeros would only add fill to every factor.  The facets' local
+        matrices are formed a block of facets at a time and every entry is
+        written into arrays allocated once at their largest size, so neither
+        all (nf, 2m, 2m) local matrices nor a concatenated copy of the COO is
+        ever held.
         """
         cd = self.space.cell_dofs
         cells, m = cd.shape
@@ -480,22 +466,18 @@ class FormTables:
         rows[:start].reshape(cells, m, m)[...] = cd[:, :, None]
         cols[:start].reshape(cells, m, m)[...] = cd[:, None, :]
         # J's blocks on each side's own cell, summed per cell in facet order: the
-        # + sides' sum, then the - sides'.  A cell's k-th facet on a side is added
-        # in round k, so no round repeats a cell.
-        own, own_minus = values[:start].reshape(cells, m, m), np.zeros((cells, m, m))
+        # + sides' sum, then the - sides'
+        own, own_minus = values[:start], np.zeros(start)
         own.fill(0.0)
-        rounds = np.column_stack([_occurrences(side) for side in sides.T])
+        entries = np.arange(m * m)
         end = start
         step = max(1, _FACET_BLOCK_BYTES // (32 * m * m))
         for first in range(0, len(dofs), step):
             block = slice(first, first + step)
             local = _facet_local(weights[block], jump[block])
-            for total, side, rank, own_block in zip((own, own_minus), sides[block].T,
-                                                    rounds[block].T,
-                                                    (local[:, :m, :m], local[:, m:, m:])):
-                for k in range(3):
-                    on = rank == k
-                    total[side[on]] += own_block[on]
+            for total, side, own_block in zip((own, own_minus), sides[block].T,
+                                              (local[:, :m, :m], local[:, m:, m:])):
+                np.add.at(total, (side[:, None] * (m * m) + entries).ravel(), own_block.ravel())
             # the (+, -) block and the transpose of the (-, +) block, rows on the + side
             cross, cross_t = local[:, :m, m:], local[:, m:, :m].transpose(0, 2, 1)
             nonzero = (cross != 0.0) | (cross_t != 0.0)

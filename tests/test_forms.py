@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -408,6 +409,43 @@ class TestCoercivityAndSplit:
             assert v @ (B @ v) >= v @ (G @ v) - 1e-10
 
     @staticmethod
+    @functools.cache
+    def graded_mesh():
+        """The 3 x 3 grid with a random quarter of its cells refined, three times."""
+        rng = np.random.default_rng(7)
+        mesh = build_structured_mesh(3)
+        for _ in range(3):
+            mesh = refine(mesh, rng.choice(len(mesh.cells), len(mesh.cells) // 4, replace=False))
+        return mesh
+
+    @pytest.mark.parametrize("velocity, p, k", [
+        *((field, p, k) for field in ("constant", "rotating") for p in (1, 2, 3)
+          for k in range(1, 6) if k > max(p, 2) or k <= p),
+        # exp1's field is not polynomial, and the facet_degree edge rule leaves a
+        # boundary quadrature gap of -1.2e-10 max|G| here (roundoff from four
+        # degrees more): the open boundary-rule item of the roadmap
+        pytest.param("exp1", 1, 3, marks=pytest.mark.xfail(
+            strict=True, reason="boundary rule below the volume degree")),
+    ])
+    def test_coercive_over_gram_by_dense_eigenvalues(self, velocity, p, k):
+        """sym(B_full) - G >= 0 where mu - div(b)/2 >= sigma0: the unit
+        reaction and weight with the divergence-free constant (1, 0.3) and
+        rotating fields, and exp1's field with sigma0 = mu0.  Its smallest
+        eigenvalue, not random vectors, is bounded, and G is SPD."""
+        fields = {"constant": const_field([1.0, 0.3]), "rotating": rotating_field}
+        if velocity == "exp1":
+            data = experiment1(0.5).data
+            data = replace(data, penalty_order=k, gram_weight=data.reaction_floor)
+        else:
+            data = make_data(fields[velocity], mu=1.0, k_pen=k, gram_weight=1.0)
+        tables = FormTables(build_space(self.graded_mesh(), enriched(p, k)), data)
+        G = assemble_gram(tables).toarray()
+        B = assemble_stabilized(tables).toarray()
+        assert np.array_equal(G, G.T)
+        assert np.linalg.eigvalsh(G).min() > 0.0
+        assert np.linalg.eigvalsh(0.5 * (B + B.T) - G).min() >= -1e-12 * np.abs(G).max()
+
+    @staticmethod
     def advection_and_signed_flux(test, velocity):
         """-(v, b.grad w) and (b.n v, w)_boundary as 2 ((b.n)^+ v, w) - (|b.n| v, w).
 
@@ -733,8 +771,9 @@ class TestTrialNesting:
 
 class TestCarriedTables:
     """Tables built with the previous iteration's tables copy the rows of the
-    cells and facets that refinement kept and evaluate only the others; every
-    array and operator equals the one built afresh, bit for bit."""
+    cells and interior facets that refinement kept and evaluate only the
+    others, while the boundary tables are evaluated on every boundary facet;
+    every array and operator equals the one built afresh, bit for bit."""
 
     @staticmethod
     def counted(data, exact):
@@ -822,6 +861,10 @@ class TestCarriedTables:
 
     @cases
     def test_callables_see_only_new_points(self, case):
+        """The volume callables see only the new cells' points and b the new
+        interior facets'; the boundary tables evaluate b, g and the exact
+        solution on every boundary point, the exact solution once per
+        tables however often ``error_terms`` is asked for it."""
         data, exact, kind = self.problem()
         data, exact, calls = self.counted(data, exact)
         old, new = self.refined(case)
@@ -841,10 +884,38 @@ class TestCarriedTables:
             assert (boundary > 0) == (case == "boundary cell")
         nq, ne = len(tables.volume_rule.weights), len(tables.edge_rule.weights)
         nq_error = tables.error_terms(exact)[0].shape[1]
-        assert sorted(calls["velocity"]) == sorted([cells * nq, boundary * ne, interior * ne])
+        every_boundary_point = len(new.boundary_edges) * ne
+        assert sorted(calls["velocity"]) == sorted([cells * nq, every_boundary_point,
+                                                    interior * ne])
         assert calls["reaction"] == calls["source"] == [cells * nq]
-        assert calls["inflow_data"] == [boundary * ne]
-        assert sorted(calls["exact"]) == sorted([cells * nq_error, boundary * ne])
+        assert calls["inflow_data"] == [every_boundary_point]
+        assert sorted(calls["exact"]) == sorted([cells * nq_error, every_boundary_point])
+        other = lambda x: exact(x) + 1.0
+        calls["exact"].clear()
+        tables.error_terms(other)
+        tables.error_terms(other)
+        assert sorted(calls["exact"]) == sorted([len(new.cells) * nq_error, every_boundary_point])
+
+    def test_same_mesh_calls_no_callable_on_carried_tables(self):
+        """Tables built on the previous tables' own mesh keep every cell and
+        interior facet: their tables call no callable, not even on zero
+        points, and only the boundary tables evaluate anything."""
+        data, exact, kind = self.problem()
+        data, exact, calls = self.counted(data, exact)
+        space = build_space(self.refined("interior cell")[1], kind)
+        previous = FormTables(space, data)
+        self.build(previous, exact)
+        for seen in calls.values():
+            seen.clear()
+        tables = FormTables(space, data, previous=previous)
+        tables.coefficients, tables.interior
+        tables.error_terms(exact)[:3]
+        assert calls["exact"] == [len(space.mesh.boundary_edges) * len(tables.edge_rule.weights)]
+        carried = self.build(tables, exact)
+        every_boundary_point = calls["exact"][0]
+        assert calls == {"velocity": [every_boundary_point], "reaction": [], "source": [],
+                         "inflow_data": [every_boundary_point], "exact": [every_boundary_point]}
+        self.assert_bitwise_equal(carried, self.build(FormTables(space, data), exact))
 
     @pytest.mark.parametrize("other", ["problem data", "degree", "space kind", "mesh",
                                        "exact solution"])
