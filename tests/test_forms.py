@@ -909,10 +909,9 @@ class TestCarriedTables:
             seen.clear()
         tables = FormTables(space, data, previous=previous)
         tables.coefficients, tables.interior
-        tables.error_terms(exact)[:3]
-        assert calls["exact"] == [len(space.mesh.boundary_edges) * len(tables.edge_rule.weights)]
+        assert not any(calls.values())
         carried = self.build(tables, exact)
-        every_boundary_point = calls["exact"][0]
+        every_boundary_point = len(space.mesh.boundary_edges) * len(tables.edge_rule.weights)
         assert calls == {"velocity": [every_boundary_point], "reaction": [], "source": [],
                          "inflow_data": [every_boundary_point], "exact": [every_boundary_point]}
         self.assert_bitwise_equal(carried, self.build(FormTables(space, data), exact))
