@@ -43,9 +43,10 @@ product over some rows differently from the same rows of the full product
 table and operator is bitwise the one built afresh.
 
 All assembly loops are vectorized over cells and facets.  Bases are
-evaluated once per reference point set (the volume rule, or the six
-reference-facet cases of the edge rule) and gathered per cell or facet, so
-no physical point is pulled back.
+evaluated once per process, per space kind and rule, on the volume rule or
+the six reference-facet cases of the edge rule (``reference.tabulate``,
+which also holds the mass and advection point products), and gathered per
+cell or facet, so no physical point is pulled back.
 
 The space's operators share one CSR sparsity pattern, owned by
 ``FormTables.pattern``: the cell blocks and the nonzero couplings of the
@@ -68,7 +69,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .reference import edge_rule, reference_facet_points, triangle_rule
+from .reference import edge_rule, tabulate, triangle_rule
 
 
 @dataclass
@@ -160,25 +161,24 @@ def facet_cases(mesh, sides):
     return 2 * local + against
 
 
-def facet_basis(space, sides, rule, normals=None):
-    """Basis values (nf, nq, nloc) at edge-rule points, seen from given cell sides.
+def facet_basis(space, sides, degree, normals=None):
+    """Basis values (nf, nq, nloc) at the points of ``edge_rule(degree)``,
+    seen from given cell sides.
 
-    The local basis is tabulated on the six reference-facet cases and
-    gathered per facet.  With ``normals`` the result is the normal
-    component of the physical basis gradients instead.
+    The local basis's tables on the six reference-facet cases are gathered
+    per facet.  With ``normals`` the result is the normal component of the
+    physical basis gradients instead.
     """
     mesh = space.mesh
     basis = space.local_basis
     case = facet_cases(mesh, sides)
-    xi = reference_facet_points(rule.points).reshape(-1, 2)
-    nq = len(rule.points)
     if normals is None:
-        return basis.evaluate(xi).reshape(6, nq, basis.count)[case]
+        return tabulate(basis, "facet values", degree)[case]
     _, _, Jinv, _ = mesh.affine
     # n . (Jinv^T gref) = (Jinv n) . gref: contract the normal with Jinv once per facet
     nJ = np.matmul(Jinv[sides // 3], normals[:, :, None])
-    gref = basis.gradient(xi).reshape(6, nq * basis.count, 2)
-    return np.matmul(gref[case], nJ).reshape(len(sides), nq, basis.count)
+    gref = tabulate(basis, "facet gradients", degree)  # (6, nq * nloc, 2)
+    return np.matmul(gref[case], nJ).reshape(len(sides), gref.shape[1] // basis.count, basis.count)
 
 
 def _facet_local(weights, vals):
@@ -186,10 +186,10 @@ def _facet_local(weights, vals):
     return np.matmul(vals.transpose(0, 2, 1) * weights[:, None, :], vals)
 
 
-def _mass_local(phi, w):
-    """Per-cell mass matrices for basis values phi (nq, n) and scaled weights w (nc, nq)."""
-    products = (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), -1)
-    return np.matmul(w, products).reshape(len(w), phi.shape[1], phi.shape[1])
+def _mass_local(basis, degree, w):
+    """Per-cell mass matrices (nc, n, n) of ``basis`` on ``triangle_rule(degree)``
+    for scaled weights w (nc, nq)."""
+    return np.matmul(w, tabulate(basis, "mass", degree)).reshape(len(w), basis.count, basis.count)
 
 
 # bytes of one block of facets' local J matrices in ``FormTables._jump_entries``
@@ -285,8 +285,11 @@ class FormTables:
     def __init__(self, space, data, degree=None, previous=None):
         self.space = space
         self.data = data
-        self.volume_rule = triangle_rule(degree if degree is not None else volume_degree(space))
-        self.edge_rule = edge_rule(facet_degree(space))
+        # the volume and facet rules' degrees, which key the basis tables
+        self.degree = degree if degree is not None else volume_degree(space)
+        self.facet_degree = facet_degree(space)
+        self.volume_rule = triangle_rule(self.degree)
+        self.edge_rule = edge_rule(self.facet_degree)
         # name -> (row kind, key, arrays) of each table built, for the next tables
         self._tables = {}
         # name -> (key, arrays) copied from ``previous``, their new rows still to
@@ -335,10 +338,10 @@ class FormTables:
         self._tables.pop(name, None)
         self.__dict__.pop(name, None)
 
-    @cached_property
+    @property
     def volume_basis(self):
-        """Basis values (nq, n) at the volume rule's points."""
-        return self.space.local_basis.evaluate(self.volume_rule.points)
+        """Basis values (nq, n) at the volume rule's points (read-only)."""
+        return tabulate(self.space.local_basis, "values", self.degree)
 
     def volume_weights(self, cells=slice(None)):
         """The volume rule's scaled weights (n, nq) on the given cells."""
@@ -372,7 +375,7 @@ class FormTables:
         mesh = self.space.mesh
         pts, w = facet_quadrature(mesh, mesh.boundary_edges, self.edge_rule)
         bn = normal_flux(self.data.velocity, pts, mesh.boundary_normals)
-        vals = facet_basis(self.space, mesh.boundary_sides, self.edge_rule)
+        vals = facet_basis(self.space, mesh.boundary_sides, self.facet_degree)
         return pts, w, bn, vals, self.space.cell_dofs[mesh.boundary_sides // 3]
 
     @cached_property
@@ -397,7 +400,7 @@ class FormTables:
             bn = normal_flux(data.velocity, pts, normals)
             h_e = mesh.edge_lengths[edges]
             gamma = h_e**2 / float(k_pen) ** data.penalty_exponent * np.abs(bn).max(axis=1)
-            gn_plus, gn_minus = (facet_basis(space, sides, self.edge_rule, normals)
+            gn_plus, gn_minus = (facet_basis(space, sides, self.facet_degree, normals)
                                  for sides in mesh.interior_sides[facets].T)
             return gamma[:, None] * w, np.concatenate([gn_plus, -gn_minus], axis=2)
 
@@ -410,7 +413,8 @@ class FormTables:
         of ``exact`` there (nc, nq), carried like the coefficients, and at the
         boundary points (nf, nq), evaluated once per ``exact``."""
         mesh = self.space.mesh
-        rule = triangle_rule(volume_degree(self.space) + 2)
+        degree = volume_degree(self.space) + 2
+        rule = triangle_rule(degree)
 
         def on_cells(cells):
             pts, w = cell_quadrature(mesh, rule, cells)
@@ -419,7 +423,8 @@ class FormTables:
         w, values = self._table("error", "cells", on_cells, exact)
         if self._boundary_exact[0] is not exact:
             self._boundary_exact = (exact, _point_values(exact, self.boundary[0]))
-        return w, self.space.local_basis.evaluate(rule.points), values, self._boundary_exact[1]
+        return (w, tabulate(self.space.local_basis, "values", degree), values,
+                self._boundary_exact[1])
 
     @cached_property
     def pattern(self):
@@ -531,22 +536,17 @@ class FormTables:
 
 def assemble_mass(space, degree=None):
     """Mass matrix (v, w)."""
-    rule = triangle_rule(degree if degree is not None else volume_degree(space))
-    _, w = cell_quadrature(space.mesh, rule)
-    phi = space.local_basis.evaluate(rule.points)
-    return _scatter(_mass_local(phi, w), space.cell_dofs, space.dim)
+    degree = degree if degree is not None else volume_degree(space)
+    _, w = cell_quadrature(space.mesh, triangle_rule(degree))
+    return _scatter(_mass_local(space.local_basis, degree, w), space.cell_dofs, space.dim)
 
 
 def _advection_local(tables):
     """Per-cell blocks (nc, m, m) of the adjoint-form advection -(v, b . grad w)."""
-    phi = tables.volume_basis
+    basis = tables.space.local_basis
     _, wb, _ = tables.coefficients
-    nc, nq = wb.shape[:2]
-    gref = tables.space.local_basis.gradient(tables.volume_rule.points)
-    # reference-gradient x value products per point and direction
-    products = gref.transpose(0, 2, 1)[:, :, :, None] * phi[:, None, None, :]
-    local = -np.matmul(wb.reshape(nc, -1), products.reshape(2 * nq, -1))
-    return local.reshape(nc, phi.shape[1], phi.shape[1])
+    local = -np.matmul(wb.reshape(len(wb), -1), tabulate(basis, "advection", tables.degree))
+    return local.reshape(len(wb), basis.count, basis.count)
 
 
 # -- composed operators -------------------------------------------------------
@@ -581,14 +581,15 @@ def assemble_stabilized(tables):
     """
     mass_w, _, _ = tables.coefficients
     _, bw, bn, _, _ = tables.boundary
-    local = _mass_local(tables.volume_basis, mass_w) + _advection_local(tables)
+    local = _mass_local(tables.space.local_basis, tables.degree, mass_w) + _advection_local(tables)
     return _assemble(tables, local, bw * np.maximum(bn, 0.0))
 
 
 def assemble_gram(tables):
     """SPD inner-product matrix of the space (symmetrized exactly)."""
-    (mass_w, phi, _, _), (boundary_w, *_), _ = tables.energy_terms
-    return _assemble(tables, _mass_local(phi, mass_w), boundary_w, symmetric=True)
+    (mass_w, *_), (boundary_w, *_), _ = tables.energy_terms
+    return _assemble(tables, _mass_local(tables.space.local_basis, tables.degree, mass_w),
+                     boundary_w, symmetric=True)
 
 
 def assemble_load(tables):

@@ -7,10 +7,12 @@ parameter interval ``[0, 1]``.
 
 Basis functions are stored as coefficient matrices over a monomial basis,
 so values and gradients can be evaluated at arbitrary points.  Assembly
-evaluates each basis once per reference point set: on a triangle rule,
-or on the six reference-facet cases of an edge rule
-(``reference_facet_points``).  Quadrature rules are cached per degree and
-their arrays are read-only.
+reads each basis on a rule from ``tabulate``, which evaluates it once per
+process, per basis and rule degree: on a triangle rule, or on the six
+reference-facet cases of an edge rule (``reference_facet_points``).
+``spaces.build_space`` shares one basis per space kind, so a run tabulates
+each space kind once per rule.  Quadrature rules and tabulations are cached
+and their arrays are read-only.
 
 The Gauss nodes and weights come from numpy alone.  Gauss-Legendre is
 ``numpy.polynomial.legendre.leggauss``.  Gauss-Jacobi for the weight 1 - x
@@ -37,6 +39,11 @@ _REFERENCE_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 def monomial_exponents(degree):
     """Exponent pairs (a, b) with a + b <= degree, graded ordering."""
     return [(s - b, b) for s in range(degree + 1) for b in range(s + 1)]
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
 
 
 def _eval_monomials(exps, points):
@@ -74,9 +81,9 @@ class ReferenceBasis:
 
     def __init__(self, degree, coeffs, nodes=None):
         self.degree = degree
-        self._coeffs = coeffs  # (n_monomials, count) over monomial_exponents(degree)
+        self._coeffs = _read_only(coeffs)  # (n_monomials, count) over monomial_exponents(degree)
         self._exps = monomial_exponents(degree)
-        self.nodes = None if nodes is None else np.asarray(nodes, dtype=float)
+        self.nodes = None if nodes is None else _read_only(np.array(nodes, dtype=float))
         self.count = coeffs.shape[1]
 
     def evaluate(self, points):
@@ -173,9 +180,7 @@ class QuadratureRule:
 
 
 def _frozen_rule(points, weights, exact_degree):
-    for arr in (points, weights):
-        arr.setflags(write=False)
-    return QuadratureRule(points, weights, exact_degree)
+    return QuadratureRule(_read_only(points), _read_only(weights), exact_degree)
 
 
 def _monic_jacobi(x, a, b):
@@ -255,3 +260,60 @@ def reference_facet_points(params):
         out[2 * i] = a + t * (b - a)
         out[2 * i + 1] = b + t * (a - b)
     return out
+
+
+def _values(basis, degree):
+    return basis.evaluate(triangle_rule(degree).points)
+
+
+def _mass_products(basis, degree):
+    phi = tabulate(basis, "values", degree)
+    return (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), -1)
+
+
+def _advection_products(basis, degree):
+    phi = tabulate(basis, "values", degree)
+    gref = basis.gradient(triangle_rule(degree).points)
+    products = gref.transpose(0, 2, 1)[:, :, :, None] * phi[:, None, None, :]
+    return products.reshape(2 * len(phi), -1)
+
+
+def _facet_values(basis, degree):
+    points = reference_facet_points(edge_rule(degree).points).reshape(-1, 2)
+    return basis.evaluate(points).reshape(6, -1, basis.count)
+
+
+def _facet_gradients(basis, degree):
+    points = reference_facet_points(edge_rule(degree).points).reshape(-1, 2)
+    return basis.gradient(points).reshape(6, -1, 2)
+
+
+# table name -> its computation from (basis, rule degree); see ``tabulate``
+_TABLES = {"values": _values, "mass": _mass_products, "advection": _advection_products,
+           "facet values": _facet_values, "facet gradients": _facet_gradients}
+
+
+@functools.lru_cache(maxsize=None)
+def tabulate(basis, table, degree):
+    """The table ``table`` of ``basis`` on the rule of ``degree``, computed on
+    first use and read-only.
+
+    On ``triangle_rule(degree)`` with nq points and n = ``basis.count``:
+
+    * ``"values"``: phi_i at each point, shape (nq, n);
+    * ``"mass"``: the products phi_i phi_j, shape (nq, n * n);
+    * ``"advection"``: the products d_d phi_i phi_j per direction d and
+      point, shape (2 nq, n * n), rows ordered (point, direction).
+
+    On the six reference-facet cases of ``edge_rule(degree)`` with nq
+    points (``reference_facet_points``):
+
+    * ``"facet values"``: shape (6, nq, n);
+    * ``"facet gradients"``: the reference gradients, shape (6, nq * n, 2),
+      rows ordered (point, function).
+
+    The cache is keyed by the basis object, which ``spaces.build_space``
+    shares per space kind, and the rule degree, because a rule holds arrays
+    and cannot be hashed; a run uses a handful of keys.
+    """
+    return _read_only(_TABLES[table](basis, degree))

@@ -95,7 +95,8 @@ def _factorize(matrix, label, symmetric=False, order=None):
     quasi-definite or positive real) in symmetric mode, taking the diagonal
     pivots in order, on the minimum-degree ordering of A^T + A or, given
     ``order``, on that elimination order of its rows and columns: P A P^T
-    is factored in natural order, and the factor solves in A's numbering.
+    (``_permuted``) is factored in natural order, and the factor solves in
+    A's numbering.
     """
     options = dict(relax=SUPERNODE_RELAX)
     if symmetric:
@@ -103,10 +104,23 @@ def _factorize(matrix, label, symmetric=False, order=None):
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     try:
         if order is None:
-            return splu(sp.csc_matrix(matrix), **options)
-        return _Reordered(splu(sp.csc_matrix(matrix[order][:, order]), **options), order)
+            return splu(matrix.tocsc(), **options)
+        return _Reordered(splu(_permuted(matrix, order), **options), order)
     except RuntimeError as exc:  # SuperLU reports the zero pivot in its message
         raise SolverError(f"{label} factorization failed: {exc}") from exc
+
+
+def _permuted(A, order):
+    """P A P^T in CSC, row and column i of which are row and column
+    ``order[i]`` of A: A's rows gathered in ``order``, their column indices
+    relabelled through the inverse order, converted once.  The arrays equal
+    those of ``csc_matrix(A[order][:, order])``."""
+    rows = A.tocsr()[order]
+    inverse = np.empty(len(order), dtype=rows.indices.dtype)
+    inverse[order] = np.arange(len(order), dtype=inverse.dtype)
+    rows.indices = inverse[rows.indices]
+    rows.has_sorted_indices = False
+    return rows.tocsc()
 
 
 class _Reordered:
@@ -222,7 +236,7 @@ def _saddle_matrix(G, B, delta):
     n_test + t is B's column t followed by the -delta diagonal entry.  The
     rows of each column stay sorted, so no COO of K_delta is sorted.
     """
-    B = sp.csr_matrix(B)
+    B = B.tocsr()
     n_test, n_trial = B.shape
     columns = B.tocsc()
     diagonal = np.arange(n_trial + 1, dtype=np.int32)  # -delta I's indptr

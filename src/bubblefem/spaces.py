@@ -24,6 +24,7 @@ by the lexicographic edge order (walked from the smaller to the larger
 vertex index), cell-interior DoFs by cell index.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,8 @@ class FunctionSpace:
     cell_dofs : (ncells, nlocal) int array
         Global DoF indices per cell, ordered like the local basis.
     local_basis : ReferenceBasis
-        Reference basis matching the cell_dofs layout.
+        Reference basis matching the cell_dofs layout, one object shared by
+        every space of the kind (``build_space``).
     n_trial : int
         Size of the leading trial block (enriched spaces), else dim for
         Lagrange spaces and 0 for broken spaces.
@@ -105,34 +107,35 @@ def _lagrange_dofs(mesh, p):
     return dim, dofs
 
 
-def build_space(mesh, kind):
-    """Construct the DoF layout for a space kind on a mesh."""
-    if kind.family == "lagrange":
-        dim, dofs = _lagrange_dofs(mesh, kind.p)
-        return FunctionSpace(mesh, kind, dim, dofs, lagrange_basis(kind.p), dim)
+@functools.lru_cache(maxsize=None)
+def _local_basis(kind):
+    """The reference basis of a space kind, built once per process."""
+    if kind.family == "enriched" and kind.k > kind.p:
+        # b_T q with deg q <= p - 3 lies in P_p already
+        return combine_bases(lagrange_basis(kind.p), bubble_basis(kind.k, lowest=kind.p - 2))
+    # bubbles of degree k <= p already lie in the trial space
+    return lagrange_basis(kind.p)
 
+
+def build_space(mesh, kind):
+    """Construct the DoF layout for a space kind on a mesh.
+
+    Every space of one kind shares one ``local_basis`` object, built on the
+    first call, so ``reference.tabulate`` evaluates it once per rule.
+    """
+    if kind.family not in ("lagrange", "broken", "enriched"):
+        raise ValueError(f"unknown space family {kind.family!r}")
+    basis = _local_basis(kind)
+    nc = len(mesh.cells)
     if kind.family == "broken":
-        basis = lagrange_basis(kind.p)
-        nc = len(mesh.cells)
         dofs = np.arange(nc * basis.count, dtype=np.int64).reshape(nc, basis.count)
         return FunctionSpace(mesh, kind, nc * basis.count, dofs, basis, 0)
-
-    if kind.family == "enriched":
-        trial_dim, trial_dofs = _lagrange_dofs(mesh, kind.p)
-        if kind.k <= kind.p:
-            # bubbles of degree <= p already lie in the trial space
-            return FunctionSpace(
-                mesh, kind, trial_dim, trial_dofs, lagrange_basis(kind.p), trial_dim
-            )
-        # b_T q with deg q <= p - 3 lies in P_p already
-        bub = bubble_basis(kind.k, lowest=kind.p - 2)
-        nc = len(mesh.cells)
-        bub_dofs = trial_dim + np.arange(nc * bub.count, dtype=np.int64).reshape(nc, bub.count)
-        dofs = np.hstack([trial_dofs, bub_dofs])
-        basis = combine_bases(lagrange_basis(kind.p), bub)
-        return FunctionSpace(mesh, kind, trial_dim + nc * bub.count, dofs, basis, trial_dim)
-
-    raise ValueError(f"unknown space family {kind.family!r}")
+    dim, dofs = _lagrange_dofs(mesh, kind.p)
+    n_bubbles = basis.count - dofs.shape[1]
+    if n_bubbles:
+        bub_dofs = dim + np.arange(nc * n_bubbles, dtype=np.int64).reshape(nc, n_bubbles)
+        dofs = np.hstack([dofs, bub_dofs])
+    return FunctionSpace(mesh, kind, dim + nc * n_bubbles, dofs, basis, dim)
 
 
 class DiscreteFunction:

@@ -297,10 +297,10 @@ class TestAdaptiveLoop:
         built = []
         facet_basis, coo_to_csr = forms.facet_basis, forms._coo_to_csr
 
-        def counted_basis(space, sides, rule, normals=None):
+        def counted_basis(space, sides, degree, normals=None):
             side = "boundary" if normals is None else "jump side"
             built.append(side if space.kind.family == "enriched" else "trial " + side)
-            return facet_basis(space, sides, rule, normals)
+            return facet_basis(space, sides, degree, normals)
 
         def counted_coo_to_csr(rows, cols, values, dim):
             built.append("J")
@@ -619,3 +619,74 @@ class TestAdaptiveLoop:
         assert (out / "mesh_0000.vtk").exists()
         assert (out / "gram_0000.mtx").exists()
         assert (out / "operator_0000.mtx").exists()
+
+
+# an exp1 p1k3 loop's records, float fields as hex; with "after", run after
+# loops on another space kind and on another volume rule in the same process
+RUN_AFTER_OTHER_LOOPS = """
+import dataclasses, json, sys
+from bubblefem import LoopConfig, adaptive_loop, experiment1
+
+
+def run(**knobs):
+    config = LoopConfig(mode="energy", max_iters=3, saturation=True, **knobs)
+    return adaptive_loop(experiment1(0.01), config)
+
+
+if sys.argv[1] == "after":
+    run(p=2, k=4)
+    run(p=1, k=3, quad_degree=12)
+print(json.dumps([[v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r)]
+                  for r in run(p=1, k=3)]))
+"""
+
+
+class TestReferenceElementPerRun:
+    def test_basis_built_and_tabulated_in_first_iteration_only(self, monkeypatch):
+        # enriched(2, 5) on a quad_degree of 11 is no other test's space and
+        # rule, so the reference element and its tables start cold: the first
+        # iteration builds and tabulates them, and the next ones only read them
+        import bubblefem.adapt
+        import bubblefem.reference as reference
+
+        iterations, calls = [], []
+        space_for = bubblefem.adapt.build_space
+
+        def counted_space(mesh, kind):
+            iterations.append(kind)
+            return space_for(mesh, kind)
+
+        def spy(name, evaluate):
+            def counted(exps, points):
+                calls.append((len(iterations), name))
+                return evaluate(exps, points)
+
+            monkeypatch.setattr(reference, name, counted)
+
+        monkeypatch.setattr(bubblefem.adapt, "build_space", counted_space)
+        for name in ("_eval_monomials", "_eval_monomial_gradients"):
+            spy(name, getattr(reference, name))
+        records = adaptive_loop(experiment1(0.5), LoopConfig(p=2, k=5, quad_degree=11,
+                                                             max_iters=2, saturation=True))
+        assert len(records) == len(iterations) == 3
+        assert {name for _, name in calls} == {"_eval_monomials", "_eval_monomial_gradients"}
+        assert {iteration for iteration, _ in calls} == {1}
+
+    def test_no_state_leaks_between_runs(self, tmp_path):
+        # the caches hold no state of one run that changes another's records
+        import json
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+        runs = []
+        for order in ("fresh", "after"):
+            proc = subprocess.run([sys.executable, "-c", RUN_AFTER_OTHER_LOOPS, order],
+                                  cwd=tmp_path, env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            runs.append(json.loads(proc.stdout.splitlines()[-1]))
+        assert len(runs[0]) == 4
+        assert runs[0] == runs[1]

@@ -278,14 +278,15 @@ def coo_plus_sum(tables):
     dim = tables.space.dim
     weights, jump, dofs = tables.interior
     J = forms._scatter(forms._facet_local(weights, jump), dofs, dim)
-    (mass_w, phi, cell_dofs, _), (boundary_w, *_), _ = tables.energy_terms
-    G = forms._scatter(forms._mass_local(phi, mass_w), cell_dofs, dim)
+    (mass_w, _, cell_dofs, _), (boundary_w, *_), _ = tables.energy_terms
+    basis, degree = tables.space.local_basis, tables.degree
+    G = forms._scatter(forms._mass_local(basis, degree, mass_w), cell_dofs, dim)
     G = G + tables.boundary_matrix(boundary_w) + J
     G = 0.5 * (G + G.T)
     pts, w = forms.cell_quadrature(tables.space.mesh, tables.volume_rule)
     mu = tables.data.reaction(pts.reshape(-1, 2)).reshape(w.shape)
     _, bw, bn, _, _ = tables.boundary
-    B_full = forms._scatter(forms._mass_local(phi, w * mu), cell_dofs, dim)
+    B_full = forms._scatter(forms._mass_local(basis, degree, w * mu), cell_dofs, dim)
     B_full = B_full + assemble_advection(tables) + tables.boundary_matrix(bw * np.maximum(bn, 0.0))
     return J, G, B_full + J
 
@@ -692,8 +693,8 @@ class TestFacetTables:
             grad = np.einsum("fed,fqie->fqid", Jinv[cells], gref)
             normal_grad = np.einsum("fqid,fd->fqi", grad, normals)
 
-            assert np.abs(facet_basis(space, sides, rule) - vals).max() < 1e-12
-            got = facet_basis(space, sides, rule, normals)
+            assert np.abs(facet_basis(space, sides, facet_degree(space)) - vals).max() < 1e-12
+            got = facet_basis(space, sides, facet_degree(space), normals)
             assert np.abs(got - normal_grad).max() < 1e-12 * np.abs(normal_grad).max()
 
 

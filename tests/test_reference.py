@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bubblefem import bubble_basis, edge_rule, lagrange_basis, triangle_rule
-from bubblefem.reference import combine_bases
+from bubblefem.reference import combine_bases, reference_facet_points, tabulate
 
 
 def monomial_integral(a, b):
@@ -161,6 +161,34 @@ class TestQuadrature:
             rule.points[0] = 0.0
         with pytest.raises(ValueError):
             rule.weights[0] = 0.0
+
+
+@pytest.mark.parametrize("table, degree", [("values", 8), ("mass", 8), ("advection", 8),
+                                           ("facet values", 6), ("facet gradients", 6)])
+def test_tabulation_cached_and_read_only(table, degree):
+    basis = combine_bases(lagrange_basis(1), bubble_basis(3))
+    array = tabulate(basis, table, degree)
+    assert tabulate(basis, table, degree) is array
+    with pytest.raises(ValueError):
+        array.flat[0] = 0.0
+    with pytest.raises(ValueError):
+        basis._coeffs[0, 0] = 0.0
+
+
+def test_tabulation_matches_evaluation():
+    basis = combine_bases(lagrange_basis(2), bubble_basis(4))
+    points = triangle_rule(8).points
+    phi, gref = basis.evaluate(points), basis.gradient(points)
+    assert np.array_equal(tabulate(basis, "values", 8), phi)
+    assert np.array_equal(tabulate(basis, "mass", 8).reshape(len(points), basis.count, -1),
+                          np.einsum("qi,qj->qij", phi, phi))
+    advection = tabulate(basis, "advection", 8).reshape(len(points), 2, basis.count, -1)
+    assert np.array_equal(advection, np.einsum("qid,qj->qdij", gref, phi))
+    facet = reference_facet_points(edge_rule(6).points)
+    assert np.array_equal(tabulate(basis, "facet values", 6),
+                          basis.evaluate(facet.reshape(-1, 2)).reshape(6, -1, basis.count))
+    assert np.array_equal(tabulate(basis, "facet gradients", 6).reshape(6, -1, basis.count, 2),
+                          basis.gradient(facet.reshape(-1, 2)).reshape(6, -1, basis.count, 2))
 
 
 @pytest.mark.parametrize("p,k", [(1, 3), (1, 4), (2, 4), (3, 4), (3, 5)])

@@ -508,6 +508,37 @@ def test_enriched_solve_on_saddle_order(p, k):
     assert restricted.L.nnz + restricted.U.nnz <= 1.05 * (own.L.nnz + own.U.nnz)
 
 
+@pytest.mark.parametrize("operator", ["B_full", "G"])
+def test_second_factor_permuted_in_one_pass(monkeypatch, operator):
+    """The second factor's P A P^T -- rows gathered in the order, column
+    indices relabelled, converted to CSC once -- reaches SuperLU with the
+    arrays of ``csc_matrix(A[order][:, order])``, for the nonsymmetric
+    B_full and the symmetric G."""
+    from bubblefem import experiment2
+    from bubblefem.solvers import _factorize
+
+    tables, B_full, _ = enriched_system(experiment2(), 1, 3, 2)
+    G = assemble_gram(tables)
+    order = SaddleFactorization(G, B_full[:, : tables.space.n_trial]).test_order
+    A = {"B_full": B_full, "G": G}[operator]
+    assert ((A != A.T).nnz > 0) == (operator == "B_full")
+    received = []
+    splu = bubblefem.solvers.splu
+
+    def spy(matrix, **options):
+        received.append(matrix)
+        return splu(matrix, **options)
+
+    monkeypatch.setattr(bubblefem.solvers, "splu", spy)
+    _factorize(A, operator, symmetric=True, order=order)
+    oracle = sp.csc_matrix(A[order][:, order])
+    (matrix,) = received
+    assert matrix.format == "csc"
+    for name in ("indptr", "indices", "data"):
+        assert getattr(matrix, name).dtype == getattr(oracle, name).dtype
+        assert np.array_equal(getattr(matrix, name), getattr(oracle, name))
+
+
 def _nan_saddle(request):
     _, _, test, G, B, load = request.getfixturevalue("setup")
     solve_saddle(SaddleFactorization(G, B), np.r_[np.nan, load[1:]], test)

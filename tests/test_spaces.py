@@ -43,6 +43,15 @@ class TestBuildSpace:
         space13 = build_space(two_cell_mesh, enriched(3, 3))
         assert space13.dim == build_space(two_cell_mesh, trial_lagrange(3)).dim
 
+    def test_spaces_of_one_kind_share_one_basis(self, two_cell_mesh):
+        # the reference element is built once per kind and shared, so its
+        # tables (reference.tabulate) are too
+        kind = enriched(2, 4)
+        space = build_space(two_cell_mesh, kind)
+        other = build_space(build_structured_mesh(3), kind)
+        assert other.local_basis is space.local_basis
+        assert build_space(two_cell_mesh, enriched(1, 3)).local_basis is not space.local_basis
+
     def test_rejects_unsupported(self, two_cell_mesh):
         with pytest.raises(ValueError):
             build_space(two_cell_mesh, trial_lagrange(4))
