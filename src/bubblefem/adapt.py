@@ -64,11 +64,14 @@ def dorfler_mark(eta, theta, squared=True):
     Greedy selection by descending indicator, ties broken by cell index.
     With ``squared`` the bulk criterion is on eta^2 against theta^2 of
     the total (energy mode); otherwise on eta against theta of the sum
-    (goal-oriented product indicators).
+    (goal-oriented product indicators).  Raises unless every indicator is
+    finite and nonnegative.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("marking fraction must lie in (0, 1]")
     eta = np.asarray(eta, dtype=float)
+    if not ((eta >= 0.0) & (eta < math.inf)).all():
+        raise ValueError("indicators must be finite and nonnegative")
     key = eta**2 if squared else eta
     total = key.sum()
     if total <= 0.0:
@@ -262,7 +265,6 @@ def _diagnose(record, exact, tables, solved, qoi_ref, saturation):
     if saturation:
         theta_h, factor = solve_cip_enriched(solved.B_full, solved.load, tables, solved.test_order)
         _count_solves(record, factor)
-        del factor  # B_full's LU leaves memory before the error norms
     reps = error_norms([u, theta_h] if saturation else [u], exact, tables)
     record.err_l2_rel, record.err_triple = reps[0].l2 / reps[0].exact_l2, reps[0].triple
     if saturation:
@@ -298,7 +300,7 @@ def _mark_and_refine(record, mesh, eta, config):
         return mesh
     marked = dorfler_mark(eta, config.resolved_theta(), squared=config.mode != "goa")
     record.marked = len(marked)
-    return refine(mesh, marked) if len(marked) else mesh
+    return refine(mesh, marked)
 
 
 def adaptive_loop(bench, config):

@@ -13,7 +13,7 @@ exact solution's values there and at the boundary points from the
 tables' ``error_terms``: the cell values carry the rows of the cells that
 refinement kept across iterations like the coefficients, so the exact
 solution is evaluated on the volume points of the new cells only, and on
-every boundary point once per iteration.  It measures the L2 and triple
+every boundary point on each call.  It measures the L2 and triple
 norms of several functions (u_h and the enriched reference theta_h) in one
 pass.  ``qoi_error`` reads the QoI vector the loop has already assembled.
 """

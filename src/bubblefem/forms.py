@@ -33,9 +33,10 @@ the cells and interior facets that refinement kept (see ``_kept_rows``)
 and evaluates only the new rows, and nothing when no row is new.  The
 carried tables hold point values: the coefficients on the volume rule,
 the interior-facet table and the error rule's cell values (``error_terms``,
-which ``analysis.error_norms`` reads).  The boundary tables, the inflow
-data and the exact solution's boundary values are evaluated on every
-boundary facet: they are a few per cent of the facet rows, and carrying
+which ``analysis.error_norms`` reads).  The boundary tables are evaluated
+on every boundary facet, and the inflow data and the exact solution's
+boundary values there on each call of ``assemble_load`` and
+``error_terms``: they are a few per cent of the facet rows, and carrying
 them saved no measurable time.  The products over all cells are formed
 from the point values every iteration, because OpenBLAS can round a
 product over some rows differently from the same rows of the full product
@@ -292,41 +293,28 @@ class FormTables:
         self.edge_rule = edge_rule(self.facet_degree)
         # name -> (row kind, key, arrays) of each table built, for the next tables
         self._tables = {}
-        # name -> (key, arrays) copied from ``previous``, their new rows still to
-        # compute, and row kind -> those new rows
-        self._carried, self._fresh = {}, {}
-        # the exact solution last passed to ``error_terms`` and its boundary values
-        self._boundary_exact = (None, None)
+        # name -> (key, arrays, new rows) copied from ``previous``; each new row
+        # holds a placeholder until computed
+        self._carried = {}
         if (previous is not None and previous.data == data and previous.space.kind == space.kind
                 and previous.volume_rule is self.volume_rule
-                and previous.edge_rule is self.edge_rule):
-            self._inherit(previous)
-
-    def _inherit(self, previous):
-        kept = _kept_rows(previous.space.mesh, self.space.mesh)
-        if kept is None:
-            return
-        for kind, source in kept.items():
-            fresh = np.flatnonzero(source < 0)
-            if len(fresh) < len(source):
-                self._fresh[kind] = fresh
-        for name, (kind, key, arrays) in previous._tables.items():
-            if kind in self._fresh:
-                # one gather per array; each new row holds a placeholder until computed
-                self._carried[name] = (key, [a.take(kept[kind], axis=0) for a in arrays])
+                and previous.edge_rule is self.edge_rule
+                and (kept := _kept_rows(previous.space.mesh, space.mesh)) is not None):
+            for name, (kind, key, arrays) in previous._tables.items():
+                fresh = np.flatnonzero(kept[kind] < 0)
+                if len(fresh) < len(kept[kind]):
+                    self._carried[name] = (key, [a.take(kept[kind], axis=0) for a in arrays], fresh)
 
     def _table(self, name, kind, compute, key=None):
         """The arrays ``compute(rows)`` over all rows of ``kind``, one row per
-        cell or interior facet.  Rows carried from the previous tables are
+        cell or interior facet, kept for the next tables.  Carried rows are
         reused, so ``compute`` gets only the others, and is not called when
-        every row is carried.  ``key`` (the exact solution of an error
-        table) must be the same object for a table to be reused."""
-        if name in self._tables and self._tables[name][1] is key:
-            return self._tables[name][2]
-        carried_key, arrays = self._carried.pop(name, (None, None))
+        every row is carried.  ``key`` (an error table's exact solution) must
+        be the same object for a table to be carried."""
+        carried_key, arrays, fresh = self._carried.pop(name, (None, None, None))
         if arrays is None or carried_key is not key:
             arrays = compute(slice(None))
-        elif len(fresh := self._fresh[kind]):
+        elif len(fresh):
             for out, values in zip(arrays, compute(fresh)):
                 out[fresh] = values
         self._tables[name] = (kind, key, arrays)
@@ -379,11 +367,6 @@ class FormTables:
         return pts, w, bn, vals, self.space.cell_dofs[mesh.boundary_sides // 3]
 
     @cached_property
-    def inflow(self):
-        """The inflow data g at the boundary points (nf, nq)."""
-        return _point_values(self.data.inflow_data, self.boundary[0])
-
-    @cached_property
     def interior(self):
         """Penalty weights gamma_e w_q, stacked normal-gradient jumps
         [plus side, -minus side] and their DoFs, per interior facet.
@@ -411,7 +394,7 @@ class FormTables:
         """The error norms' volume rule, two degrees above ``volume_degree``:
         its scaled weights (nc, nq) and basis values (nq, n), with the values
         of ``exact`` there (nc, nq), carried like the coefficients, and at the
-        boundary points (nf, nq), evaluated once per ``exact``."""
+        boundary points (nf, nq), evaluated on each call."""
         mesh = self.space.mesh
         degree = volume_degree(self.space) + 2
         rule = triangle_rule(degree)
@@ -421,10 +404,8 @@ class FormTables:
             return w, _point_values(exact, pts)
 
         w, values = self._table("error", "cells", on_cells, exact)
-        if self._boundary_exact[0] is not exact:
-            self._boundary_exact = (exact, _point_values(exact, self.boundary[0]))
         return (w, tabulate(self.space.local_basis, "values", degree), values,
-                self._boundary_exact[1])
+                _point_values(exact, self.boundary[0]))
 
     @cached_property
     def pattern(self):
@@ -599,8 +580,9 @@ def assemble_load(tables):
     vec = np.zeros(space.dim)
     np.add.at(vec, space.cell_dofs, np.matmul(source_w, tables.volume_basis))
 
-    _, bw, bn, vals, bdofs = tables.boundary
-    local_e = -np.matmul((bw * np.minimum(bn, 0.0) * tables.inflow)[:, None, :], vals)[:, 0]
+    pts, bw, bn, vals, bdofs = tables.boundary
+    g = _point_values(tables.data.inflow_data, pts)
+    local_e = -np.matmul((bw * np.minimum(bn, 0.0) * g)[:, None, :], vals)[:, 0]
     np.add.at(vec, bdofs, local_e)
     return vec
 

@@ -259,11 +259,14 @@ def refine(mesh, marked):
     opposite its newest vertex.  New vertices are numbered in order of
     first use: cells in order and, within a cell, the refinement edge,
     then (peak, a), then (b, peak).  The result records each cell's parent
-    in ``parents``.
+    in ``parents``.  ``marked`` holds integer cell indices; a boolean mask
+    or a float array raises.
     """
-    marked = np.asarray(marked, dtype=np.int64).ravel()
+    marked = np.asarray(marked).ravel()
     if len(marked) == 0:
         return mesh
+    if not np.issubdtype(marked.dtype, np.integer):
+        raise ValueError("marked set must hold integer cell indices")
     if marked.min() < 0 or marked.max() >= len(mesh.cells):
         raise ValueError("marked set contains invalid cell indices")
 

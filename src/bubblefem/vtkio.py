@@ -17,7 +17,7 @@ def write_vtk(path, mesh, cell_data=None, point_data=None):
     """Write the mesh as a legacy VTK unstructured grid.
 
     ``cell_data`` and ``point_data`` are dicts of name -> scalar array
-    (per cell / per vertex).
+    (per cell / per vertex); an array of another length raises.
     """
     nv, nc = len(mesh.vertices), len(mesh.cells)
     parts = [
@@ -33,8 +33,12 @@ def write_vtk(path, mesh, cell_data=None, point_data=None):
         if arrays:
             parts.append(f"{section} {count}\n")
             for name, values in arrays.items():
+                values = np.asarray(values, dtype=float).reshape(-1, 1)
+                if len(values) != count:
+                    raise ValueError(f"{section} array {name!r} has {len(values)} values, "
+                                     f"not {count}")
                 parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                parts.append(_lines("%.16g", np.asarray(values, dtype=float).reshape(-1, 1)))
+                parts.append(_lines("%.16g", values))
     with open(path, "w") as fh:
         fh.write("".join(parts))
 

@@ -168,6 +168,14 @@ class TestDorflerMark:
             with pytest.raises(ValueError):
                 dorfler_mark(np.ones(3), theta)
 
+    @pytest.mark.parametrize("eta", [[1.0, math.nan, 2.0], [1.0, -3.0, 2.0], [1.0, math.inf, 2.0]],
+                             ids=["nan", "negative", "inf"])
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_rejects_nonfinite_or_negative_indicators(self, eta, squared):
+        # a NaN would mark every cell, a negative value in the plain sum none
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            dorfler_mark(eta, 0.5, squared=squared)
+
     def test_monotone_in_fraction(self):
         rng = np.random.default_rng(25)
         for _ in range(50):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from bubblefem import LoopConfig
-from bubblefem.cli import RunConfig, main, parse_run_config, read_csv, slope
+from bubblefem.cli import RunConfig, build_parser, main, parse_run_config, read_csv, slope
 
 
 def rows_from(xs, ys):
@@ -41,6 +42,15 @@ class TestSlope:
 
 
 class TestRunConfig:
+    def test_run_flags_are_the_config_fields(self):
+        # parse_run_config reads each field's flag by dest and ignores any other
+        # dest, so a flag without a field, or a field without a flag, would pass
+        # silently; only saturation and saturation_max_dofs are file-only
+        parser = build_parser()
+        [subcommands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {a.dest for a in subcommands.choices["run"]._actions} - {"help", "config"}
+        assert dests == set(RunConfig.__dataclass_fields__) - {"saturation", "saturation_max_dofs"}
+
     def test_theta_defaults_by_mode(self):
         assert RunConfig(mode="energy").resolved_theta() == 0.5
         assert RunConfig(mode="goa", benchmark="exp2").resolved_theta() == 0.2

@@ -287,6 +287,16 @@ class TestRefine:
         with pytest.raises(ValueError):
             refine(m, [7])
 
+    def test_rejects_marks_that_are_not_integer_indices(self):
+        # a boolean mask would be read as cells 0 and 1, and 5.9 as cell 5
+        m = build_structured_mesh(2)
+        mask = np.arange(len(m.cells)) == 5
+        for marked in (mask, np.array([5.9]), [5.0]):
+            with pytest.raises(ValueError, match="integer cell indices"):
+                refine(m, marked)
+        assert refine(m, []) is m
+        assert np.array_equal(refine(m, np.flatnonzero(mask)).cells, refine(m, [5]).cells)
+
     def test_child_refinement_edge_opposite_new_vertex(self):
         m = build_structured_mesh(1)
         r = refine(m, [0])

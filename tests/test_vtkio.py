@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from bubblefem import build_structured_mesh, write_mesh_txt, write_vtk
 
@@ -21,6 +22,15 @@ def test_vtk_mesh_structure(tmp_path):
     assert "SCALARS eta double 1" in lines
     assert f"POINT_DATA {len(m.vertices)}" in lines
     assert "SCALARS u double 1" in lines
+
+
+@pytest.mark.parametrize("section", ["cell_data", "point_data"])
+def test_vtk_rejects_array_of_another_length(tmp_path, section):
+    m = build_structured_mesh(2)
+    path = tmp_path / "mesh.vtk"
+    with pytest.raises(ValueError, match="'eta' has 3 values"):
+        write_vtk(path, m, **{section: {"eta": np.ones(3)}})
+    assert not path.exists()
 
 
 def test_vtk_point_coordinates_roundtrip(tmp_path):
