@@ -9,9 +9,11 @@ adjoint residual representatives.
 
 import csv
 import math
+import numbers
 import pathlib
+import typing
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -148,9 +150,18 @@ def write_records_csv(path, records):
             writer.writerow(rec.csv_row())
 
 
+class ConfigError(ValueError):
+    """A run setting of the wrong type or out of range."""
+
+
+# the values each annotated type admits; a bool is never a number (checked apart)
+_ADMITS = {int: numbers.Integral, float: numbers.Real}
+
+
 @dataclass
 class LoopConfig:
-    """Knobs of an adaptive run; at least one stop rule is required."""
+    """Knobs of an adaptive run; at least one stop rule is required.  Each
+    field's annotation types its value in ``validate`` and its CLI flag."""
 
     p: int = 1
     k: int = 3
@@ -174,40 +185,52 @@ class LoopConfig:
         return 0.2 if self.mode == "goa" else 0.5
 
     def validate(self):
+        """Raise ConfigError naming a field of the wrong type, then one out of range."""
+        for field in fields(self):
+            value = getattr(self, field.name)
+            allowed = typing.get_args(field.type) or (field.type,)
+            if isinstance(value, bool) and bool not in allowed or not any(
+                    isinstance(value, _ADMITS.get(t, t)) for t in allowed):
+                expected = getattr(field.type, "__name__", field.type)
+                raise ConfigError(f"{field.name} must be {expected}, got {value!r}")
         if self.p not in (1, 2, 3):
-            raise ValueError("trial degree p must be 1, 2 or 3")
+            raise ConfigError("trial degree p must be 1, 2 or 3")
         if not (self.k > max(self.p, 2) or self.k <= self.p):
-            raise ValueError("bubble degree k must satisfy k > max(p, 2) or k <= p")
+            raise ConfigError("bubble degree k must satisfy k > max(p, 2) or k <= p")
         if self.k < 1:
-            raise ValueError("bubble degree k must be >= 1")
+            raise ConfigError("bubble degree k must be >= 1")
         # error_norms integrates the enriched space at volume_degree + 2 = 2 max(p, k) + 6
         max_k = (MAX_QUAD_DEGREE - 6) // 2
         if self.k > max_k:
-            raise ValueError(
+            raise ConfigError(
                 f"bubble degree k must be at most {max_k}: error norms need quadrature "
                 f"degree 2 max(p, k) + 6 <= {MAX_QUAD_DEGREE}"
             )
         # the estimate reads G as the energy norm: its test-space mass must be exact
         min_quad = 2 * max(self.p, self.k)
         if self.quad_degree is not None and not min_quad <= self.quad_degree <= MAX_QUAD_DEGREE:
-            raise ValueError(f"quad_degree must lie in [2 max(p, k), {MAX_QUAD_DEGREE}] = "
-                             f"[{min_quad}, {MAX_QUAD_DEGREE}]")
+            raise ConfigError(f"quad_degree must lie in [2 max(p, k), {MAX_QUAD_DEGREE}] = "
+                              f"[{min_quad}, {MAX_QUAD_DEGREE}]")
         if not 0.0 < self.resolved_theta() <= 1.0:
-            raise ValueError("marking fraction theta must lie in (0, 1]")
+            raise ConfigError("marking fraction theta must lie in (0, 1]")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError("penalty exponent alpha must be finite and positive")
+            raise ConfigError("penalty exponent alpha must be finite and positive")
+        try:
+            float(self.k) ** float(self.alpha)  # the jump penalty divides by k^alpha
+        except OverflowError:
+            raise ConfigError(f"penalty exponent alpha overflows k^alpha (k = {self.k})") from None
         if not (math.isfinite(self.sigma0) and self.sigma0 > 0.0):
-            raise ValueError("Gram weight sigma0 must be finite and positive")
+            raise ConfigError("Gram weight sigma0 must be finite and positive")
         if self.mode not in self.MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ConfigError(f"unknown mode {self.mode!r}")
         if self.max_dofs is None and self.max_iters is None:
-            raise ValueError("either max_dofs or max_iters must be set")
+            raise ConfigError("either max_dofs or max_iters must be set")
         if self.max_iters is not None and self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+            raise ConfigError("max_iters must be >= 0")
         if self.max_dofs is not None and self.max_dofs < 1:
-            raise ValueError("max_dofs must be >= 1")
+            raise ConfigError("max_dofs must be >= 1")
         if self.saturation_max_dofs < 1:
-            raise ValueError("saturation_max_dofs must be >= 1")
+            raise ConfigError("saturation_max_dofs must be >= 1")
         return self
 
 

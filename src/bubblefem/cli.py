@@ -15,17 +15,13 @@ import math
 import pathlib
 import sys
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .adapt import CSV_COLUMNS, LoopConfig, adaptive_loop
+from .adapt import CSV_COLUMNS, ConfigError, LoopConfig, adaptive_loop
 from .benchmarks import BENCHMARKS, EXP1_DELTA, get_benchmark
 from .solvers import SolverError
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -39,15 +35,14 @@ class RunConfig(LoopConfig):
     window: int = 5
 
     def validate(self):
-        """Check the run-level keys here and the loop settings in LoopConfig."""
+        """Check the loop settings and every type in LoopConfig, then the run-level keys."""
+        super().validate()
         if self.benchmark not in BENCHMARKS:
             raise ConfigError(f"unknown benchmark {self.benchmark!r}")
-        try:
-            super().validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ConfigError("delta must be finite and positive")
+        if self.benchmark != "exp1" and self.delta != EXP1_DELTA:
+            raise ConfigError("delta is exp1's layer parameter; no other benchmark takes it")
         if self.window < 2:
             raise ConfigError("window must cover at least two rows")
         if self.mode == "goa" and self.benchmark != "exp2":
@@ -132,27 +127,26 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+# RunConfig keys that only a --config file sets
+FILE_ONLY = ("saturation", "saturation_max_dofs")
+
+
 def build_parser():
     parser = _Parser(prog="bubblefem", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     runp = sub.add_parser("run", help="execute an adaptive benchmark run")
     runp.add_argument("--config", help="JSON file with RunConfig keys (flags override)")
-    runp.add_argument("--benchmark", choices=sorted(BENCHMARKS))
-    runp.add_argument("--mode", choices=LoopConfig.MODES)
-    runp.add_argument("--p", type=int)
-    runp.add_argument("--k", type=int)
-    runp.add_argument("--theta", type=float)
-    runp.add_argument("--alpha", type=float)
-    runp.add_argument("--sigma0", type=float)
-    runp.add_argument("--max-dofs", type=int)
-    runp.add_argument("--max-iters", type=int)
-    runp.add_argument("--delta", type=float)
-    runp.add_argument("--outdir")
-    runp.add_argument("--vtk", action="store_true", default=None)
-    runp.add_argument("--dump-matrices", action="store_true", default=None)
-    runp.add_argument("--quad-degree", type=int)
-    runp.add_argument("--window", type=int)
+    choices = {"benchmark": sorted(BENCHMARKS), "mode": LoopConfig.MODES}
+    for field in fields(RunConfig):
+        if field.name in FILE_ONLY:
+            continue
+        flag = "--" + field.name.replace("_", "-")
+        kind, *_ = typing.get_args(field.type) or (field.type,)  # the type before "| None"
+        if kind is bool:
+            runp.add_argument(flag, action="store_true", default=None)
+        else:
+            runp.add_argument(flag, type=kind, choices=choices.get(field.name))
 
     slopep = sub.add_parser("slope", help="fit a log-log slope from a records CSV")
     slopep.add_argument("csv")
@@ -162,22 +156,9 @@ def build_parser():
     return parser
 
 
-# JSON values each RunConfig field type accepts; JSON true/false are never numbers
-_JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str, type(None): type(None)}
-
-
-def _check_file_value(key, value):
-    """Raise ConfigError unless a config-file value fits its RunConfig field."""
-    field_type = RunConfig.__dataclass_fields__[key].type
-    allowed = typing.get_args(field_type) or (field_type,)
-    fits = any(isinstance(value, _JSON_TYPES[t]) for t in allowed)
-    if not fits or (isinstance(value, bool) and bool not in allowed):
-        expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-        raise ConfigError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
-
-
 def parse_run_config(args):
-    """Merge config-file values and command-line flags into a RunConfig."""
+    """Merge config-file values and command-line flags into a RunConfig;
+    its ``validate`` checks their types."""
     values = {}
     if args.config:
         try:
@@ -190,8 +171,6 @@ def parse_run_config(args):
         unknown = set(file_values) - set(RunConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in file_values.items():
-            _check_file_value(key, value)
         values.update(file_values)
     for field in RunConfig.__dataclass_fields__:
         flag = getattr(args, field, None)

@@ -16,8 +16,6 @@ refinement returns a new mesh.  Conventions:
 * the per-cell refinement edge drives newest-vertex bisection.
 """
 
-from functools import cached_property
-
 import numpy as np
 
 from .forms import facet_quadrature, normal_flux
@@ -52,6 +50,10 @@ class Mesh:
             raise ValueError("vertices must be an (nv, 2) array")
         if self.cells.ndim != 2 or self.cells.shape[1] != 3:
             raise ValueError("cells must be an (nc, 3) array")
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("vertices must be finite")
+        if self.cells.size and not 0 <= self.cells.min() <= self.cells.max() < len(self.vertices):
+            raise ValueError("cells must hold vertex indices in [0, nv)")
 
         tri = self.vertices[self.cells]  # (nc, 3, 2)
         d1 = tri[:, 1] - tri[:, 0]
@@ -61,6 +63,10 @@ class Mesh:
             bad = int(np.argmin(signed))
             raise ValueError(f"cell {bad} is not counterclockwise (area {signed[bad]:g})")
         self.cell_areas = signed
+        # affine maps x = v0 + J xi per cell, J's columns d1 and d2
+        det = 2.0 * signed
+        Jinv = np.stack([d2[:, 1], -d2[:, 0], -d1[:, 1], d1[:, 0]], axis=1) / det[:, None]
+        self.affine = (tri[:, 0], np.stack([d1, d2], axis=2), Jinv.reshape(-1, 2, 2), det)
 
         # the walk of side 3c + i, from vertex (i+1)%3 to (i+2)%3 of cell c
         walks = (tri[:, [2, 0, 1]] - tri[:, [1, 2, 0]]).reshape(-1, 2)
@@ -80,7 +86,7 @@ class Mesh:
         normals = np.column_stack([walks[:, 1], -walks[:, 0]]) / lengths[:, None]
         self.interior_normals = normals[self.interior_sides[:, 0]]
         self.boundary_normals = normals[self.boundary_sides]
-        for arr in vars(self).values():
+        for arr in [*vars(self).values(), *self.affine]:
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
 
@@ -120,22 +126,6 @@ class Mesh:
         self.boundary_sides = order[starts[self.boundary_edges]]
 
     # -- geometry --------------------------------------------------------------
-
-    @cached_property
-    def affine(self):
-        """Affine maps x = v0 + J xi per cell: (v0, J, Jinv, det)."""
-        tri = self.vertices[self.cells]
-        v0 = tri[:, 0]
-        J = np.stack([tri[:, 1] - v0, tri[:, 2] - v0], axis=2)  # columns
-        det = 2.0 * self.cell_areas
-        Jinv = np.empty_like(J)
-        Jinv[:, 0, 0] = J[:, 1, 1] / det
-        Jinv[:, 0, 1] = -J[:, 0, 1] / det
-        Jinv[:, 1, 0] = -J[:, 1, 0] / det
-        Jinv[:, 1, 1] = J[:, 0, 0] / det
-        for arr in (v0, J, Jinv, det):
-            arr.setflags(write=False)
-        return v0, J, Jinv, det
 
     def to_reference(self, cells, points):
         """Pull physical points back to reference coordinates of given cells."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bubblefem import (
+    Benchmark,
     DiscreteFunction,
     FormTables,
     LoopConfig,
@@ -22,7 +23,7 @@ from bubblefem import (
     local_energy_products,
     write_records_csv,
 )
-from bubblefem.adapt import CSV_COLUMNS
+from bubblefem.adapt import CSV_COLUMNS, ConfigError
 
 
 def const(value):
@@ -422,6 +423,38 @@ class TestAdaptiveLoop:
         with pytest.raises(ValueError, match=field):
             LoopConfig(max_iters=1, **{field: value}).validate()
         LoopConfig(max_iters=1, **{field: 0.5}).validate()
+
+    @pytest.mark.parametrize("field, value", [("p", 2.0), ("k", 3.0), ("theta", "0.5"),
+                                              ("max_dofs", True), ("saturation", 1),
+                                              ("sigma0", None), ("mode", 1)])
+    def test_rejects_value_of_wrong_type(self, field, value):
+        # checked against the field's annotation before any value is used
+        config = LoopConfig(**{"max_iters": 1, "k": 4, field: value})
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            config.validate()
+
+    def test_accepts_numpy_numbers_and_ints_for_floats(self):
+        LoopConfig(p=np.int64(1), max_dofs=np.int64(500)).validate()
+        LoopConfig(alpha=2, sigma0=np.float64(0.5), theta=1, max_iters=1).validate()
+
+    def test_rejects_alpha_that_overflows_the_penalty(self):
+        # forms divides the jump penalty by k^alpha; 3.0**647 overflows a double
+        LoopConfig(k=3, alpha=646, max_iters=1).validate()
+        for alpha in (647, np.float64(647.0)):
+            with pytest.raises(ConfigError, match="alpha"):
+                LoopConfig(k=3, alpha=alpha, max_iters=1).validate()
+        LoopConfig(k=1, alpha=1e300, max_iters=1).validate()
+
+    def test_stops_when_nothing_is_marked(self):
+        from dataclasses import replace
+
+        # a zero load gives a zero residual representative: no cell is marked
+        bench = experiment1(0.5)
+        zero = Benchmark("zero", replace(bench.data, source=const(0.0), inflow_data=const(0.0)),
+                         exact=None, exact_grad=None, qoi_region=None,
+                         initial_mesh=bench.initial_mesh)
+        [record] = adaptive_loop(zero, LoopConfig(max_iters=3))
+        assert (record.est_energy, record.marked, record.kkt_residual) == (0.0, 0, 0.0)
 
     def test_nan_source_raises_solver_error(self):
         from dataclasses import replace

@@ -71,8 +71,10 @@ class TestRunConfig:
         assert json.loads((out / "config.json").read_text())["delta"] == default
 
     def test_validation_errors(self):
+        import bubblefem.adapt
         from bubblefem.cli import ConfigError
 
+        assert ConfigError is bubblefem.adapt.ConfigError
         with pytest.raises(ConfigError):
             RunConfig(benchmark="nope", max_iters=1).validate()
         with pytest.raises(ConfigError):
@@ -180,7 +182,7 @@ class TestMain:
                                              ("--sigma0", "inf"), ("--alpha", "inf"),
                                              ("--delta", "nan"), ("--delta", "inf"),
                                              ("--max-iters", "-1"), ("--max-dofs", "0"),
-                                             ("--max-dofs", "-5")])
+                                             ("--max-dofs", "-5"), ("--alpha", "1000")])
     def test_out_of_range_loop_setting_exits_1(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         # the flag comes last, so a --max-iters under test replaces the 1
@@ -215,6 +217,16 @@ class TestMain:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and key in err and err.count("\n") == 1
+        assert not (out / "config.json").exists()
+
+    def test_delta_with_exp2_exits_1(self, tmp_path, capsys):
+        # get_benchmark hands delta to exp1 only; exp2 would run without it
+        out = tmp_path / "out"
+        code = main(["run", "--benchmark", "exp2", "--mode", "goa", "--delta", "0.5",
+                     "--max-iters", "0", "--outdir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "delta" in err and err.count("\n") == 1
         assert not (out / "config.json").exists()
 
     @pytest.mark.parametrize("degree, code", [("-3", 1), ("0", 1), ("5", 1), ("6", 0)])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -441,6 +443,16 @@ class TestMeshInvariants:
         minus_centroids = m.vertices[m.cells[minus]].mean(axis=1)
         assert np.all(np.einsum("fd,fd->f", mids - plus_centroids, m.interior_normals) > 0)
         assert np.all(np.einsum("fd,fd->f", minus_centroids - mids, m.interior_normals) > 0)
+
+    @pytest.mark.parametrize("vertex, cell, match", [
+        ((math.nan, 1.0), (0, 1, 3), "finite"),
+        ((1.0, 5.0), (0, 1, -1), "vertex indices"),  # wrapped to vertex 3: area 2.5
+        ((1.0, 5.0), (0, 1, 4), "vertex indices"),
+    ], ids=["nan-vertex", "negative-index", "index-beyond-nv"])
+    def test_rejects_invalid_input_before_geometry(self, vertex, cell, match):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], vertex])
+        with pytest.raises(ValueError, match=match):
+            Mesh(vertices, np.array([cell]))
 
     def test_rejects_edge_shared_by_three_cells(self):
         # three counterclockwise cells fanned around the edge (0, 1)
