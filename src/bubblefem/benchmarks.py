@@ -144,9 +144,12 @@ BENCHMARKS = {"exp1": experiment1, "exp2": experiment2}
 
 
 def get_benchmark(name, delta=None):
-    """Benchmark registry lookup; ``delta`` applies to exp1 only."""
+    """Benchmark registry lookup; ``delta`` is exp1's, and any other
+    benchmark given one raises ``ValueError``."""
     if name not in BENCHMARKS:
         raise KeyError(f"unknown benchmark {name!r}; choose from {sorted(BENCHMARKS)}")
-    if name == "exp1" and delta is not None:
-        return experiment1(delta)
-    return BENCHMARKS[name]()
+    if delta is None:
+        return BENCHMARKS[name]()
+    if name != "exp1":
+        raise ValueError(f"delta is exp1's layer parameter; {name} takes none")
+    return experiment1(delta)

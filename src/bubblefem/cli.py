@@ -108,7 +108,8 @@ def run(config):
     except OSError as exc:
         print(f"configuration error: cannot use the output directory: {exc}", file=sys.stderr)
         return 1
-    bench = get_benchmark(config.benchmark, delta=config.delta)
+    bench = get_benchmark(config.benchmark,
+                          delta=config.delta if config.benchmark == "exp1" else None)
     try:
         records = adaptive_loop(bench, config)
     except SolverError as exc:

@@ -51,16 +51,24 @@ cell or facet, so no physical point is pulled back.
 
 The space's operators share one CSR sparsity pattern, owned by
 ``FormTables.pattern``: the cell blocks and the nonzero couplings of the
-interior-facet blocks.  It comes from the one COO scatter of the jump
-penalty J, together with the slot of every cell-block entry, the slot of
-every entry's transpose and J's data on the pattern.  J's COO is written
-once, a block of facets at a time, into int32 index arrays and a value
-array allocated at their largest size, so neither a concatenated copy of
-it nor every facet's local matrix is ever held.  ``assemble_gram``
-and ``assemble_stabilized`` sum their cell blocks, and their boundary-facet
-blocks on the owner cells' slots, with ``np.bincount``, then add J's data;
-the Gram matrix is averaged with its transpose through the slot map, so it
-is bitwise symmetric.  Both return CSR matrices that store no exact zero.
+interior-facet blocks.  It comes from the COO of the jump penalty J,
+together with the slot of every cell-block entry, the slot of every
+entry's transpose and J's data on the pattern.  J's COO is written once, a
+block of facets at a time, into int32 index arrays and a value array
+allocated at their largest size, so neither a concatenated copy of it nor
+every facet's local matrix is ever held.  Two stable counting passes over
+it, scipy's compiled ``coo_tocsr`` and ``csr_tocsc``, bucket its entries
+by column and then by row into the dead index arrays: each row's entries
+come out by ascending column, each entry's duplicates side by side in COO
+order.  One running count of the slots they open gives the pattern and
+every entry's slot, with no sort and no lookup, and J's data is one
+``np.bincount`` over the slots, so each slot sums its entries in COO
+order.  ``assemble_gram`` and ``assemble_stabilized`` sum their cell
+blocks, and their boundary-facet blocks on the owner cells' slots, with
+``np.bincount``, then add J's data; the Gram matrix is averaged with its
+transpose through the slot map, so it is bitwise symmetric.  Both return
+CSR matrices that store no exact zero and, unless they had one to drop,
+hold the pattern's read-only index arrays.
 """
 
 import math
@@ -69,6 +77,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import coo_tocsr, csr_tocsc
 
 from .reference import edge_rule, tabulate, triangle_rule
 
@@ -214,7 +223,9 @@ class Pattern:
     """Sorted, symmetric CSR pattern (``indptr``, ``indices``) of a space's
     operators.  ``cell_slots`` (nc, m*m) is the position of each cell-block
     entry (a, b), row-major; ``transpose`` the position of each entry's
-    transpose; ``jump`` the jump penalty J's data on the pattern."""
+    transpose; ``jump`` the jump penalty J's data on the pattern, each
+    position's COO entries summed in COO order.  Every array is read-only,
+    so the operators can hold the index arrays themselves."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -222,9 +233,16 @@ class Pattern:
     transpose: np.ndarray
     jump: np.ndarray
 
+    def __post_init__(self):
+        for array in (self.indptr, self.indices, self.cell_slots, self.transpose, self.jump):
+            array.flags.writeable = False
+
 
 def _without_zeros(data, pattern, dim):
-    """CSR matrix of ``data`` on ``pattern`` with its exact zeros dropped."""
+    """CSR matrix of ``data`` on ``pattern`` with its exact zeros dropped.
+    Without a zero it holds the pattern's own index arrays."""
+    if data.all():
+        return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(dim, dim))
     A = sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()), shape=(dim, dim))
     A.eliminate_zeros()
     return A
@@ -409,21 +427,48 @@ class FormTables:
 
     @cached_property
     def pattern(self):
-        """The ``Pattern`` of the space's operators, from J's one scatter."""
+        """The ``Pattern`` of the space's operators, from J's COO in two
+        stable counting passes: no sort, no lookup of a slot by its key."""
         cd = self.space.cell_dofs
+        dim = self.space.dim
         rows, cols, values = self._jump_entries()
-        J = _coo_to_csr(rows, cols, values, self.space.dim)
+        size = len(rows)
+        # bucket the entries by column, then by row into J's index buffers, which
+        # the first pass leaves dead: each row lists its entries by ascending
+        # column, and the duplicates of an entry side by side in COO order
+        by_col, row_starts = np.empty(dim + 1, np.int32), np.empty(dim + 1, np.int32)
+        col_rows, col_entries = np.empty(size, np.int32), np.empty(size, np.int32)
+        coo_tocsr(dim, dim, size, cols, rows, np.arange(size, dtype=np.int32),
+                  by_col, col_rows, col_entries)
+        csr_tocsc(dim, dim, by_col, col_rows, col_entries, row_starts, cols, rows)
+        del by_col, col_rows, col_entries
+        # a slot opens at a row's first entry and wherever the column changes
+        opens = np.empty(size, bool)
+        opens[:1] = True
+        np.not_equal(cols[1:], cols[:-1], out=opens[1:])
+        opens[row_starts[:-1][row_starts[:-1] < size]] = True
+        indices = cols[opens]
+        counts = np.cumsum(opens, dtype=np.int32, out=cols)  # slots opened up to each entry
+        del opens
+        # a row's slots end with the count at its last entry
+        ends = row_starts[1:]
+        indptr = np.zeros(dim + 1, np.int32)
+        indptr[1:] = np.where(ends > 0, counts[ends - 1], 0)
+        counts -= 1
+        slots = np.empty(size, np.int32)  # each COO entry's slot
+        slots[rows] = counts
+        del rows, cols, counts
+        cell_slots = slots[: cd.size * cd.shape[1]].reshape(len(cd), -1).copy()  # they lead J's COO
+        jump = np.bincount(slots, values, len(indices))
         del values
-        # each entry's position in J's CSR; the pattern is symmetric, so its CSC
-        # order lists the position of each entry's transpose
-        positions = sp.csr_array((np.arange(J.nnz, dtype=J.indices.dtype), J.indices, J.indptr),
-                                 shape=J.shape)
-        cell_entries = cd.size * cd.shape[1]  # they lead J's COO
-        cell_slots = positions[rows[:cell_entries], cols[:cell_entries]].reshape(len(cd), -1)
-        del rows, cols
-        # J's indices and data can be views into its COO-sized buffers: copy them out
-        return Pattern(indptr=J.indptr, indices=J.indices.copy(), cell_slots=cell_slots,
-                       transpose=positions.tocsc().data, jump=J.data.copy())
+        # the pattern is symmetric, so its CSC order lists the slot of each
+        # entry's transpose; the transpose's indices land in a dead buffer
+        transpose = np.empty(len(indices), np.int32)
+        csr_tocsc(dim, dim, indptr, indices, np.arange(len(indices), dtype=np.int32),
+                  row_starts, slots[: len(indices)], transpose)
+        del slots
+        return Pattern(indptr=indptr, indices=indices, cell_slots=cell_slots,
+                       transpose=transpose, jump=jump)
 
     def _jump_entries(self):
         """J's COO entries (rows, cols, values), the indices in int32.

@@ -299,24 +299,24 @@ class TestAdaptiveLoop:
         # (u_h, and theta_h when saturation is on) read one FormTables per
         # iteration, so the test space's boundary table, its two one-sided
         # jump tables and J are each built once, and no facet table of the
-        # trial space is built at all.  J's scatter, which builds the
-        # operators' pattern, is the iteration's one COO -> CSR conversion.
+        # trial space is built at all.  The first counting pass over J's COO,
+        # which builds the operators' pattern, runs once per iteration.
         import bubblefem.forms as forms
 
         built = []
-        facet_basis, coo_to_csr = forms.facet_basis, forms._coo_to_csr
+        facet_basis, coo_tocsr = forms.facet_basis, forms.coo_tocsr
 
         def counted_basis(space, sides, degree, normals=None):
             side = "boundary" if normals is None else "jump side"
             built.append(side if space.kind.family == "enriched" else "trial " + side)
             return facet_basis(space, sides, degree, normals)
 
-        def counted_coo_to_csr(rows, cols, values, dim):
+        def counted_coo_tocsr(*args):
             built.append("J")
-            return coo_to_csr(rows, cols, values, dim)
+            return coo_tocsr(*args)
 
         monkeypatch.setattr(forms, "facet_basis", counted_basis)
-        monkeypatch.setattr(forms, "_coo_to_csr", counted_coo_to_csr)
+        monkeypatch.setattr(forms, "coo_tocsr", counted_coo_tocsr)
         records = adaptive_loop(bench, config)
         assert len(records) == 3
         if config.saturation:

@@ -126,6 +126,8 @@ class TestRegistry:
     def test_lookup(self):
         assert get_benchmark("exp1", delta=0.5).name == "curved-layer"
         assert get_benchmark("exp2").name == "goal-tanh"
+        with pytest.raises(ValueError, match="delta"):
+            get_benchmark("exp2", delta=0.5)
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):

@@ -295,12 +295,14 @@ def coo_plus_sum(tables):
 
 def oracle_pattern(tables):
     """The pattern by the concatenating construction: J's COO as int64 cell
-    blocks, then every facet's full local matrices, concatenated, and the
-    slot maps read off a CSR of positions."""
+    blocks, then every facet's full local matrices, concatenated; each
+    (row, column) key's slot by ``np.unique`` and J's data summed per slot
+    in COO order, the order of ``np.bincount``."""
     import bubblefem.forms as forms
 
     cd = tables.space.cell_dofs
     cells, m = cd.shape
+    dim = tables.space.dim
     rows, cols = np.repeat(cd, m, axis=1).ravel(), np.tile(cd, m).ravel()
     weights, jump, dofs = tables.interior
     local = forms._facet_local(weights, jump)
@@ -313,31 +315,41 @@ def oracle_pattern(tables):
     nonzero = (cross != 0.0) | (cross_t != 0.0)
     plus = np.broadcast_to(dofs[:, :m, None], cross.shape)[nonzero]
     minus = np.broadcast_to(dofs[:, None, m:], cross.shape)[nonzero]
-    J = forms._coo_to_csr(np.concatenate([rows, plus, minus]), np.concatenate([cols, minus, plus]),
-                          np.concatenate([own, cross[nonzero], cross_t[nonzero]]), tables.space.dim)
-    positions = sp.csr_array((np.arange(J.nnz, dtype=J.indices.dtype), J.indices, J.indptr),
-                             shape=J.shape)
-    return forms.Pattern(indptr=J.indptr, indices=J.indices,
-                         cell_slots=positions[rows, cols].reshape(cells, -1),
-                         transpose=positions.tocsc().data, jump=J.data)
+    keys = np.concatenate([rows, plus, minus]) * dim + np.concatenate([cols, minus, plus])
+    unique, slots = np.unique(keys, return_inverse=True)
+    values = np.concatenate([own, cross[nonzero], cross_t[nonzero]])
+    key_rows, indices = np.divmod(unique, dim)
+    return forms.Pattern(
+        indptr=np.searchsorted(key_rows, np.arange(dim + 1)).astype(np.int32),
+        indices=indices.astype(np.int32),
+        cell_slots=slots[: len(rows)].reshape(cells, -1).astype(np.int32),
+        transpose=np.searchsorted(unique, indices * dim + key_rows).astype(np.int32),
+        jump=np.bincount(slots, values, len(unique)))
+
+
+# the pattern's cases: enriched(2, 2) has no bubble block
+PATTERN_CASES = ["uniform-p2k4", "uniform-p2k2", "graded-p1k3", "graded-p3k5", "one-cell"]
 
 
 def pattern_tables(case):
-    """Tables of uniform p2k4 at n = 8, of a graded exp2 p1k3 mesh or of one cell."""
+    """Tables of exp1 on its n = 8 grid, of a graded exp2 mesh, both at the
+    case's (p, k), or of one p2k4 cell."""
     import bubblefem
 
-    if case == "uniform-p2k4":
+    if case == "one-cell":
+        mesh = bubblefem.Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
+        return FormTables(build_space(mesh, enriched(2, 4)), make_data(const_field([1.0, 0.0]), k_pen=4))
+    mesh_kind, degrees = case.split("-")
+    p, k = int(degrees[1]), int(degrees[3])
+    if mesh_kind == "uniform":
         bench = experiment1(0.5)
-        return FormTables(build_space(bench.initial_mesh(), enriched(2, 4)),
-                          replace(bench.data, penalty_order=4))
-    if case == "graded-p1k3":
+        mesh = bench.initial_mesh()
+    else:
         bench = experiment2()
         mesh = bench.initial_mesh()
         for _ in range(4):  # graded towards the lower left corner
             mesh = refine(mesh, np.flatnonzero(mesh.vertices[mesh.cells].mean(axis=1).sum(axis=1) < 0.5))
-        return FormTables(build_space(mesh, enriched(1, 3)), replace(bench.data, penalty_order=3))
-    mesh = bubblefem.Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
-    return FormTables(build_space(mesh, enriched(2, 4)), make_data(const_field([1.0, 0.0]), k_pen=4))
+    return FormTables(build_space(mesh, enriched(p, k)), replace(bench.data, penalty_order=k))
 
 
 class TestPattern:
@@ -362,7 +374,7 @@ class TestPattern:
             assert np.abs(A.data - oracle.data).max() <= 1e-14 * np.abs(oracle.data).max()
 
     @pytest.mark.parametrize("block_bytes", [1, 20000, None], ids=["one-facet", "few-facets", "default"])
-    @pytest.mark.parametrize("case", ["uniform-p2k4", "graded-p1k3", "one-cell"])
+    @pytest.mark.parametrize("case", PATTERN_CASES)
     def test_arrays_equal_concatenating_construction(self, monkeypatch, case, block_bytes):
         """Every array of the pattern equals the concatenating construction's
         bit for bit, and its index arrays are int32, whether the facets'
@@ -382,16 +394,98 @@ class TestPattern:
             assert getattr(pattern, name).dtype == np.int32
         assert (np.count_nonzero(pattern.jump) == 0) == (case == "one-cell")
 
-    @pytest.mark.parametrize("case", ["uniform-p2k4", "graded-p1k3", "one-cell"])
+    @pytest.mark.parametrize("case", PATTERN_CASES)
     def test_arrays_hold_no_dead_buffer(self, case):
-        """J's conversion leaves its indices and data as views into buffers
-        the size of its COO, which has duplicates: on uniform p2k4 at n = 32,
-        520,192 entries behind a 303,617-entry pattern.  Each array of the
-        pattern owns its data or is a view of a buffer of its own size."""
+        """The counting passes run in buffers the size of J's COO, which has
+        duplicates: on uniform p2k4 at n = 32, 520,192 entries behind a
+        303,617-entry pattern.  Each array of the pattern owns its data or is
+        a view of a buffer of its own size."""
         pattern = pattern_tables(case).pattern
         for name in ("indptr", "indices", "cell_slots", "transpose", "jump"):
             array = getattr(pattern, name)
             assert array.base is None or array.base.nbytes == array.nbytes, name
+
+    @pytest.mark.parametrize("case", PATTERN_CASES)
+    def test_operators_hold_the_pattern_index_arrays(self, case):
+        """G, B_full and J hold the pattern's read-only indptr and indices,
+        not copies, unless their data holds an exact zero, which they drop
+        from copies: J's does on these meshes except at p2k2."""
+        tables = pattern_tables(case)
+        pattern = tables.pattern
+        operators = {"G": assemble_gram(tables), "B_full": assemble_stabilized(tables),
+                     "J": tables.jump_penalty}
+        for label, A in operators.items():
+            shared = label != "J" or case == "uniform-p2k2"
+            assert (A.nnz == len(pattern.indices)) == shared, label
+            for name in ("indptr", "indices"):
+                assert np.shares_memory(getattr(A, name), getattr(pattern, name)) == shared
+                assert getattr(A, name).flags.writeable != shared
+
+    def test_built_without_sort_or_lookup(self, monkeypatch):
+        """Building the pattern neither sorts a row (``csr_sort_indices``)
+        nor looks a slot up by its key (``csr_sample_values``)."""
+        import scipy.sparse._compressed
+        import scipy.sparse._csr
+        import scipy.sparse._sparsetools
+
+        called = []
+
+        def spy(name, kernel):
+            def call(*args):
+                called.append(name)
+                return kernel(*args)
+            return call
+
+        for module in (scipy.sparse._sparsetools, scipy.sparse._compressed, scipy.sparse._csr):
+            for name in ("csr_sort_indices", "csr_sample_values"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        # the spies see scipy's own conversion and lookup
+        J = sp.coo_matrix((np.ones(3), ([0, 0, 0], [2, 1, 2])), shape=(3, 3)).tocsr()
+        J[[0], [1]]
+        assert set(called) == {"csr_sort_indices", "csr_sample_values"}
+        called.clear()
+        for case in PATTERN_CASES:
+            assert len(pattern_tables(case).pattern.indices)
+        assert called == []
+
+
+class TestCountingKernels:
+    """scipy's private ``_sparsetools`` kernels as ``FormTables.pattern``
+    calls them, so that a scipy release that changes them fails here."""
+
+    def test_passes_bucket_stably_by_column_then_row(self):
+        from bubblefem.forms import coo_tocsr, csr_tocsc
+
+        # duplicates of (2, 1), (0, 3) and (0, 0); row 1 is empty
+        rows = np.array([2, 0, 3, 0, 2, 3, 0, 2, 0], np.int32)
+        cols = np.array([1, 3, 0, 3, 1, 2, 0, 0, 0], np.int32)
+        dim, size = 4, len(rows)
+        by_col, row_starts = np.empty(dim + 1, np.int32), np.empty(dim + 1, np.int32)
+        col_rows, col_entries = np.empty(size, np.int32), np.empty(size, np.int32)
+        coo_tocsr(dim, dim, size, cols, rows, np.arange(size, dtype=np.int32),
+                  by_col, col_rows, col_entries)
+        assert np.array_equal(col_entries, np.argsort(cols, kind="stable"))
+        assert np.array_equal(col_rows, rows[col_entries])
+        assert np.array_equal(by_col, np.searchsorted(np.sort(cols), np.arange(dim + 1)))
+        # the second pass writes into views of larger buffers, as into J's COO
+        row_cols, entries = np.full(size + 2, -1, np.int32), np.full(size + 2, -1, np.int32)
+        csr_tocsc(dim, dim, by_col, col_rows, col_entries, row_starts, row_cols[:size],
+                  entries[:size])
+        # each row's entries by column, each column's duplicates in COO order
+        assert np.array_equal(entries[:size], np.lexsort((np.arange(size), cols, rows)))
+        assert np.array_equal(row_cols[:size], cols[entries[:size]])
+        assert (row_cols[size:] == -1).all() and (entries[size:] == -1).all()
+        assert np.array_equal(row_starts, np.searchsorted(np.sort(rows), np.arange(dim + 1)))
+        for array in (by_col, col_rows, col_entries, row_starts, row_cols, entries):
+            assert array.dtype == np.int32
+        # with its duplicates merged, the structure is scipy's conversion's
+        sorted_rows = rows[entries[:size]]
+        first = np.r_[True, (np.diff(sorted_rows) != 0) | (np.diff(row_cols[:size]) != 0)]
+        J = sp.coo_matrix((np.ones(size), (rows, cols)), shape=(dim, dim)).tocsr()
+        assert np.array_equal(row_cols[:size][first], J.indices)
+        assert np.array_equal(np.searchsorted(sorted_rows[first], np.arange(dim + 1)), J.indptr)
+        assert np.array_equal(np.bincount(np.cumsum(first) - 1), J.data)
 
 
 # every admissible (p, k) with k <= 5
