@@ -29,8 +29,10 @@ trial-space operator is its leading ``[:n_trial, :n_trial]`` block.
 
 Tables cross a refinement.  Given the previous iteration's tables on the
 same problem data, space kind and rules, ``FormTables`` copies the rows of
-the cells and interior facets that refinement kept (see ``_kept_rows``)
-and evaluates only the new rows, and nothing when no row is new.  The
+the cells and interior facets that refinement kept and evaluates only the
+new rows, and nothing when no row is new.  The new mesh's ``parents`` name
+the kept cells: a cell is kept when its parent has its vertex triple (see
+``_kept_rows``), so tables two refinements back carry nothing.  The
 carried tables hold point values: the coefficients on the volume rule,
 the interior-facet table and the error rule's cell values (``error_terms``,
 which ``analysis.error_norms`` reads).  The boundary tables are evaluated
@@ -164,11 +166,9 @@ def facet_cases(mesh, sides):
     """Reference-facet case 2 i + r of each cell side 3 c + i.
 
     r = 1 when the side walks its facet ((i+1)%3 -> (i+2)%3) against the
-    ``mesh.edges`` order.
+    ``mesh.edges`` order, as ``mesh.side_reversed`` records.
     """
-    cells, local = np.divmod(sides, 3)
-    against = mesh.cells[cells, (local + 1) % 3] > mesh.cells[cells, (local + 2) % 3]
-    return 2 * local + against
+    return 2 * (sides % 3) + mesh.side_reversed.ravel()[sides]
 
 
 def facet_basis(space, sides, degree, normals=None):
@@ -206,16 +206,11 @@ def _mass_local(basis, degree, w):
 _FACET_BLOCK_BYTES = 1 << 19
 
 
-def _coo_to_csr(rows, cols, values, dim):
-    """CSR matrix (dim, dim) summing ``values`` at (``rows``, ``cols``)."""
-    return sp.coo_matrix((values, (rows, cols)), shape=(dim, dim)).tocsr()
-
-
 def _scatter(local, dofs, dim):
     """CSR matrix (dim, dim) of local blocks (n, m, m) on DoFs (n, m)."""
     rows = np.broadcast_to(dofs[:, :, None], local.shape)
     cols = np.broadcast_to(dofs[:, None, :], local.shape)
-    return _coo_to_csr(rows.ravel(), cols.ravel(), local.ravel(), dim)
+    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(dim, dim)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -253,37 +248,32 @@ def _without_zeros(data, pattern, dim):
 
 def _kept_rows(old, new):
     """The cells and interior facets of mesh ``new`` that refinement left
-    unchanged from mesh ``old``, or None unless ``old``'s vertices lead
-    ``new``'s.
+    unchanged from mesh ``old``, or None unless ``new`` is ``old`` or was
+    refined from it: its ``parents`` index ``old``'s cells, and ``old``'s
+    vertices lead its own.
 
     Maps each row kind ("cells", "interior") to the row in ``old`` of each
-    row of ``new``, -1 where the row is new.  A cell is kept when ``old``
-    has the same ordered vertex triple; an interior facet when each of its
-    sides lies on a kept cell and is the same side of the same ``old``
-    facet.
+    row of ``new``, -1 where the row is new.  A cell is kept when its parent
+    has the same ordered vertex triple; an interior facet when both its
+    sides lie on kept cells and its plus side is the plus side of an
+    ``old`` facet.  Tables two refinements back carry nothing.
     """
-    nv = len(new.vertices)
-    if len(old.vertices) > nv or not np.array_equal(new.vertices[: len(old.vertices)],
-                                                     old.vertices):
+    if new is old:
+        return {"cells": np.arange(len(new.cells)), "interior": np.arange(len(new.interior_sides))}
+    nv = len(old.vertices)
+    if (new.parents is None or new.parents.max(initial=-1) >= len(old.cells)
+            or nv > len(new.vertices) or not np.array_equal(new.vertices[:nv], old.vertices)):
         return None
-    # a directed edge belongs to one counterclockwise cell at most, so a cell's
-    # first two vertices name its only candidate in ``old``
-    old_keys = old.cells[:, 0] * nv + old.cells[:, 1]
-    order = np.argsort(old_keys)
-    keys = new.cells[:, 0] * nv + new.cells[:, 1]
-    found = order[np.searchsorted(old_keys[order], keys).clip(max=len(order) - 1)]
-    old_cell = np.where((old_keys[found] == keys) & (old.cells[found, 2] == new.cells[:, 2]),
-                        found, -1)
+    parents = new.parents
+    old_cell = np.where((old.cells[parents] == new.cells).all(axis=1), parents, -1)
     sides = new.interior_sides
     side_cell = old_cell[sides // 3]
-    mapped = np.where(side_cell >= 0, 3 * side_cell + sides % 3, -1)
     facet = np.full(3 * len(old.cells), -1)
     facet[old.interior_sides[:, 0]] = np.arange(len(old.interior_sides))
-    # the plus side names the only candidate; the minus side must match it too
-    source = np.where(mapped[:, 0] >= 0, facet[mapped[:, 0]], -1)
-    same = source >= 0
-    same[same] = old.interior_sides[source[same], 1] == mapped[same, 1]
-    return {"cells": old_cell, "interior": np.where(same, source, -1)}
+    # a vertex pair has two cells at most, so the old facet's minus cell is the
+    # mapped minus cell, which has the same triple and so the same local side
+    source = np.where(side_cell[:, 0] >= 0, facet[3 * side_cell[:, 0] + sides[:, 0] % 3], -1)
+    return {"cells": old_cell, "interior": np.where(side_cell[:, 1] >= 0, source, -1)}
 
 
 class FormTables:
@@ -296,9 +286,9 @@ class FormTables:
     ``volume_degree``); facets use the ``facet_degree`` edge rule.
 
     ``previous``, the previous iteration's tables, lends the rows of the
-    cells and interior facets that refinement kept (see the module
-    docstring); they are copied here, so ``previous`` can be released at
-    once.
+    cells and interior facets that one refinement, or none, kept (see the
+    module docstring); they are copied here, so ``previous`` can be
+    released at once.
     """
 
     def __init__(self, space, data, degree=None, previous=None):

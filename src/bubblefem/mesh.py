@@ -6,7 +6,8 @@ refinement returns a new mesh.  Conventions:
 * cells are counterclockwise vertex triples;
 * local edge i of a cell is the edge opposite local vertex i, and side
   ``3 c + i`` is local edge i of cell c walked from its vertex (i+1)%3 to
-  (i+2)%3; the cell of a side is ``side // 3``;
+  (i+2)%3; the cell of a side is ``side // 3``; ``side_reversed`` (nc, 3)
+  marks the sides that walk their edge against the ``edges`` order;
 * a facet keeps its sides in cell order: ``boundary_sides`` (nb,) and
   ``interior_sides`` (ni, 2), whose first column is the side of the plus
   cell ``T+``, the incident cell with the smaller index;
@@ -40,7 +41,8 @@ class Mesh:
         vertex index).
     parents : (nc,) int array, optional
         For refined meshes, the index of the generating cell in the
-        parent mesh; None for meshes built from scratch.
+        parent mesh; None for meshes not made by ``refine``.  ``FormTables``
+        reads it to carry the rows of the cells refinement kept.
     """
 
     def __init__(self, vertices, cells, refinement_edge=None, parents=None):
@@ -54,6 +56,10 @@ class Mesh:
             raise ValueError("vertices must be finite")
         if self.cells.size and not 0 <= self.cells.min() <= self.cells.max() < len(self.vertices):
             raise ValueError("cells must hold vertex indices in [0, nv)")
+        self.parents = None if parents is None else np.ascontiguousarray(parents, dtype=np.int64)
+        if parents is not None and (self.parents.shape != self.cells.shape[:1]
+                                    or self.parents.min(initial=0) < 0):
+            raise ValueError("parents must hold one nonnegative cell index per cell")
 
         tri = self.vertices[self.cells]  # (nc, 3, 2)
         d1 = tri[:, 1] - tri[:, 0]
@@ -77,7 +83,6 @@ class Mesh:
         if refinement_edge is None:
             refinement_edge = self._longest_edge_assignment()
         self.refinement_edge = np.ascontiguousarray(refinement_edge, dtype=np.int8)
-        self.parents = None if parents is None else np.ascontiguousarray(parents, dtype=np.int64)
 
         self._build_connectivity()
         self.edge_lengths = np.empty(len(self.edges))
@@ -103,6 +108,7 @@ class Mesh:
         nv = len(self.vertices)
         a = self.cells[:, [1, 2, 0]].ravel()
         b = self.cells[:, [2, 0, 1]].ravel()
+        self.side_reversed = (a > b).reshape(-1, 3)
         # sides sorted by the key of their (min, max) vertex pair; the stable sort
         # keeps each facet's sides in cell order, so T+ comes first
         keys = np.minimum(a, b) * nv + np.maximum(a, b)

@@ -226,14 +226,9 @@ def triangle_rule(degree):
     xl, wl = leggauss(n)
     x = (1.0 + xj) / 2.0
     s = (1.0 + xl) / 2.0
-    pts = np.empty((n * n, 2))
-    wts = np.empty(n * n)
-    for j in range(n):
-        for i in range(n):
-            pts[j * n + i, 0] = x[j]
-            pts[j * n + i, 1] = (1.0 - x[j]) * s[i]
-            wts[j * n + i] = (wj[j] / 4.0) * (wl[i] / 2.0)
-    return _frozen_rule(pts, wts, 2 * n - 1)
+    # point j * n + i is (x_j, (1 - x_j) s_i)
+    pts = np.column_stack([np.repeat(x, n), np.outer(1.0 - x, s).ravel()])
+    return _frozen_rule(pts, np.outer(wj / 4.0, wl / 2.0).ravel(), 2 * n - 1)
 
 
 @functools.lru_cache(maxsize=None)

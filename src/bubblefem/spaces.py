@@ -21,7 +21,9 @@ Space kinds:
 
 DoF numbering is deterministic: vertex DoFs by vertex index, edge DoFs
 by the lexicographic edge order (walked from the smaller to the larger
-vertex index), cell-interior DoFs by cell index.
+vertex index), cell-interior DoFs by cell index.  A cell lists its edge
+DoFs along its own walk of each side, so it reads an edge's slots backwards
+where ``mesh.side_reversed`` is set.
 """
 
 import functools
@@ -93,13 +95,10 @@ def _lagrange_dofs(mesh, p):
     dofs[:, :3] = mesh.cells
     col = 3
     for i in range(3):  # local edge i, walked (i+1)%3 -> (i+2)%3
-        a = mesh.cells[:, (i + 1) % 3]
-        b = mesh.cells[:, (i + 2) % 3]
         base = nv + mesh.cell_edges[:, i] * per_edge
         for m in range(per_edge):
             # global slots run from the smaller to the larger vertex id
-            slot = np.where(a < b, m, per_edge - 1 - m)
-            dofs[:, col] = base + slot
+            dofs[:, col] = base + np.where(mesh.side_reversed[:, i], per_edge - 1 - m, m)
             col += 1
     for m in range(n_interior):
         dofs[:, col] = nv + per_edge * len(mesh.edges) + np.arange(nc) * n_interior + m

@@ -30,7 +30,7 @@ from bubblefem import (
     trial_lagrange,
     write_matrix_market,
 )
-from bubblefem.forms import cell_quadrature, facet_degree, volume_degree
+from bubblefem.forms import _kept_rows, cell_quadrature, facet_degree, volume_degree
 from bubblefem.reference import edge_rule, triangle_rule
 
 
@@ -1054,6 +1054,65 @@ class TestCarriedTables:
         old = Mesh(square, np.array([[0, 1, 2], [0, 2, 3]]))
         new = Mesh(np.vstack([square, [[0.5, 0.5]]]),
                    np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]))
+        previous = FormTables(build_space(old, kind), data)
+        self.build(previous, exact)
+        space = build_space(new, kind)
+        carried = self.build(FormTables(space, data, previous=previous), exact)
+        self.assert_bitwise_equal(carried, self.build(FormTables(space, data), exact))
+
+    @staticmethod
+    def vertex_key_rows(old, new):
+        """``_kept_rows`` by vertex keys, without lineage: a cell is kept when
+        ``old`` has its ordered vertex triple anywhere, found by its first two
+        vertices, which name one counterclockwise cell at most; an interior
+        facet when each side lies on a kept cell and is the same side of the
+        same ``old`` facet."""
+        nv = len(new.vertices)
+        old_keys = old.cells[:, 0] * nv + old.cells[:, 1]
+        order = np.argsort(old_keys)
+        keys = new.cells[:, 0] * nv + new.cells[:, 1]
+        found = order[np.searchsorted(old_keys[order], keys).clip(max=len(order) - 1)]
+        old_cell = np.where((old_keys[found] == keys) & (old.cells[found, 2] == new.cells[:, 2]),
+                            found, -1)
+        side_cell = old_cell[new.interior_sides // 3]
+        mapped = np.where(side_cell >= 0, 3 * side_cell + new.interior_sides % 3, -1)
+        facet = {tuple(sides): f for f, sides in enumerate(old.interior_sides.tolist())}
+        interior = [facet.get(tuple(sides), -1) if min(sides) >= 0 else -1
+                    for sides in mapped.tolist()]
+        return {"cells": old_cell, "interior": np.array(interior)}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_kept_rows_equal_vertex_key_rule(self, seed):
+        rng = np.random.default_rng(seed)
+        old = build_structured_mesh(4)
+        for _ in range(3):
+            marks = rng.integers(0, len(old.cells), size=rng.integers(1, len(old.cells) // 4 + 1))
+            new = refine(old, marks)
+            kept, want = _kept_rows(old, new), self.vertex_key_rows(old, new)
+            assert kept.keys() == want.keys()
+            for kind in want:
+                assert np.array_equal(kept[kind], want[kind]), kind
+            assert 0 < np.count_nonzero(kept["cells"] >= 0) < len(new.cells)
+            old = new
+
+    @pytest.mark.parametrize("case", ["two refinements back", "sibling refinement"])
+    def test_tables_of_another_refinement(self, case):
+        """Tables two refinements back carry nothing.  A sibling refinement of
+        the same mesh (its new vertices lead the new mesh's) passes the vertex
+        and lineage checks, but its cells sit at other indices than the new
+        cells' parents: only the cells with the parent's own triple carry."""
+        data, exact, kind = self.problem()
+        mesh = build_structured_mesh(4)
+        if case == "two refinements back":
+            old, new = mesh, refine(refine(mesh, [5]), [12])
+            assert _kept_rows(old, new) is None
+        else:
+            # the bottom-left and top-right corner cells
+            old, new = refine(mesh, [0]), refine(mesh, [0, 31])
+            cells = _kept_rows(old, new)["cells"]
+            assert np.array_equal(cells >= 0, (old.cells[new.parents] == new.cells).all(axis=1))
+            by_key = self.vertex_key_rows(old, new)["cells"]
+            assert 0 < np.count_nonzero(cells >= 0) < np.count_nonzero(by_key >= 0)
         previous = FormTables(build_space(old, kind), data)
         self.build(previous, exact)
         space = build_space(new, kind)

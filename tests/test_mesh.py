@@ -420,7 +420,8 @@ def test_every_array_is_read_only(make):
     m = make()
     arrays = {name: v for name, v in vars(m).items() if isinstance(v, np.ndarray)}
     arrays.update({f"affine[{i}]": v for i, v in enumerate(m.affine)})
-    assert {"interior_sides", "boundary_sides", "edge_lengths", "boundary_normals"} <= set(arrays)
+    assert {"interior_sides", "boundary_sides", "side_reversed", "edge_lengths",
+            "boundary_normals"} <= set(arrays)
     for arr in arrays.values():
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = arr
@@ -444,15 +445,29 @@ class TestMeshInvariants:
         assert np.all(np.einsum("fd,fd->f", mids - plus_centroids, m.interior_normals) > 0)
         assert np.all(np.einsum("fd,fd->f", minus_centroids - mids, m.interior_normals) > 0)
 
-    @pytest.mark.parametrize("vertex, cell, match", [
-        ((math.nan, 1.0), (0, 1, 3), "finite"),
-        ((1.0, 5.0), (0, 1, -1), "vertex indices"),  # wrapped to vertex 3: area 2.5
-        ((1.0, 5.0), (0, 1, 4), "vertex indices"),
-    ], ids=["nan-vertex", "negative-index", "index-beyond-nv"])
-    def test_rejects_invalid_input_before_geometry(self, vertex, cell, match):
+    @pytest.mark.parametrize("vertex, cell, parents, match", [
+        ((math.nan, 1.0), (0, 1, 3), None, "finite"),
+        ((1.0, 5.0), (0, 1, -1), None, "vertex indices"),  # wrapped to vertex 3: area 2.5
+        ((1.0, 5.0), (0, 1, 4), None, "vertex indices"),
+        # a clockwise cell, which the geometry would report
+        ((1.0, 5.0), (0, 2, 1), [0, 0], "parents"),
+        ((1.0, 5.0), (0, 2, 1), [-1], "parents"),
+    ], ids=["nan-vertex", "negative-index", "index-beyond-nv", "parents-length", "negative-parent"])
+    def test_rejects_invalid_input_before_geometry(self, vertex, cell, parents, match):
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], vertex])
         with pytest.raises(ValueError, match=match):
-            Mesh(vertices, np.array([cell]))
+            Mesh(vertices, np.array([cell]), parents=parents)
+
+    def test_side_reversed_is_each_sides_walk_against_its_edge(self):
+        m = graded_mesh()
+        # walks[c, i] = (vertex (i+1)%3, vertex (i+2)%3) of cell c
+        walks = np.stack([m.cells[:, [1, 2, 0]], m.cells[:, [2, 0, 1]]], axis=2)
+        assert m.side_reversed.shape == (len(m.cells), 3) and m.side_reversed.dtype == bool
+        assert np.array_equal(m.side_reversed, walks[:, :, 0] > walks[:, :, 1])
+        edges = m.edges[m.cell_edges]
+        assert np.array_equal(edges, np.sort(walks, axis=2))
+        assert np.array_equal(edges, np.where(m.side_reversed[:, :, None], walks[:, :, ::-1], walks))
+        assert 0 < np.count_nonzero(m.side_reversed) < m.side_reversed.size
 
     def test_rejects_edge_shared_by_three_cells(self):
         # three counterclockwise cells fanned around the edge (0, 1)
