@@ -28,6 +28,7 @@ from .benchmarks import BENCHMARKS, Benchmark, experiment1, experiment2, get_ben
 from .forms import (
     FormTables,
     ProblemData,
+    ProblemDataError,
     Rectangle,
     assemble_gram,
     assemble_load,
@@ -60,6 +61,7 @@ from .solvers import (
     SaddleSolution,
     SolverError,
     solve_adjoint,
+    solve_adjoint_saddle,
     solve_cip_enriched,
     solve_saddle,
 )

@@ -29,7 +29,8 @@ from .forms import (
 )
 from .mesh import refine
 from .reference import MAX_QUAD_DEGREE
-from .solvers import SaddleFactorization, solve_adjoint, solve_cip_enriched, solve_saddle
+from .solvers import (SaddleFactorization, solve_adjoint, solve_adjoint_saddle,
+                      solve_cip_enriched, solve_saddle)
 from .spaces import build_space, enriched
 from .vtkio import write_mesh_txt, write_vtk
 
@@ -247,10 +248,11 @@ def _count_solves(record, *solvers):
 def _solve_and_estimate(record, tables, qoi_region, last):
     """Assemble on ``tables``, solve the saddle system and, given the
     ``qoi_region`` (goa mode), the adjoint one on one factor of K, and write
-    the estimates and residuals into the record.  K and its LU are freed on
-    return, before the diagnostics factor B_full.  On the ``last`` iteration,
-    whose K factor is the run's memory peak, the tables' coefficients, which
-    only a next iteration would read, are freed before it."""
+    the estimates and residuals into the record.  K's LU dies once those
+    solves are counted, before the second factor (G's for eps* here, B_full's
+    in ``_diagnose``).  On the ``last`` iteration, whose K factor is the run's
+    memory peak, the tables' coefficients, which only a next iteration would
+    read, are freed before it."""
     G = assemble_gram(tables)
     # the test space nests the trial space first: B is B_full's trial block
     B_full = assemble_stabilized(tables)
@@ -259,30 +261,31 @@ def _solve_and_estimate(record, tables, qoi_region, last):
     load = assemble_load(tables)
     if last:
         tables.drop("coefficients")
-    test, q = tables.space, None
-    factor = SaddleFactorization(G, B_full[:, : test.n_trial])
-    sol = solve_saddle(factor, load, test)
+    q = None if qoi_region is None else assemble_qoi(tables, qoi_region)
+    factor = SaddleFactorization(G, B_full[:, : tables.space.n_trial])
+    sol = solve_saddle(factor, load, tables.space)
+    adj = None if q is None else solve_adjoint_saddle(factor, q, tables.space)
+    test_order = factor.test_order
+    _count_solves(record, factor)
+    del factor  # the last reference to K's LU
     record.kkt_residual, record.orthogonality = sol.kkt_residual, sol.orthogonality
-    if qoi_region is None:
+    if q is None:
         indicators = energy_indicators(sol.epsilon, tables)
-        _count_solves(record, factor)
     else:
-        q = assemble_qoi(tables, qoi_region)
-        adj = solve_adjoint(factor, q, B_full, test)
-        indicators, goa_sq = goa_indicators(sol.epsilon, adj.eps_star, tables)
+        eps_star, gram = solve_adjoint(G, B_full, q, adj.nu_star, test_order)
+        _count_solves(record, gram)
+        indicators, goa_sq = goa_indicators(sol.epsilon, eps_star, tables)
         record.est_goa = math.sqrt(goa_sq)
         record.kkt_residual = max(record.kkt_residual, adj.kkt_residual)
-        # counted in goa mode only: reading factor.gram builds it
-        _count_solves(record, factor, factor.gram)
     record.est_energy = indicators.total
-    return _Solved(G, B_full, load, q, sol.u, indicators.eta, factor.test_order)
+    return _Solved(G, B_full, load, q, sol.u, indicators.eta, test_order)
 
 
 def _diagnose(record, exact, tables, solved, qoi_ref, saturation):
     """Write the errors against ``exact``, the QoI error given ``qoi_ref`` and,
     with ``saturation``, the saturation ratio and robustness of the enriched
-    CIP reference theta_h into the record.  theta_h factors B_full on K's
-    ``test_order``, so no second ordering runs."""
+    CIP reference theta_h into the record.  theta_h factors B_full, K's LU
+    gone, on K's ``test_order``, so no second ordering runs."""
     u = solved.u
     theta_h = None
     if saturation:

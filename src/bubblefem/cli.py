@@ -5,7 +5,7 @@ mode and writes records.csv, config.json and summary.txt into the output
 directory.  ``bubblefem slope`` fits a log-log least-squares slope over
 the trailing rows of a records CSV.  Flags override values from an
 optional JSON config file.  Exit codes: 0 success, 1 configuration
-error, 2 solver failure.
+or problem data error, 2 solver failure.
 """
 
 import argparse
@@ -21,6 +21,7 @@ import numpy as np
 
 from .adapt import CSV_COLUMNS, ConfigError, LoopConfig, adaptive_loop
 from .benchmarks import BENCHMARKS, EXP1_DELTA, get_benchmark
+from .forms import ProblemDataError
 from .solvers import SolverError
 
 
@@ -53,8 +54,8 @@ class RunConfig(LoopConfig):
 def slope(rows, x_column, y_column, window=RunConfig.window):
     """Least-squares slope of log(y) vs log(x) over the trailing window.
 
-    ``rows`` is a list of dicts (CSV rows); nonpositive or missing values
-    are rejected.
+    ``rows`` is a list of dicts (CSV rows); nonpositive, infinite or
+    missing (NaN) values are rejected.
     """
     if window < 2:
         raise ValueError("window must cover at least two rows")
@@ -64,8 +65,8 @@ def slope(rows, x_column, y_column, window=RunConfig.window):
     xs, ys = [], []
     for row in tail:
         x, y = float(row[x_column]), float(row[y_column])
-        if not (x > 0.0 and y > 0.0) or math.isnan(x) or math.isnan(y):
-            raise ValueError(f"nonpositive or missing value in {x_column}/{y_column}")
+        if not (0.0 < x < math.inf and 0.0 < y < math.inf):  # a NaN fails too
+            raise ValueError(f"nonpositive, infinite or missing value in {x_column}/{y_column}")
         xs.append(math.log(x))
         ys.append(math.log(y))
     return float(np.polyfit(xs, ys, 1)[0])
@@ -115,6 +116,9 @@ def run(config):
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
+    except ProblemDataError as exc:
+        print(f"problem data error: {exc}", file=sys.stderr)
+        return 1
     summary = _summarize(records, config)
     (outdir / "summary.txt").write_text(summary)
     print(summary, end="")

@@ -84,18 +84,30 @@ from scipy.sparse._sparsetools import coo_tocsr, csr_tocsc
 from .reference import edge_rule, tabulate, triangle_rule
 
 
+class ProblemDataError(ValueError):
+    """Problem data the forms cannot use: a non-finite value, or a reaction
+    below its declared floor."""
+
+
 @dataclass
 class ProblemData:
     """Coefficients and data of an advection-reaction problem.
 
+    The package solves the conservative form div(b u) + mu u = f, with
+    u = g on the inflow boundary: the forms integrate the advection in
+    adjoint form, -(v, b . grad w), plus the outflow term.  That equals
+    b . grad u + mu u = f only where div b = 0, as for both benchmarks;
+    the divergence is neither declared nor checked.
+
     ``velocity``/``reaction``/``source``/``inflow_data`` are vectorized
-    callables over (n, 2) point arrays.  ``penalty_order`` is the
-    polynomial order entering the jump-penalty weight (set it to the
-    bubble order of the test space in use); ``gram_weight`` is the L2
-    weight of the test inner product, default 1.0.  A unit weight keeps
-    the dual-norm minimization quasi-optimal for weakly reactive
-    problems; matching it to the reaction floor degrades p=1 rates on
-    curved advection fields.
+    callables over (n, 2) point arrays; every value the forms evaluate
+    must be finite, or a ``ProblemDataError`` names the callable.
+    ``penalty_order`` is the polynomial order entering the jump-penalty
+    weight (set it to the bubble order of the test space in use);
+    ``gram_weight`` is the L2 weight of the test inner product, default
+    1.0.  A unit weight keeps the dual-norm minimization quasi-optimal for
+    weakly reactive problems; matching it to the reaction floor degrades
+    p=1 rates on curved advection fields.
     """
 
     velocity: object
@@ -150,16 +162,19 @@ def facet_quadrature(mesh, edge_ids, rule):
     return pts, w
 
 
-def _point_values(fn, pts):
+def _point_values(fn, pts, name):
     """Values of the vectorized callable ``fn`` at points (..., 2), shaped
-    like the points: (...) for a scalar field, (..., 2) for a vector field."""
+    like the points: (...) for a scalar field, (..., 2) for a vector field.
+    Raises ProblemDataError naming the coefficient ``name`` unless all are finite."""
     values = np.asarray(fn(pts.reshape(-1, 2)), dtype=float)
+    if not np.isfinite(values).all():
+        raise ProblemDataError(f"the {name} is not finite at every quadrature point")
     return values.reshape(pts.shape[:-1] + values.shape[1:])
 
 
 def normal_flux(velocity, pts, normals):
     """b.n at facet points (nf, nq, 2) for per-facet normals (nf, 2)."""
-    return np.matmul(_point_values(velocity, pts), normals[:, :, None])[:, :, 0]
+    return np.matmul(_point_values(velocity, pts, "velocity"), normals[:, :, None])[:, :, 0]
 
 
 def facet_cases(mesh, sides):
@@ -355,12 +370,12 @@ class FormTables:
 
         def compute(cells):
             pts, w = cell_quadrature(mesh, self.volume_rule, cells)
-            mu = _point_values(data.reaction, pts)
+            mu = _point_values(data.reaction, pts, "reaction")
             if mu.min(initial=math.inf) < data.reaction_floor - 1e-12:
-                raise ValueError("reaction coefficient drops below the declared floor")
-            bvals = _point_values(data.velocity, pts)
+                raise ProblemDataError("reaction coefficient drops below the declared floor")
+            bvals = _point_values(data.velocity, pts, "velocity")
             return (w * mu, w[:, :, None] * np.matmul(bvals, Jinv[cells].transpose(0, 2, 1)),
-                    w * _point_values(data.source, pts))
+                    w * _point_values(data.source, pts, "source"))
 
         return self._table("coefficients", "cells", compute)
 
@@ -409,11 +424,11 @@ class FormTables:
 
         def on_cells(cells):
             pts, w = cell_quadrature(mesh, rule, cells)
-            return w, _point_values(exact, pts)
+            return w, _point_values(exact, pts, "exact solution")
 
         w, values = self._table("error", "cells", on_cells, exact)
         return (w, tabulate(self.space.local_basis, "values", degree), values,
-                _point_values(exact, self.boundary[0]))
+                _point_values(exact, self.boundary[0], "exact solution"))
 
     @cached_property
     def pattern(self):
@@ -616,7 +631,7 @@ def assemble_load(tables):
     np.add.at(vec, space.cell_dofs, np.matmul(source_w, tables.volume_basis))
 
     pts, bw, bn, vals, bdofs = tables.boundary
-    g = _point_values(tables.data.inflow_data, pts)
+    g = _point_values(tables.data.inflow_data, pts, "inflow data")
     local_e = -np.matmul((bw * np.minimum(bn, 0.0) * g)[:, None, :], vals)[:, 0]
     np.add.at(vec, bdofs, local_e)
     return vec

@@ -34,13 +34,14 @@ symmetric mode and refined against itself, as is the SPD mass matrix of
 
 One minimum-degree ordering runs per iteration, K_delta's.  G, B_full
 and K_delta share the test space's sparsity pattern, so the iteration's
-second factor -- G for eps*, or B_full for theta_h -- takes K_delta's
-elimination order restricted to the test DoFs (``test_order``): the
-matrix is permuted symmetrically by that order and factored in natural
-order.  Over each benchmark loop its fill is slightly below that of
-each matrix's own minimum-degree ordering (a single factor's within
--2.4 % to +1.4 %).  Every existence argument here covers any symmetric
-ordering, so this order keeps the unpivoted factors valid.
+second factor, G for eps* (``solve_adjoint``) or B_full for theta_h
+(``solve_cip_enriched``), takes K_delta's elimination order restricted
+to the test DoFs (``SaddleFactorization.test_order``), permuted
+symmetrically and factored in natural order: its fill is within -2.4 %
+to +1.4 % of its own minimum-degree ordering's over the benchmark loops.
+Every existence argument here covers any symmetric ordering, so this
+order keeps the unpivoted factors valid.  K's LU, held by a
+``SaddleFactorization`` alone, is dropped before a second factor is built.
 
 The saturation diagnostic solves the nonsymmetric enriched operator
 B_full.  Where the reaction floor mu_0 > 0, coercivity of the stabilized
@@ -149,11 +150,10 @@ class SaddleSolution:
 
 @dataclass
 class AdjointSolution:
-    """Adjoint pair (nu*, w*), residual representative, max|r| / (1 + max|rhs|)."""
+    """Adjoint pair (nu*, w*) and max|r| / (1 + max|rhs|)."""
 
     nu_star: DiscreteFunction
     w_star: DiscreteFunction
-    eps_star: DiscreteFunction
     kkt_residual: float
 
 
@@ -256,15 +256,14 @@ class SaddleFactorization(RefinedFactor):
 
     ``_lu`` is the symmetric-mode factor of the quasi-definite
     ``K_delta = [[G, B], [B^T, -delta I]]``; K_delta is then turned into K
-    in place and the factor is refined against it.  ``gram``, the refined
-    factor of G, is built on first use.
+    in place and the factor is refined against it.  It holds no other factor.
     """
 
     def __init__(self, G, B):
-        self.G = G.tocsr()
+        G = G.tocsr()
         self.n_test, self.n_trial = B.shape
-        delta = DELTA_SCALE * self.G.diagonal().max(initial=0.0)
-        K = _saddle_matrix(self.G, B, delta)
+        delta = DELTA_SCALE * G.diagonal().max(initial=0.0)
+        K = _saddle_matrix(G, B, delta)
         lu = _factorize(K, "saddle system", symmetric=True)
         # K_delta -> K: zero the stored diagonal of the trial columns, each one's
         # last entry, inserting no entry
@@ -277,11 +276,6 @@ class SaddleFactorization(RefinedFactor):
         the iteration's second factor (of G or B_full)."""
         order = np.argsort(self._lu.perm_c)
         return order[order < self.n_test]
-
-    @cached_property
-    def gram(self):
-        """G factored in symmetric mode on ``test_order``, refined against G."""
-        return RefinedFactor.unpivoted(self.G, "gram", self.test_order)
 
     def solve(self, rhs_test, rhs_trial):
         """Solve K x = rhs; returns x's test and trial blocks and the residual
@@ -314,25 +308,26 @@ def solve_saddle(factor, load, space):
     )
 
 
-def solve_adjoint(factor, q, B_full, space):
-    """Solve the adjoint saddle problem and represent the adjoint residual.
-
-    The pair (nu*, w*) solves the primal left-hand side, already factored
-    in ``factor``, with right-hand side [0; q_trial], the leading n_trial
+def solve_adjoint_saddle(factor, q, space):
+    """Solve the adjoint saddle problem: (nu*, w*) solves K, factored in
+    ``factor``, with right-hand side [0; q_trial], the leading n_trial
     entries of the QoI vector ``q`` on the test ``space``; w* lives on
-    ``space`` with zero bubble coefficients.  The adjoint residual
-    representative solves ``(eps*, v)_G = q(v) - b(v, nu*)`` over the test
-    space, which needs the full test-by-test operator ``B_full``, on the
-    refined factor ``factor.gram``.
-    """
+    ``space`` with zero bubble coefficients."""
     nu, w, r = factor.solve(np.zeros(factor.n_test), q[: factor.n_trial])
-    eps_star, _ = factor.gram.refined_solve(q - B_full.T @ nu)
     return AdjointSolution(
         nu_star=DiscreteFunction(space, nu),
         w_star=_on_space(space, w),
-        eps_star=DiscreteFunction(space, eps_star),
         kkt_residual=float(np.abs(r).max(initial=0.0)),
     )
+
+
+def solve_adjoint(G, B_full, q, nu_star, order=None):
+    """The adjoint residual representative, ``(eps*, v)_G = q(v) - b(v, nu*)``
+    over the test space of ``nu_star``, on G's unpivoted factor on ``order``
+    (``RefinedFactor.unpivoted``).  Returns eps* and that ``RefinedFactor``."""
+    factor = RefinedFactor.unpivoted(G, "gram", order)
+    eps_star, _ = factor.refined_solve(q - B_full.T @ nu_star.coefficients)
+    return DiscreteFunction(nu_star.space, eps_star), factor
 
 
 def solve_cip_enriched(B_full, load, tables, order=None):

@@ -355,14 +355,14 @@ class TestAdaptiveLoop:
         # solves, so a bad adjoint solve shows even when the primal one is fine
         import bubblefem.adapt as adapt
 
-        solve_adjoint = adapt.solve_adjoint
+        solve_adjoint_saddle = adapt.solve_adjoint_saddle
 
         def bad_residual(*args):
-            adj = solve_adjoint(*args)
+            adj = solve_adjoint_saddle(*args)
             adj.kkt_residual = 1.0
             return adj
 
-        monkeypatch.setattr(adapt, "solve_adjoint", bad_residual)
+        monkeypatch.setattr(adapt, "solve_adjoint_saddle", bad_residual)
         records = adaptive_loop(experiment2(), LoopConfig(mode="goa", theta=0.2, max_iters=1))
         assert [r.kkt_residual for r in records] == [1.0, 1.0]
         assert all(r.orthogonality < 1e-9 for r in records)
@@ -456,15 +456,35 @@ class TestAdaptiveLoop:
         [record] = adaptive_loop(zero, LoopConfig(max_iters=3))
         assert (record.est_energy, record.marked, record.kkt_residual) == (0.0, 0, 0.0)
 
-    def test_nan_source_raises_solver_error(self):
+    @pytest.mark.parametrize("name, field", [("reaction", "reaction"), ("velocity", "velocity"),
+                                             ("source", "source"), ("inflow data", "inflow_data"),
+                                             ("exact solution", "exact")])
+    def test_non_finite_data_names_its_coefficient(self, name, field):
+        # NaN only where x, y > 0.9: before this check a NaN reaction or velocity
+        # surfaced as a singular saddle factor, a NaN source or inflow as a
+        # non-finite solve, and the reaction floor check let NaN pass
         from dataclasses import replace
 
-        from bubblefem import SolverError
+        from bubblefem import ProblemDataError, SolverError
+
+        def nan_in_corner(fn):
+            def values(x):
+                out = np.array(fn(x), dtype=float)
+                x = np.atleast_2d(x)
+                out[(x[:, 0] > 0.9) & (x[:, 1] > 0.9)] = math.nan
+                return out
+
+            return values
 
         bench = experiment1(0.5)
-        bench = replace(bench, data=replace(bench.data, source=const(math.nan)))
-        with pytest.raises(SolverError, match="non-finite"):
-            adaptive_loop(bench, LoopConfig(max_iters=3))
+        if field == "exact":
+            bench = replace(bench, exact=nan_in_corner(bench.exact))
+        else:
+            spoiled = nan_in_corner(getattr(bench.data, field))
+            bench = replace(bench, data=replace(bench.data, **{field: spoiled}))
+        with pytest.raises(ProblemDataError, match=f"^the {name} is not finite") as err:
+            adaptive_loop(bench, LoopConfig(max_iters=1))
+        assert isinstance(err.value, ValueError) and not isinstance(err.value, SolverError)
 
     @pytest.mark.parametrize(
         "bench, config",
@@ -631,6 +651,50 @@ class TestAdaptiveLoop:
         # K and its LU are gone before the enriched solve factors B_full
         adaptive_loop(experiment1(0.5), LoopConfig(max_iters=1, saturation=True))
         assert alive == [0, 0]
+
+    @pytest.mark.parametrize(
+        "bench, config, second",
+        [
+            (experiment2(), LoopConfig(mode="goa", theta=0.2, max_iters=2), "gram"),
+            (experiment1(0.5), LoopConfig(max_iters=2, saturation=True),
+             "enriched stabilized operator"),
+            (experiment1(0.5), LoopConfig(mode="uniform", p=2, k=4, max_iters=1),
+             "enriched stabilized operator"),
+        ],
+        ids=["exp2-goa", "exp1-energy-saturation", "exp1-uniform"],
+    )
+    def test_one_sparse_factor_alive_at_a_time(self, monkeypatch, bench, config, second):
+        # SuperLU objects cannot be weakly referenced, so each factor is wrapped
+        # in a forwarding proxy that can; when a factorization starts, no factor
+        # of another operator may be alive: K's LU is gone before the
+        # iteration's ``second`` factor, and that one before the next K
+        import gc
+        import weakref
+
+        import bubblefem.solvers
+
+        class Proxy:
+            def __init__(self, lu):
+                self._wrapped = lu
+
+            def __getattr__(self, name):
+                return getattr(self._wrapped, name)
+
+        factors, built = [], []
+        factorize = bubblefem.solvers._factorize
+
+        def spy(matrix, label, symmetric=False, order=None):
+            gc.collect()
+            alive = {other for other, ref in factors if ref() is not None}
+            assert alive <= {label}, f"{sorted(alive)} alive when {label} is factored"
+            proxy = Proxy(factorize(matrix, label, symmetric, order))
+            factors.append((label, weakref.ref(proxy)))
+            built.append(label)
+            return proxy
+
+        monkeypatch.setattr(bubblefem.solvers, "_factorize", spy)
+        records = adaptive_loop(bench, config)
+        assert built == ["saddle system", second] * len(records)
 
     def test_csv_serialization(self, tmp_path):
         bench = experiment1(0.5)

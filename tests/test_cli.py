@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -35,6 +36,10 @@ class TestSlope:
             slope(rows_from([1.0, 2.0], [1.0, -1.0]), "x", "y")
         with pytest.raises(ValueError):
             slope(rows_from([1.0, 2.0], [float("nan"), 1.0]), "x", "y")
+        with pytest.raises(ValueError, match="infinite"):
+            slope(rows_from([1.0, 2.0], [math.inf, 1.0]), "x", "y")
+        with pytest.raises(ValueError, match="infinite"):
+            slope(rows_from([1.0, math.inf], [1.0, 2.0]), "x", "y")
 
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
@@ -269,7 +274,7 @@ class TestMain:
         assert err.startswith("configuration error") and err.count("\n") == 1
         assert blocker.read_text() == "kept"
 
-    def test_nan_source_exits_2(self, tmp_path, capsys, monkeypatch):
+    def test_nan_source_exits_1(self, tmp_path, capsys, monkeypatch):
         from dataclasses import replace
 
         import bubblefem.cli
@@ -283,9 +288,9 @@ class TestMain:
         monkeypatch.setattr(bubblefem.cli, "get_benchmark", nan_source)
         code = main(["run", "--benchmark", "exp1", "--delta", "0.5", "--max-iters", "2",
                      "--outdir", str(tmp_path / "nan")])
-        assert code == 2
+        assert code == 1
         err = capsys.readouterr().err
-        assert "solver failure" in err and "Traceback" not in err
+        assert err == "problem data error: the source is not finite at every quadrature point\n"
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
@@ -316,6 +321,18 @@ class TestMain:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("x, y", [(200, "inf"), ("inf", 1.0), (200, "-inf")])
+    def test_slope_subcommand_rejects_infinite_value(self, tmp_path, capsys, x, y):
+        path = tmp_path / "data.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["dofs", "err"])
+            writer.writerows([[100, 1.0], [x, y], [400, 0.25]])
+        assert main(["slope", str(path), "dofs", "err"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: nonpositive, infinite or missing value in dofs/err\n"
 
     def test_slope_subcommand_rejects_bad_column(self, tmp_path):
         path = tmp_path / "data.csv"

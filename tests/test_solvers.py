@@ -18,6 +18,7 @@ from bubblefem import (
     build_structured_mesh,
     enriched,
     solve_adjoint,
+    solve_adjoint_saddle,
     solve_cip_enriched,
     solve_saddle,
     trial_lagrange,
@@ -222,19 +223,29 @@ def goal_setup():
     return test, G, B, B_full, assemble_qoi(tables, bench.qoi_region)
 
 
+def adjoint_solves(G, B, B_full, q, test, factor=None):
+    """The loop's adjoint solves: (nu*, w*) on the saddle ``factor`` (fresh
+    by default), then eps* on G factored on K's ``test_order``; returns the
+    AdjointSolution, eps* and G's RefinedFactor."""
+    factor = SaddleFactorization(G, B) if factor is None else factor
+    adj = solve_adjoint_saddle(factor, q, test)
+    return (adj, *solve_adjoint(G, B_full, q, adj.nu_star, factor.test_order))
+
+
 class TestSolveAdjoint:
     def test_zero_goal(self, goal_setup):
         test, G, B, B_full, _ = goal_setup
-        adj = solve_adjoint(SaddleFactorization(G, B), np.zeros(test.dim), B_full, test)
+        adj, eps_star, _ = adjoint_solves(G, B, B_full, np.zeros(test.dim), test)
         assert not adj.nu_star.coefficients.any()
         assert not adj.w_star.coefficients.any()
-        assert not adj.eps_star.coefficients.any()
+        assert not eps_star.coefficients.any()
 
     def test_block_equations_satisfied(self, goal_setup):
         test, G, B, B_full, q_test = goal_setup
         q_trial = q_test[: test.n_trial]
-        adj = solve_adjoint(SaddleFactorization(G, B), q_test, B_full, test)
+        adj, eps_star, _ = adjoint_solves(G, B, B_full, q_test, test)
         assert adj.w_star.space is test
+        assert eps_star.space is test
         assert not adj.w_star.coefficients[test.n_trial :].any()
         scale = 1.0 + np.abs(q_trial).max()
         assert adj.kkt_residual <= 1e-9
@@ -245,30 +256,28 @@ class TestSolveAdjoint:
         r2 = B.T @ adj.nu_star.coefficients - q_trial
         assert np.abs(r2).max() <= 1e-9 * scale
         # residual representation: (eps*, v)_G = q(v) - b(v, nu*)
-        r3 = G @ adj.eps_star.coefficients - (q_test - B_full.T @ adj.nu_star.coefficients)
+        r3 = G @ eps_star.coefficients - (q_test - B_full.T @ adj.nu_star.coefficients)
         assert np.abs(r3).max() <= 1e-9 * scale
 
     def test_shared_factorization_identical(self, goal_setup):
         test, G, B, B_full, q_test = goal_setup
         # a factorization that already served another solve gives the fresh answer
         factor = SaddleFactorization(G, B)
-        solve_adjoint(factor, np.zeros(test.dim), B_full, test)
-        shared = solve_adjoint(factor, q_test, B_full, test)
-        fresh = solve_adjoint(SaddleFactorization(G, B), q_test, B_full, test)
+        adjoint_solves(G, B, B_full, np.zeros(test.dim), test, factor)
+        shared, shared_eps, _ = adjoint_solves(G, B, B_full, q_test, test, factor)
+        fresh, fresh_eps, _ = adjoint_solves(G, B, B_full, q_test, test)
         assert np.abs(fresh.nu_star.coefficients - shared.nu_star.coefficients).max() < 1e-12
-        assert np.abs(fresh.eps_star.coefficients - shared.eps_star.coefficients).max() < 1e-12
+        assert np.abs(fresh_eps.coefficients - shared_eps.coefficients).max() < 1e-12
 
     def test_gram_solve_gated(self, goal_setup, monkeypatch):
         test, G, B, B_full, q_test = goal_setup
-        factor = SaddleFactorization(G, B)
-        solve_adjoint(factor, q_test, B_full, test)
-        assert factor.gram.fallbacks == 0
+        *_, gram = adjoint_solves(G, B, B_full, q_test, test)
+        assert gram.fallbacks == 0
         # no residual passes a zero gate: the Gram solve falls back once to the pivoted LU of G
         monkeypatch.setattr(bubblefem.solvers, "REFINE_TOL", 0.0)
-        factor = SaddleFactorization(G, B)
-        adj = solve_adjoint(factor, q_test, B_full, test)
-        assert factor.gram.fallbacks == 1
-        assert "_pivoted_lu" in vars(factor.gram)
+        adj, eps_star, gram = adjoint_solves(G, B, B_full, q_test, test)
+        assert gram.fallbacks == 1
+        assert "_pivoted_lu" in vars(gram)
         # reference: COLAMD LU of G, refined against G to roundoff
         rhs = q_test - B_full.T @ adj.nu_star.coefficients
         A = sp.csc_matrix(G)
@@ -276,13 +285,18 @@ class TestSolveAdjoint:
         x = lu.solve(rhs)
         for _ in range(3):
             x += lu.solve(rhs - A @ x)
-        assert np.linalg.norm(adj.eps_star.coefficients - x) <= 1e-10 * np.linalg.norm(x)
+        assert np.linalg.norm(eps_star.coefficients - x) <= 1e-10 * np.linalg.norm(x)
 
     def test_eps_star_is_gram_solve(self, goal_setup):
         test, G, B, B_full, q_test = goal_setup
-        adj = solve_adjoint(SaddleFactorization(G, B), q_test, B_full, test)
+        adj, eps_star, _ = adjoint_solves(G, B, B_full, q_test, test)
         ref = spla.spsolve(sp.csc_matrix(G), q_test - B_full.T @ adj.nu_star.coefficients)
-        assert np.linalg.norm(adj.eps_star.coefficients - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(eps_star.coefficients - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_saddle_factor_holds_no_gram_factor(self, goal_setup):
+        test, G, B, *_ = goal_setup
+        factor = SaddleFactorization(G, B)
+        assert not hasattr(factor, "gram") and not hasattr(factor, "G")
 
 
 @pytest.fixture
@@ -549,7 +563,7 @@ def _nan_adjoint(request):
     # trial block, so only the Gram solve sees it
     test, G, B, B_full, q_test = request.getfixturevalue("goal_setup")
     q = np.r_[q_test[: test.n_trial], np.full(test.dim - test.n_trial, np.nan)]
-    solve_adjoint(SaddleFactorization(G, B), q, B_full, test)
+    adjoint_solves(G, B, B_full, q, test)
 
 
 def _nan_enriched(request):
