@@ -56,12 +56,10 @@ from .reference import (
     triangle_rule,
 )
 from .solvers import (
-    AdjointSolution,
     SaddleFactorization,
     SaddleSolution,
     SolverError,
     solve_adjoint,
-    solve_adjoint_saddle,
     solve_cip_enriched,
     solve_saddle,
 )

@@ -29,8 +29,7 @@ from .forms import (
 )
 from .mesh import refine
 from .reference import MAX_QUAD_DEGREE
-from .solvers import (SaddleFactorization, solve_adjoint, solve_adjoint_saddle,
-                      solve_cip_enriched, solve_saddle)
+from .solvers import SaddleFactorization, solve_adjoint, solve_cip_enriched, solve_saddle
 from .spaces import build_space, enriched
 from .vtkio import write_mesh_txt, write_vtk
 
@@ -109,7 +108,7 @@ class AdaptRecord:
 
     ``adaptive_loop`` builds it with the sizes and h_max; its steps write the
     rest: ``_solve_and_estimate`` the estimates, kkt_residual (the max over
-    the primal and, in goa mode, adjoint saddle solves) and orthogonality,
+    the K solves for the load and, in goa mode, the goal) and orthogonality,
     ``_diagnose`` the errors, saturation and robustness, ``_mark_and_refine``
     marked, and the two solving steps the counts of their solves.  Fields
     beyond the CSV schema (h_max, kkt_residual, orthogonality, est_goa,
@@ -246,13 +245,13 @@ def _count_solves(record, *solvers):
 
 
 def _solve_and_estimate(record, tables, qoi_region, last):
-    """Assemble on ``tables``, solve the saddle system and, given the
-    ``qoi_region`` (goa mode), the adjoint one on one factor of K, and write
-    the estimates and residuals into the record.  K's LU dies once those
-    solves are counted, before the second factor (G's for eps* here, B_full's
-    in ``_diagnose``).  On the ``last`` iteration, whose K factor is the run's
-    memory peak, the tables' coefficients, which only a next iteration would
-    read, are freed before it."""
+    """Assemble on ``tables``, solve K for the load [l; 0] and, given the
+    ``qoi_region`` (goa mode), for the goal [0; q] on the same factor of K,
+    and write the estimates and residuals into the record.  K's LU dies once
+    those solves are counted, before the second factor (G's for eps* here,
+    B_full's in ``_diagnose``).  On the ``last`` iteration, whose K factor is
+    the run's memory peak, the tables' coefficients, which only a next
+    iteration would read, are freed before it."""
     G = assemble_gram(tables)
     # the test space nests the trial space first: B is B_full's trial block
     B_full = assemble_stabilized(tables)
@@ -262,23 +261,26 @@ def _solve_and_estimate(record, tables, qoi_region, last):
     if last:
         tables.drop("coefficients")
     q = None if qoi_region is None else assemble_qoi(tables, qoi_region)
-    factor = SaddleFactorization(G, B_full[:, : tables.space.n_trial])
-    sol = solve_saddle(factor, load, tables.space)
-    adj = None if q is None else solve_adjoint_saddle(factor, q, tables.space)
+    n_test, n_trial = tables.space.dim, tables.space.n_trial
+    factor = SaddleFactorization(G, B_full[:, :n_trial])
+    sol = solve_saddle(factor, load, np.zeros(n_trial), tables.space)
+    adj = None if q is None else solve_saddle(factor, np.zeros(n_test), q[:n_trial], tables.space)
     test_order = factor.test_order
     _count_solves(record, factor)
     del factor  # the last reference to K's LU
+    eps, u = sol.test, sol.trial
     record.kkt_residual, record.orthogonality = sol.kkt_residual, sol.orthogonality
     if q is None:
-        indicators = energy_indicators(sol.epsilon, tables)
+        indicators = energy_indicators(eps, tables)
     else:
-        eps_star, gram = solve_adjoint(G, B_full, q, adj.nu_star, test_order)
+        nu_star = adj.test
+        eps_star, gram = solve_adjoint(G, B_full, q, nu_star, test_order)
         _count_solves(record, gram)
-        indicators, goa_sq = goa_indicators(sol.epsilon, eps_star, tables)
+        indicators, goa_sq = goa_indicators(eps, eps_star, tables)
         record.est_goa = math.sqrt(goa_sq)
         record.kkt_residual = max(record.kkt_residual, adj.kkt_residual)
     record.est_energy = indicators.total
-    return _Solved(G, B_full, load, q, sol.u, indicators.eta, test_order)
+    return _Solved(G, B_full, load, q, u, indicators.eta, test_order)
 
 
 def _diagnose(record, exact, tables, solved, qoi_ref, saturation):

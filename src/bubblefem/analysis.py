@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .forms import assemble_mass, cell_quadrature, volume_degree
+from .forms import _point_values, assemble_mass, cell_quadrature, volume_degree
 from .reference import triangle_rule
 from .solvers import RefinedFactor
 from .spaces import DiscreteFunction, build_space, trial_lagrange
@@ -154,7 +154,8 @@ def qoi_reference(exact, region, degree=20, rtol=1e-11, max_levels=6):
 
     Subdivides the region into m-by-m patches with a tensor Gauss rule of
     the given degree and refines until two consecutive levels agree to
-    ``rtol`` (relative); raises RuntimeError after ``max_levels`` levels.
+    ``rtol`` (relative); raises RuntimeError after ``max_levels`` levels, and
+    ProblemDataError if the exact solution is not finite at a point.
     """
     n = degree // 2 + 1
     xg, wg = leggauss(n)
@@ -170,10 +171,8 @@ def qoi_reference(exact, region, degree=20, rtol=1e-11, max_levels=6):
                 dx, dy = xs[i + 1] - xs[i], ys[j + 1] - ys[j]
                 px = xs[i] + dx * xg
                 py = ys[j] + dy * xg
-                xx, yy = np.meshgrid(px, py, indexing="ij")
-                vals = np.asarray(
-                    exact(np.column_stack([xx.ravel(), yy.ravel()])), dtype=float
-                ).reshape(n, n)
+                pts = np.stack(np.meshgrid(px, py, indexing="ij"), axis=-1)
+                vals = _point_values(exact, pts, "exact solution")
                 total += dx * dy * np.einsum("i,j,ij->", wg, wg, vals)
         return total / region.area
 

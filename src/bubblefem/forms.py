@@ -74,6 +74,7 @@ hold the pattern's read-only index arrays.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -124,6 +125,12 @@ class ProblemData:
             raise ValueError("penalty exponent must be finite and positive")
         if not 0.0 < self.gram_weight < math.inf:
             raise ValueError("gram weight must be finite and positive")
+        if not 0.0 <= self.reaction_floor < math.inf:
+            raise ValueError("reaction floor must be finite and nonnegative")
+        k = self.penalty_order
+        if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral)
+                              or k < 1):
+            raise ValueError("penalty order must be None or an integer >= 1")
 
     def require_penalty_order(self):
         if self.penalty_order is None:
@@ -648,6 +655,11 @@ class Rectangle:
     x1: float
     y0: float
     y1: float
+
+    def __post_init__(self):
+        bounds = (self.x0, self.x1, self.y0, self.y1)
+        if not (np.isfinite(bounds).all() and self.x0 < self.x1 and self.y0 < self.y1):
+            raise ValueError(f"rectangle needs finite bounds, x0 < x1 and y0 < y1: {bounds}")
 
     @property
     def area(self):

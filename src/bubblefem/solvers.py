@@ -4,7 +4,9 @@ The primal problem couples the residual representative ``epsilon`` (test
 space) with the minimizer ``u`` (trial space) through the indefinite
 block system ``K = [[G, B], [B^T, 0]]``, ``K [eps; u] = [l; 0]``.  The
 adjoint problem shares the same left-hand side with right-hand side
-``[0; q]``, so one factorization serves both solves.
+``[0; q]``, so one factorization serves both solves, and one function,
+``solve_saddle``, runs either: it takes the right-hand side's test and
+trial blocks and names the solution by the blocks of K.
 
 Every linear system of an iteration -- the saddle system K, the Gram
 matrix G of the adjoint residual representative and the enriched operator
@@ -139,22 +141,13 @@ class _Reordered:
 
 @dataclass
 class SaddleSolution:
-    """Residual representative, minimizer, and max|r| / (1 + max|rhs|) for the
-    residual r of the block system and of its trial rows (orthogonality)."""
+    """The test and trial blocks of a solution of K, and max|r| / (1 + max|rhs|)
+    for the residual r of the block system and of its trial rows."""
 
-    epsilon: DiscreteFunction
-    u: DiscreteFunction
+    test: DiscreteFunction
+    trial: DiscreteFunction
     kkt_residual: float
     orthogonality: float
-
-
-@dataclass
-class AdjointSolution:
-    """Adjoint pair (nu*, w*) and max|r| / (1 + max|rhs|)."""
-
-    nu_star: DiscreteFunction
-    w_star: DiscreteFunction
-    kkt_residual: float
 
 
 class RefinedFactor:
@@ -285,39 +278,23 @@ class SaddleFactorization(RefinedFactor):
         return x[: self.n_test], x[self.n_test :], r / (1.0 + np.abs(rhs).max(initial=0.0))
 
 
-def _on_space(space, x_trial):
-    """The trial block as a function on the enriched ``space``, bubble coefficients zero."""
-    return DiscreteFunction(space, np.concatenate([x_trial, np.zeros(space.dim - space.n_trial)]))
+def solve_saddle(factor, rhs_test, rhs_trial, space):
+    """Solve K [x; y] = [rhs_test; rhs_trial] on the SaddleFactorization
+    ``factor`` of [[G, B], [B^T, 0]] over the enriched test ``space``.
 
-
-def solve_saddle(factor, load, space):
-    """Minimize the residual of the load functional over the trial space.
-
-    ``factor`` is the SaddleFactorization of [[G, B], [B^T, 0]] on the
-    enriched test ``space``.  Returns the minimizer ``u``, on ``space`` with
-    zero bubble coefficients, and the residual representative ``epsilon``:
-    ``(eps, v) + b(u, v) = l(v)`` for all test v, ``b(w, eps) = 0`` for all trial w.
+    Returns x and y on ``space``, y with zero bubble coefficients.  For the
+    load, [l; 0], x is the residual representative eps and y the minimizer u:
+    ``(eps, v) + b(u, v) = l(v)`` for all test v, ``b(w, eps) = 0`` for all
+    trial w, and the trial rows' residual is the orthogonality residual.  For
+    the goal, [0; q_trial], x is nu* and y is w*, and the trial rows'
+    residual is q_trial - B^T nu*.
     """
-    eps, u, r = factor.solve(load, np.zeros(factor.n_trial))
+    x, y, r = factor.solve(rhs_test, rhs_trial)
     return SaddleSolution(
-        epsilon=DiscreteFunction(space, eps),
-        u=_on_space(space, u),
+        test=DiscreteFunction(space, x),
+        trial=DiscreteFunction(space, np.concatenate([y, np.zeros(space.dim - space.n_trial)])),
         kkt_residual=float(np.abs(r).max(initial=0.0)),
-        # the trial rows of r are -B^T eps: the orthogonality residual
         orthogonality=float(np.abs(r[factor.n_test :]).max(initial=0.0)),
-    )
-
-
-def solve_adjoint_saddle(factor, q, space):
-    """Solve the adjoint saddle problem: (nu*, w*) solves K, factored in
-    ``factor``, with right-hand side [0; q_trial], the leading n_trial
-    entries of the QoI vector ``q`` on the test ``space``; w* lives on
-    ``space`` with zero bubble coefficients."""
-    nu, w, r = factor.solve(np.zeros(factor.n_test), q[: factor.n_trial])
-    return AdjointSolution(
-        nu_star=DiscreteFunction(space, nu),
-        w_star=_on_space(space, w),
-        kkt_residual=float(np.abs(r).max(initial=0.0)),
     )
 
 

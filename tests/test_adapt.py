@@ -355,17 +355,54 @@ class TestAdaptiveLoop:
         # solves, so a bad adjoint solve shows even when the primal one is fine
         import bubblefem.adapt as adapt
 
-        solve_adjoint_saddle = adapt.solve_adjoint_saddle
+        solve_saddle = adapt.solve_saddle
 
-        def bad_residual(*args):
-            adj = solve_adjoint_saddle(*args)
-            adj.kkt_residual = 1.0
-            return adj
+        def bad_residual(factor, rhs_test, rhs_trial, space):
+            sol = solve_saddle(factor, rhs_test, rhs_trial, space)
+            if not rhs_test.any():  # the goal's right-hand side, [0; q]
+                sol.kkt_residual = 1.0
+            return sol
 
-        monkeypatch.setattr(adapt, "solve_adjoint_saddle", bad_residual)
+        monkeypatch.setattr(adapt, "solve_saddle", bad_residual)
         records = adaptive_loop(experiment2(), LoopConfig(mode="goa", theta=0.2, max_iters=1))
         assert [r.kkt_residual for r in records] == [1.0, 1.0]
         assert all(r.orthogonality < 1e-9 for r in records)
+
+    def test_every_solve_runs_inside_a_public_solve_function(self, monkeypatch):
+        # each linear solve of the loop, RefinedFactor.refined_solve, runs
+        # inside solve_saddle, solve_adjoint or solve_cip_enriched, so a
+        # profile of those functions covers every solve
+        import bubblefem.adapt as adapt
+        import bubblefem.solvers as solvers
+
+        depth, outside, solves = [0], [], []
+
+        def entered(solve):
+            def wrapper(*args, **kwargs):
+                depth[0] += 1
+                try:
+                    return solve(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        for name in ("solve_saddle", "solve_adjoint", "solve_cip_enriched"):
+            monkeypatch.setattr(adapt, name, entered(getattr(adapt, name)))
+        refined_solve = solvers.RefinedFactor.refined_solve
+
+        def spy(self, rhs):
+            solves.append(self.label)
+            if depth[0] == 0:
+                outside.append(self.label)
+            return refined_solve(self, rhs)
+
+        monkeypatch.setattr(solvers.RefinedFactor, "refined_solve", spy)
+        adaptive_loop(experiment2(), LoopConfig(mode="goa", theta=0.2, max_iters=1))
+        adaptive_loop(experiment1(0.5), LoopConfig(max_iters=1, saturation=True))
+        # per iteration: goa K twice and G; energy K and B_full
+        assert solves == (["saddle system", "saddle system", "gram"] * 2
+                          + ["saddle system", "enriched stabilized operator"] * 2)
+        assert outside == []
 
     def test_stop_on_max_dofs(self):
         bench = experiment1(0.5)

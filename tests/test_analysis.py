@@ -322,6 +322,17 @@ class TestQoiError:
         tight = qoi_reference(bench.exact, bench.qoi_region, rtol=1e-11)
         assert abs(tight - fine) <= 1e-10 * abs(fine)
 
+    def test_reference_names_a_non_finite_exact_solution(self):
+        from bubblefem import ProblemDataError, experiment2
+
+        bench = experiment2()
+
+        def partly_nan(pts):
+            return np.where(np.atleast_2d(pts)[:, 0] > 0.75, np.nan, bench.exact(pts))
+
+        with pytest.raises(ProblemDataError, match="exact solution"):
+            qoi_reference(partly_nan, bench.qoi_region)
+
     def test_reference_raises_without_convergence(self):
         # a 1e-5-wide layer inside the box: after the last level the
         # composite rule is still 2.4e-6 (relative) off the mean 0.531

@@ -271,6 +271,20 @@ class TestGram:
         with pytest.raises(ValueError, match="finite"):
             replace(data, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [("reaction_floor", math.nan),
+                                              ("reaction_floor", math.inf),
+                                              ("reaction_floor", -1.0),
+                                              ("penalty_order", 0),
+                                              ("penalty_order", -2),
+                                              ("penalty_order", 2.0),
+                                              ("penalty_order", True)])
+    def test_rejects_bad_floor_or_penalty_order(self, field, value):
+        # a NaN floor would pass the floor check, order 0 divides by zero and
+        # a negative order makes the penalty weight complex
+        data = make_data(const_field([1.0, 0.0]))
+        with pytest.raises(ValueError, match=field.replace("_", " ")):
+            replace(data, **{field: value})
+
 
 def coo_plus_sum(tables):
     """G and B_full as every term's own COO -> CSR scatter, added as sparse
@@ -721,6 +735,14 @@ class TestQoi:
         space = build_space(m, trial_lagrange(1))
         with pytest.raises(ValueError):
             self.qoi(space)
+
+    @pytest.mark.parametrize("bounds", [(0.7, 0.7, 0.3, 0.5), (0.8, 0.7, 0.3, 0.5),
+                                        (0.7, 0.8, 0.5, 0.3), (0.7, 0.8, 0.3, math.nan),
+                                        (-math.inf, 0.8, 0.3, 0.5)])
+    def test_rejects_empty_inverted_or_non_finite_box(self, bounds):
+        # the QoI divides by the area, which such a box leaves zero, negative or NaN
+        with pytest.raises(ValueError, match="rectangle"):
+            Rectangle(*bounds)
 
     def test_region_leaving_the_mesh_rejected(self):
         # no cell straddles x = 0.9, but the cells inside fill half the region

@@ -18,7 +18,6 @@ from bubblefem import (
     build_structured_mesh,
     enriched,
     solve_adjoint,
-    solve_adjoint_saddle,
     solve_cip_enriched,
     solve_saddle,
     trial_lagrange,
@@ -61,31 +60,32 @@ def assert_reported_residuals(sol, G, B, load):
     K = sp.bmat([[G, B], [B.T, None]], format="csc")
     n_trial = B.shape[1]
     # one CSC product over the stacked x, in the order the solver sums
-    Kx = K @ np.concatenate([sol.epsilon.coefficients, sol.u.coefficients[:n_trial]])
+    Kx = K @ np.concatenate([sol.test.coefficients, sol.trial.coefficients[:n_trial]])
     rhs = np.concatenate([load, np.zeros(n_trial)])
     scale = 1.0 + np.abs(load).max()
     assert sol.kkt_residual == np.abs(Kx - rhs).max() / scale
-    assert sol.orthogonality == orthogonality_residual(B, sol.epsilon) / scale
+    assert sol.orthogonality == orthogonality_residual(B, sol.test) / scale
 
 
 class TestSolveSaddle:
     def test_manufactured_exactness(self, setup):
         m, _, test, G, B, load = setup
-        sol = solve_saddle(SaddleFactorization(G, B), load, test)
+        sol = solve_saddle(SaddleFactorization(G, B), load, np.zeros(test.n_trial), test)
         exact = m.vertices[:, 0] + m.vertices[:, 1]
         # u lives on the enriched space, its bubble coefficients zero
-        assert sol.u.space is test and sol.epsilon.space is test
-        assert np.abs(sol.u.coefficients[: test.n_trial] - exact).max() < 1e-10
-        assert not sol.u.coefficients[test.n_trial :].any()
-        eps_norm = np.sqrt(sol.epsilon.coefficients @ (G @ sol.epsilon.coefficients))
+        assert sol.trial.space is test and sol.test.space is test
+        assert np.abs(sol.trial.coefficients[: test.n_trial] - exact).max() < 1e-10
+        assert not sol.trial.coefficients[test.n_trial :].any()
+        eps_norm = np.sqrt(sol.test.coefficients @ (G @ sol.test.coefficients))
         assert eps_norm < 1e-10
         assert sol.kkt_residual < 1e-9
 
     def test_zero_load(self, setup):
         _, _, test, G, B, _ = setup
-        sol = solve_saddle(SaddleFactorization(G, B), np.zeros(test.dim), test)
-        assert not sol.u.coefficients.any()
-        assert not sol.epsilon.coefficients.any()
+        sol = solve_saddle(SaddleFactorization(G, B), np.zeros(test.dim), np.zeros(test.n_trial),
+                           test)
+        assert not sol.trial.coefficients.any()
+        assert not sol.test.coefficients.any()
 
     def test_galerkin_degeneration(self, setup):
         # k <= p: test space equals the trial space, residual vanishes and
@@ -97,32 +97,32 @@ class TestSolveSaddle:
         G = assemble_gram(tables)
         B = assemble_stabilized(tables)[:, : test_eq.n_trial]
         load = assemble_load(tables)
-        sol = solve_saddle(SaddleFactorization(G, B), load, test_eq)
+        sol = solve_saddle(SaddleFactorization(G, B), load, np.zeros(test_eq.n_trial), test_eq)
         plain, _ = solve_cip_enriched(B, load, tables)
-        assert np.sqrt(sol.epsilon.coefficients @ (G @ sol.epsilon.coefficients)) < 1e-10
-        assert np.abs(sol.u.coefficients - plain.coefficients).max() < 1e-10
+        assert np.sqrt(sol.test.coefficients @ (G @ sol.test.coefficients)) < 1e-10
+        assert np.abs(sol.trial.coefficients - plain.coefficients).max() < 1e-10
 
     def test_orthogonality(self, setup):
         _, _, test, G, B, load = setup
-        sol = solve_saddle(SaddleFactorization(G, B), load, test)
-        assert orthogonality_residual(B, sol.epsilon) <= 1e-9 * (1.0 + np.abs(load).max())
+        sol = solve_saddle(SaddleFactorization(G, B), load, np.zeros(test.n_trial), test)
+        assert orthogonality_residual(B, sol.test) <= 1e-9 * (1.0 + np.abs(load).max())
 
     def test_reported_residuals(self, setup):
         _, _, test, G, B, load = setup
-        assert_reported_residuals(solve_saddle(SaddleFactorization(G, B), load, test),
-                                  G, B, load)
+        sol = solve_saddle(SaddleFactorization(G, B), load, np.zeros(test.n_trial), test)
+        assert_reported_residuals(sol, G, B, load)
 
     def test_minimizer_optimality_fd(self, setup):
         # perturbing the minimizer never decreases 1/2 ||l - B u||^2 in G^-1
         _, _, test, G, B, load = setup
-        sol = solve_saddle(SaddleFactorization(G, B), load, test)
+        sol = solve_saddle(SaddleFactorization(G, B), load, np.zeros(test.n_trial), test)
         lu = spla.splu(sp.csc_matrix(G))
 
         def objective(u):
             r = load - B @ u
             return 0.5 * r @ lu.solve(r)
 
-        u = sol.u.coefficients[: test.n_trial]
+        u = sol.trial.coefficients[: test.n_trial]
         base = objective(u)
         rng = np.random.default_rng(77)
         for _ in range(20):
@@ -133,10 +133,10 @@ class TestSolveSaddle:
 
     def test_factorization_determinism(self, setup):
         _, _, test, G, B, load = setup
-        a = solve_saddle(SaddleFactorization(G, B), load, test)
-        b = solve_saddle(SaddleFactorization(G, B), load, test)
-        assert np.array_equal(a.u.coefficients, b.u.coefficients)
-        assert np.array_equal(a.epsilon.coefficients, b.epsilon.coefficients)
+        a = solve_saddle(SaddleFactorization(G, B), load, np.zeros(test.n_trial), test)
+        b = solve_saddle(SaddleFactorization(G, B), load, np.zeros(test.n_trial), test)
+        assert np.array_equal(a.trial.coefficients, b.trial.coefficients)
+        assert np.array_equal(a.test.coefficients, b.test.coefficients)
 
     def test_singular_system_reported(self):
         G = sp.csr_matrix(np.zeros((2, 2)))
@@ -147,7 +147,7 @@ class TestSolveSaddle:
     def test_regularized_factor_refined(self, setup):
         _, _, test, G, B, load = setup
         factor = SaddleFactorization(G, B)
-        solve_saddle(factor, load, test)
+        solve_saddle(factor, load, np.zeros(test.n_trial), test)
         # the O(delta) shift of the quasi-definite factor needs refining
         assert 1 <= factor.refine_steps <= bubblefem.solvers.REFINE_STEPS
         assert factor.fallbacks == 0
@@ -158,7 +158,7 @@ class TestSolveSaddle:
         monkeypatch.setattr(bubblefem.solvers, "DELTA_SCALE", 1.0)
         _, _, test, G, B, load = setup
         factor = SaddleFactorization(G, B)
-        sol = solve_saddle(factor, load, test)
+        sol = solve_saddle(factor, load, np.zeros(test.n_trial), test)
         assert factor.refine_steps == bubblefem.solvers.REFINE_STEPS
         assert factor.fallbacks == 1
         assert "_pivoted_lu" in vars(factor)
@@ -191,7 +191,7 @@ class TestGradedSaddle:
     def test_matches_pivoted_lu_of_K(self, graded_goal_setup):
         test, G, B, load = graded_goal_setup
         factor = SaddleFactorization(G, B)
-        sol = solve_saddle(factor, load, test)
+        sol = solve_saddle(factor, load, np.zeros(test.n_trial), test)
         assert factor.fallbacks == 0
         assert sol.kkt_residual <= 1e-12
         # reference: COLAMD LU of K, refined against K to roundoff (the
@@ -202,8 +202,8 @@ class TestGradedSaddle:
         x = lu.solve(rhs)
         for _ in range(3):
             x += lu.solve(rhs - K @ x)
-        for computed, ref in ((sol.epsilon.coefficients, x[: test.dim]),
-                              (sol.u.coefficients[: test.n_trial], x[test.dim :])):
+        for computed, ref in ((sol.test.coefficients, x[: test.dim]),
+                              (sol.trial.coefficients[: test.n_trial], x[test.dim :])):
             assert np.linalg.norm(computed - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -226,37 +226,37 @@ def goal_setup():
 def adjoint_solves(G, B, B_full, q, test, factor=None):
     """The loop's adjoint solves: (nu*, w*) on the saddle ``factor`` (fresh
     by default), then eps* on G factored on K's ``test_order``; returns the
-    AdjointSolution, eps* and G's RefinedFactor."""
+    SaddleSolution of (nu*, w*), eps* and G's RefinedFactor."""
     factor = SaddleFactorization(G, B) if factor is None else factor
-    adj = solve_adjoint_saddle(factor, q, test)
-    return (adj, *solve_adjoint(G, B_full, q, adj.nu_star, factor.test_order))
+    adj = solve_saddle(factor, np.zeros(test.dim), q[: test.n_trial], test)
+    return (adj, *solve_adjoint(G, B_full, q, adj.test, factor.test_order))
 
 
 class TestSolveAdjoint:
     def test_zero_goal(self, goal_setup):
         test, G, B, B_full, _ = goal_setup
         adj, eps_star, _ = adjoint_solves(G, B, B_full, np.zeros(test.dim), test)
-        assert not adj.nu_star.coefficients.any()
-        assert not adj.w_star.coefficients.any()
+        assert not adj.test.coefficients.any()
+        assert not adj.trial.coefficients.any()
         assert not eps_star.coefficients.any()
 
     def test_block_equations_satisfied(self, goal_setup):
         test, G, B, B_full, q_test = goal_setup
         q_trial = q_test[: test.n_trial]
         adj, eps_star, _ = adjoint_solves(G, B, B_full, q_test, test)
-        assert adj.w_star.space is test
+        assert adj.trial.space is test
         assert eps_star.space is test
-        assert not adj.w_star.coefficients[test.n_trial :].any()
+        assert not adj.trial.coefficients[test.n_trial :].any()
         scale = 1.0 + np.abs(q_trial).max()
         assert adj.kkt_residual <= 1e-9
         # first block row: (nu*, v) + b(w*, v) = 0
-        r1 = G @ adj.nu_star.coefficients + B @ adj.w_star.coefficients[: test.n_trial]
+        r1 = G @ adj.test.coefficients + B @ adj.trial.coefficients[: test.n_trial]
         assert np.abs(r1).max() <= 1e-9 * scale
         # second block row: b(w, nu*) = q(w) for every trial basis w
-        r2 = B.T @ adj.nu_star.coefficients - q_trial
+        r2 = B.T @ adj.test.coefficients - q_trial
         assert np.abs(r2).max() <= 1e-9 * scale
         # residual representation: (eps*, v)_G = q(v) - b(v, nu*)
-        r3 = G @ eps_star.coefficients - (q_test - B_full.T @ adj.nu_star.coefficients)
+        r3 = G @ eps_star.coefficients - (q_test - B_full.T @ adj.test.coefficients)
         assert np.abs(r3).max() <= 1e-9 * scale
 
     def test_shared_factorization_identical(self, goal_setup):
@@ -266,7 +266,7 @@ class TestSolveAdjoint:
         adjoint_solves(G, B, B_full, np.zeros(test.dim), test, factor)
         shared, shared_eps, _ = adjoint_solves(G, B, B_full, q_test, test, factor)
         fresh, fresh_eps, _ = adjoint_solves(G, B, B_full, q_test, test)
-        assert np.abs(fresh.nu_star.coefficients - shared.nu_star.coefficients).max() < 1e-12
+        assert np.abs(fresh.test.coefficients - shared.test.coefficients).max() < 1e-12
         assert np.abs(fresh_eps.coefficients - shared_eps.coefficients).max() < 1e-12
 
     def test_gram_solve_gated(self, goal_setup, monkeypatch):
@@ -279,7 +279,7 @@ class TestSolveAdjoint:
         assert gram.fallbacks == 1
         assert "_pivoted_lu" in vars(gram)
         # reference: COLAMD LU of G, refined against G to roundoff
-        rhs = q_test - B_full.T @ adj.nu_star.coefficients
+        rhs = q_test - B_full.T @ adj.test.coefficients
         A = sp.csc_matrix(G)
         lu = spla.splu(A)
         x = lu.solve(rhs)
@@ -290,7 +290,7 @@ class TestSolveAdjoint:
     def test_eps_star_is_gram_solve(self, goal_setup):
         test, G, B, B_full, q_test = goal_setup
         adj, eps_star, _ = adjoint_solves(G, B, B_full, q_test, test)
-        ref = spla.spsolve(sp.csc_matrix(G), q_test - B_full.T @ adj.nu_star.coefficients)
+        ref = spla.spsolve(sp.csc_matrix(G), q_test - B_full.T @ adj.test.coefficients)
         assert np.linalg.norm(eps_star.coefficients - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_saddle_factor_holds_no_gram_factor(self, goal_setup):
@@ -555,7 +555,7 @@ def test_second_factor_permuted_in_one_pass(monkeypatch, operator):
 
 def _nan_saddle(request):
     _, _, test, G, B, load = request.getfixturevalue("setup")
-    solve_saddle(SaddleFactorization(G, B), np.r_[np.nan, load[1:]], test)
+    solve_saddle(SaddleFactorization(G, B), np.r_[np.nan, load[1:]], np.zeros(test.n_trial), test)
 
 
 def _nan_adjoint(request):
