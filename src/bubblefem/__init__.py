@@ -59,6 +59,7 @@ from .solvers import (
     SaddleFactorization,
     SaddleSolution,
     SolverError,
+    saddle_matrix,
     solve_adjoint,
     solve_cip_enriched,
     solve_saddle,

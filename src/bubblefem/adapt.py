@@ -29,7 +29,14 @@ from .forms import (
 )
 from .mesh import refine
 from .reference import MAX_QUAD_DEGREE
-from .solvers import SaddleFactorization, solve_adjoint, solve_cip_enriched, solve_saddle
+from .solvers import (
+    SaddleFactorization,
+    saddle_gram,
+    saddle_matrix,
+    solve_adjoint,
+    solve_cip_enriched,
+    solve_saddle,
+)
 from .spaces import build_space, enriched
 from .vtkio import write_mesh_txt, write_vtk
 
@@ -247,27 +254,40 @@ def _count_solves(record, *solvers):
 def _solve_and_estimate(record, tables, qoi_region, last):
     """Assemble on ``tables``, solve K for the load [l; 0] and, given the
     ``qoi_region`` (goa mode), for the goal [0; q] on the same factor of K,
-    and write the estimates and residuals into the record.  K's LU dies once
-    those solves are counted, before the second factor (G's for eps* here,
-    B_full's in ``_diagnose``).  On the ``last`` iteration, whose K factor is
-    the run's memory peak, the tables' coefficients, which only a next
-    iteration would read, are freed before it."""
+    and write the estimates and residuals into the record.
+
+    K_delta is built from G and a temporary trial block of B_full and then
+    holds the only copy of G's data: G is dropped before K_delta is factored,
+    keeping only its index arrays, which B_full shares, and its data is read
+    back from K's test columns once K's LU dies, after those solves are
+    counted and before the second factor (G's for eps* here, B_full's in
+    ``_diagnose``).  On the ``last`` iteration, whose K factor is the run's
+    memory peak, every cached table is freed before it too: the
+    coefficients, which only a next iteration would read, and the boundary,
+    interior and energy tables, which the estimates and error norms rebuild
+    once K's LU is gone."""
     G = assemble_gram(tables)
     # the test space nests the trial space first: B is B_full's trial block
     B_full = assemble_stabilized(tables)
     # only G and B_full read the pattern and J's data on it; free them before the LU
     del tables.pattern
     load = assemble_load(tables)
-    if last:
-        tables.drop("coefficients")
     q = None if qoi_region is None else assemble_qoi(tables, qoi_region)
+    if last:
+        tables.drop("coefficients", "boundary", "interior", "energy_terms")
     n_test, n_trial = tables.space.dim, tables.space.n_trial
-    factor = SaddleFactorization(G, B_full[:, :n_trial])
+    K = saddle_matrix(G, B_full[:, :n_trial])
+    # G's index arrays are the pattern's, which B_full holds too; its data lives on in K
+    structure = G.indptr, G.indices
+    del G
+    factor = SaddleFactorization(K, n_test)
     sol = solve_saddle(factor, load, np.zeros(n_trial), tables.space)
     adj = None if q is None else solve_saddle(factor, np.zeros(n_test), q[:n_trial], tables.space)
     test_order = factor.test_order
     _count_solves(record, factor)
     del factor  # the last reference to K's LU
+    G = saddle_gram(K, *structure)
+    del K
     eps, u = sol.test, sol.trial
     record.kkt_residual, record.orthogonality = sol.kkt_residual, sol.orthogonality
     if q is None:

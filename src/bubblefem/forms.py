@@ -350,11 +350,15 @@ class FormTables:
         self._tables[name] = (kind, key, arrays)
         return arrays
 
-    def drop(self, name):
-        """Free the table ``name``, a cached property, which no later reader,
-        the next iteration's tables included, will read."""
-        self._tables.pop(name, None)
-        self.__dict__.pop(name, None)
+    def drop(self, *names):
+        """Free the tables ``names``, cached properties, so the next
+        iteration's tables carry none of their rows.  A dropped table is
+        rebuilt in full on its next read.  ``energy_terms`` references the
+        ``boundary`` and ``interior`` tables' arrays, so those stay alive
+        until it is dropped too."""
+        for name in names:
+            self._tables.pop(name, None)
+            self.__dict__.pop(name, None)
 
     @property
     def volume_basis(self):

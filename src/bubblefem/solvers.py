@@ -27,12 +27,17 @@ ordering without pivoting (Vanderbei, SIAM J. Optim. 5, 1995; Gill,
 Saunders and Shinnerl, SIMAX 17, 1996), with a fraction of the fill of a
 column-ordered, pivoted LU of K.  Once factored, K_delta becomes K in
 place: its (2, 2) block's stored diagonal is zeroed.  Refinement against
-K removes the O(delta) shift.  K_delta is gathered column by column
-into CSC arrays allocated once at their final size, straight from its
-blocks' arrays, without sorting a COO copy of it or stacking block
-columns.  The Gram matrix G is SPD and is factored in the same
-symmetric mode and refined against itself, as is the SPD mass matrix of
-``analysis.l2_project``.
+K removes the O(delta) shift.  ``saddle_matrix`` gathers K_delta column
+by column into CSC arrays allocated once at their final size, straight
+from its blocks' arrays, without sorting a COO copy of it or stacking
+block columns, and ``SaddleFactorization`` factors the K_delta it is
+handed.  While K is factored, K_delta holds the only copy of G's data
+and of B's trial block: the adaptive loop keeps only G's index arrays
+(the operators' pattern, which B_full holds too) and drops G and the
+trial block before the factor.  Once K's LU is gone, ``saddle_gram``
+reads G's data back from K's test columns, bit for bit.  The Gram matrix
+G is SPD and is factored in the same symmetric mode and refined against
+itself, as is the SPD mass matrix of ``analysis.l2_project``.
 
 One minimum-degree ordering runs per iteration, K_delta's.  G, B_full
 and K_delta share the test space's sparsity pattern, so the iteration's
@@ -72,6 +77,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_tocsc
 from scipy.sparse.linalg import splu
 
 from .spaces import DiscreteFunction
@@ -209,65 +215,80 @@ class RefinedFactor:
         return x, r
 
 
-def _stack_columns(indices, data, lead, trail):
-    """Fill ``indices`` and ``data`` column by column with the entries of
-    column j of ``lead``, then those of column j of ``trail``; each is the
-    (indptr, indices, data) of a compressed matrix with the same columns."""
-    from_lead = np.repeat(np.tile([True, False], len(lead[0]) - 1),
-                          np.column_stack([np.diff(lead[0]), np.diff(trail[0])]).ravel())
-    indices[from_lead], data[from_lead] = lead[1], lead[2]
-    np.logical_not(from_lead, out=from_lead)
-    indices[from_lead], data[from_lead] = trail[1], trail[2]
-
-
-def _saddle_matrix(G, B, delta):
-    """K_delta = [[G, B], [B^T, -delta I]] in CSC, for a symmetric CSR G.
+def saddle_matrix(G, B):
+    """K_delta = [[G, B], [B^T, -delta I]] in CSC, for a symmetric CSR G and
+    the trial block B, with ``delta = DELTA_SCALE * max diag(G)``.
 
     K_delta's arrays are allocated once at their final size and filled from
-    the blocks' arrays: column j < n_test is G's row j (G's CSR arrays are
-    its CSC arrays) followed by B's row j shifted by n_test, and column
-    n_test + t is B's column t followed by the -delta diagonal entry.  The
-    rows of each column stay sorted, so no COO of K_delta is sorted.
+    the blocks' arrays.  Column j < n_test is G's row j (G's CSR arrays are
+    its CSC arrays) followed by B's row j shifted by n_test, so G's data can
+    be read back from these test columns (``saddle_gram``).  The trial
+    columns are those of [B; -delta I], written in place by one stable
+    counting transpose of its CSR arrays: column t is B's column t followed
+    by the -delta diagonal entry.  The rows of each column stay sorted, so
+    no COO of K_delta is sorted.
     """
-    B = B.tocsr()
+    G, B = G.tocsr(), B.tocsr()
     n_test, n_trial = B.shape
-    columns = B.tocsc()
-    diagonal = np.arange(n_trial + 1, dtype=np.int32)  # -delta I's indptr
+    delta = DELTA_SCALE * G.diagonal().max(initial=0.0)
     head = G.nnz + B.nnz  # the test columns' entries
-    indptr = np.concatenate([G.indptr + B.indptr, head + columns.indptr[1:] + diagonal[1:]])
-    indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
-    _stack_columns(indices[:head], data[:head], (G.indptr, G.indices, G.data),
-                   (B.indptr, B.indices + np.int32(n_test), B.data))
-    _stack_columns(indices[head:], data[head:], (columns.indptr, columns.indices, columns.data),
-                   (diagonal, n_test + diagonal[:-1], np.full(n_trial, -delta)))
+    indptr = np.empty(n_test + n_trial + 1, np.int32)
+    indices, data = np.empty(head + B.nnz + n_trial, np.int32), np.empty(head + B.nnz + n_trial)
+    # [B; -delta I] in CSR: B's rows, then row n_test + t holding column t's diagonal
+    trial = np.arange(n_trial + 1, dtype=np.int32)
+    csr_tocsc(n_test + n_trial, n_trial,
+              np.concatenate([B.indptr, B.nnz + trial[1:]], dtype=np.int32),
+              np.concatenate([B.indices, trial[:-1]], dtype=np.int32),
+              np.concatenate([B.data, np.full(n_trial, -delta)]),
+              indptr[n_test:], indices[head:], data[head:])
+    indptr[n_test:] += head
+    np.add(G.indptr, B.indptr, out=indptr[: n_test + 1])
+    from_gram = np.repeat(np.tile([True, False], n_test),
+                          np.column_stack([np.diff(G.indptr), np.diff(B.indptr)]).ravel())
+    indices[:head][from_gram], data[:head][from_gram] = G.indices, G.data
+    np.logical_not(from_gram, out=from_gram)
+    indices[:head][from_gram], data[:head][from_gram] = B.indices + np.int32(n_test), B.data
     return sp.csc_matrix((data, indices, indptr), shape=(n_test + n_trial,) * 2)
+
+
+def saddle_gram(K, indptr, indices):
+    """G in CSR, on its index arrays ``indptr`` and ``indices``, with its data
+    read back from the test columns of ``K``, a ``saddle_matrix`` of G: each
+    lists G's row first, then B's row at rows n_test and on, so the data are
+    G's, bit for bit."""
+    n_test = len(indptr) - 1
+    head = K.indptr[n_test]
+    return sp.csr_matrix((K.data[:head][K.indices[:head] < n_test], indices, indptr),
+                         shape=(n_test, n_test))
 
 
 class SaddleFactorization(RefinedFactor):
     """Factorization of K = [[G, B], [B^T, 0]], reusable across solves, for
     the symmetric Gram matrix G and the trial block B = B_full[:, :n_trial].
 
-    ``_lu`` is the symmetric-mode factor of the quasi-definite
-    ``K_delta = [[G, B], [B^T, -delta I]]``; K_delta is then turned into K
-    in place and the factor is refined against it.  It holds no other factor.
+    It factors the quasi-definite ``K_delta = [[G, B], [B^T, -delta I]]`` of
+    ``saddle_matrix`` that it is handed, whose leading ``n_test`` rows and
+    columns are G's, in symmetric mode (``_lu``), then turns K_delta into K in
+    place and refines against it.  It holds no other factor and no other
+    copy of G or B: the caller may drop its own before the factor, and read
+    G's data back from K (``saddle_gram``) once the factor is gone.
     """
 
-    def __init__(self, G, B):
-        G = G.tocsr()
-        self.n_test, self.n_trial = B.shape
-        delta = DELTA_SCALE * G.diagonal().max(initial=0.0)
-        K = _saddle_matrix(G, B, delta)
+    def __init__(self, K, n_test):
+        self.n_test, self.n_trial = n_test, K.shape[0] - n_test
         lu = _factorize(K, "saddle system", symmetric=True)
         # K_delta -> K: zero the stored diagonal of the trial columns, each one's
         # last entry, inserting no entry
-        K.data[K.indptr[self.n_test + 1 :] - 1] = 0.0
+        K.data[K.indptr[n_test + 1 :] - 1] = 0.0
         super().__init__(K, lu, "saddle system")
 
     @cached_property
     def test_order(self):
         """K's elimination order restricted to the test DoFs, the order of
         the iteration's second factor (of G or B_full)."""
-        order = np.argsort(self._lu.perm_c)
+        perm = self._lu.perm_c
+        order = np.empty(len(perm), np.intp)  # the inverse of perm_c
+        order[perm] = np.arange(len(perm))
         return order[order < self.n_test]
 
     def solve(self, rhs_test, rhs_trial):

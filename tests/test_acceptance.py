@@ -172,7 +172,8 @@ def test_criterion_1_galerkin_degeneration():
         G = bf.assemble_gram(tables)
         B = bf.assemble_stabilized(tables)[:, : test.n_trial]
         load = bf.assemble_load(tables)
-        sol = bf.solve_saddle(bf.SaddleFactorization(G, B), load, np.zeros(test.n_trial), test)
+        factor = bf.SaddleFactorization(bf.saddle_matrix(G, B), test.dim)
+        sol = bf.solve_saddle(factor, load, np.zeros(test.n_trial), test)
         plain, _ = bf.solve_cip_enriched(B, load, tables)
         eps_norm = math.sqrt(sol.test.coefficients @ (G @ sol.test.coefficients))
         diff = np.abs(sol.trial.coefficients - plain.coefficients).max()

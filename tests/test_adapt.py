@@ -299,8 +299,11 @@ class TestAdaptiveLoop:
         # (u_h, and theta_h when saturation is on) read one FormTables per
         # iteration, so the test space's boundary table, its two one-sided
         # jump tables and J are each built once, and no facet table of the
-        # trial space is built at all.  The first counting pass over J's COO,
-        # which builds the operators' pattern, runs once per iteration.
+        # trial space is built at all.  The last iteration alone frees its
+        # boundary and interior tables before K's factor, the run's memory
+        # peak, and builds them once more after it.  The first counting pass
+        # over J's COO, which builds the operators' pattern, runs once per
+        # iteration.
         import bubblefem.forms as forms
 
         built = []
@@ -321,8 +324,8 @@ class TestAdaptiveLoop:
         assert len(records) == 3
         if config.saturation:
             assert all(math.isfinite(r.saturation) for r in records)
-        assert built.count("boundary") == len(records)
-        assert built.count("jump side") == 2 * len(records)
+        assert built.count("boundary") == len(records) + 1
+        assert built.count("jump side") == 2 * (len(records) + 1)
         assert built.count("J") == len(records)
         assert not [b for b in built if b.startswith("trial")]
 
@@ -657,9 +660,9 @@ class TestAdaptiveLoop:
             return assemble_load(tables)
 
         class Tracked(bubblefem.adapt.SaddleFactorization):
-            def __init__(self, G, B):
+            def __init__(self, K, n_test):
                 held.append(any(ref() is not None for ref in coefficients))
-                super().__init__(G, B)
+                super().__init__(K, n_test)
 
         monkeypatch.setattr(bubblefem.adapt, "assemble_load", tracked_load)
         monkeypatch.setattr(bubblefem.adapt, "SaddleFactorization", Tracked)
@@ -674,8 +677,8 @@ class TestAdaptiveLoop:
         factors, alive = [], []
 
         class Tracked(bubblefem.adapt.SaddleFactorization):
-            def __init__(self, G, B):
-                super().__init__(G, B)
+            def __init__(self, K, n_test):
+                super().__init__(K, n_test)
                 factors.append(weakref.ref(self))
 
         def counting(*args):
@@ -688,6 +691,79 @@ class TestAdaptiveLoop:
         # K and its LU are gone before the enriched solve factors B_full
         adaptive_loop(experiment1(0.5), LoopConfig(max_iters=1, saturation=True))
         assert alive == [0, 0]
+
+    @pytest.mark.parametrize(
+        "bench, config",
+        [
+            (experiment1(0.5), LoopConfig(mode="uniform", p=2, k=4, max_iters=1)),
+            (experiment2(), LoopConfig(mode="goa", theta=0.2, max_iters=2)),
+        ],
+        ids=["exp1-uniform", "exp2-goa"],
+    )
+    def test_saddle_factor_holds_only_K(self, monkeypatch, bench, config):
+        # K_delta holds G's entries and B's trial block: while K is factored,
+        # G's data and the trial block passed to ``saddle_matrix`` are dead,
+        # and on the last iteration, the run's memory peak, so is every cached
+        # table of the tables: the coefficients, the boundary and interior
+        # tables and the energy terms; G is read back from K only once K's LU
+        # is dead.  Each is referenced weakly, so nothing here keeps it alive.
+        import weakref
+
+        import bubblefem.adapt
+        import bubblefem.solvers
+
+        class Proxy:  # SuperLU objects cannot be weakly referenced
+            def __init__(self, lu):
+                self._wrapped = lu
+
+            def __getattr__(self, name):
+                return getattr(self._wrapped, name)
+
+        operators, tables_arrays, lus, at_factor, at_read_back = [], [], [], [], []
+        gram, saddle_matrix = bubblefem.adapt.assemble_gram, bubblefem.adapt.saddle_matrix
+        assemble_load, saddle_gram = bubblefem.adapt.assemble_load, bubblefem.adapt.saddle_gram
+        factorize = bubblefem.solvers._factorize
+
+        def tracked_gram(tables):
+            G = gram(tables)
+            operators.append(weakref.ref(G.data))
+            return G
+
+        def tracked_saddle_matrix(G, B):
+            operators.extend(weakref.ref(a) for a in (B, B.data))
+            return saddle_matrix(G, B)
+
+        def tracked_load(tables):
+            # the arrays the tables own, not the space's DoFs or the shared basis
+            shared = {id(tables.space.cell_dofs), id(tables.volume_basis)}
+            owned = [*tables.coefficients, *tables.boundary, tables.interior[0],
+                     tables.interior[1], *(a for terms in tables.energy_terms for a in terms)]
+            tables_arrays[:] = [weakref.ref(a) for a in owned if id(a) not in shared]
+            return assemble_load(tables)
+
+        def tracked_factorize(matrix, label, symmetric=False, order=None):
+            if label == "saddle system":
+                at_factor.append((sum(ref() is not None for ref in operators),
+                                  sum(ref() is not None for ref in tables_arrays)))
+                lus.append(weakref.ref(proxy := Proxy(factorize(matrix, label, symmetric, order))))
+                return proxy
+            return factorize(matrix, label, symmetric, order)
+
+        def tracked_saddle_gram(K, indptr, indices):
+            at_read_back.append(sum(ref() is not None for ref in lus))
+            return saddle_gram(K, indptr, indices)
+
+        monkeypatch.setattr(bubblefem.adapt, "assemble_gram", tracked_gram)
+        monkeypatch.setattr(bubblefem.adapt, "saddle_matrix", tracked_saddle_matrix)
+        monkeypatch.setattr(bubblefem.adapt, "assemble_load", tracked_load)
+        monkeypatch.setattr(bubblefem.adapt, "saddle_gram", tracked_saddle_gram)
+        monkeypatch.setattr(bubblefem.solvers, "_factorize", tracked_factorize)
+        records = adaptive_loop(bench, config)
+        assert len(at_factor) == len(at_read_back) == len(records) == config.max_iters + 1
+        assert all(alive == 0 for alive, _ in at_factor)
+        # the tables live on through the factors before the last
+        assert all(held > 0 for _, held in at_factor[:-1]) and at_factor[-1][1] == 0
+        assert at_read_back == [0] * len(records)
 
     @pytest.mark.parametrize(
         "bench, config, second",

@@ -32,8 +32,8 @@ def _replayed_fill(workload, outdir, monkeypatch):
     fill = []
 
     class CountedFactorization(bubblefem.adapt.SaddleFactorization):
-        def __init__(self, G, B):
-            super().__init__(G, B)
+        def __init__(self, K, n_test):
+            super().__init__(K, n_test)
             fill.append(self._lu.L.nnz + self._lu.U.nnz)
 
     monkeypatch.setattr(bubblefem.adapt, "SaddleFactorization", CountedFactorization)
@@ -53,7 +53,7 @@ def test_tracer_bindings_resolve(monkeypatch):
     import numpy as np
     import scipy.sparse as sp
 
-    from bubblefem.solvers import SaddleFactorization
+    from bubblefem.solvers import SaddleFactorization, saddle_matrix
 
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import spans
@@ -64,7 +64,7 @@ def test_tracer_bindings_resolve(monkeypatch):
             assert callable(getattr(module, name, None)), f"bubblefem.{layer}.{name}"
     G = sp.identity(3, format="csr")
     B = sp.csr_matrix(np.array([[1.0], [0.0], [2.0]]))
-    lu = SaddleFactorization(G, B)._lu
+    lu = SaddleFactorization(saddle_matrix(G, B), 3)._lu
     assert lu.L.nnz > 0 and lu.U.nnz > 0
 
 
@@ -75,7 +75,7 @@ def test_traced_factorization_counts_fill(monkeypatch):
     import numpy as np
     import scipy.sparse as sp
 
-    from bubblefem.solvers import SaddleFactorization
+    from bubblefem.solvers import SaddleFactorization, saddle_matrix
 
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import spans
@@ -83,7 +83,7 @@ def test_traced_factorization_counts_fill(monkeypatch):
     tracer = spans.Tracer("t")
     G = sp.identity(3, format="csr")
     B = sp.csr_matrix(np.array([[1.0], [0.0], [2.0]]))
-    factor = spans._traced_factorization(tracer, SaddleFactorization)(G, B)
+    factor = spans._traced_factorization(tracer, SaddleFactorization)(saddle_matrix(G, B), 3)
     assert [span[0] for span in tracer.spans].count("solvers.factor") == 1
     assert tracer.counts["solvers.lu_fill"] == factor._lu.L.nnz + factor._lu.U.nnz
     # the traced factor still solves K x = rhs

@@ -17,13 +17,14 @@ from bubblefem import (
     build_space,
     build_structured_mesh,
     enriched,
+    saddle_matrix,
     solve_adjoint,
     solve_cip_enriched,
     solve_saddle,
     trial_lagrange,
     Rectangle,
 )
-from bubblefem.solvers import orthogonality_residual
+from bubblefem.solvers import orthogonality_residual, saddle_gram
 
 
 def const(value):
@@ -54,6 +55,11 @@ def setup():
     return m, tables, test, G, B, load
 
 
+def saddle_factor(G, B):
+    """The SaddleFactorization of K = [[G, B], [B^T, 0]], built as the loop builds it."""
+    return SaddleFactorization(saddle_matrix(G, B), G.shape[0])
+
+
 def assert_reported_residuals(sol, G, B, load):
     """The residuals a solve reports equal, bit for bit, max|K x - rhs| with K
     built by sp.bmat and max|B^T eps|, each over 1 + max|load|."""
@@ -70,7 +76,7 @@ def assert_reported_residuals(sol, G, B, load):
 class TestSolveSaddle:
     def test_manufactured_exactness(self, setup):
         m, _, test, G, B, load = setup
-        sol = solve_saddle(SaddleFactorization(G, B), load, np.zeros(test.n_trial), test)
+        sol = solve_saddle(saddle_factor(G, B), load, np.zeros(test.n_trial), test)
         exact = m.vertices[:, 0] + m.vertices[:, 1]
         # u lives on the enriched space, its bubble coefficients zero
         assert sol.trial.space is test and sol.test.space is test
@@ -82,8 +88,7 @@ class TestSolveSaddle:
 
     def test_zero_load(self, setup):
         _, _, test, G, B, _ = setup
-        sol = solve_saddle(SaddleFactorization(G, B), np.zeros(test.dim), np.zeros(test.n_trial),
-                           test)
+        sol = solve_saddle(saddle_factor(G, B), np.zeros(test.dim), np.zeros(test.n_trial), test)
         assert not sol.trial.coefficients.any()
         assert not sol.test.coefficients.any()
 
@@ -97,25 +102,25 @@ class TestSolveSaddle:
         G = assemble_gram(tables)
         B = assemble_stabilized(tables)[:, : test_eq.n_trial]
         load = assemble_load(tables)
-        sol = solve_saddle(SaddleFactorization(G, B), load, np.zeros(test_eq.n_trial), test_eq)
+        sol = solve_saddle(saddle_factor(G, B), load, np.zeros(test_eq.n_trial), test_eq)
         plain, _ = solve_cip_enriched(B, load, tables)
         assert np.sqrt(sol.test.coefficients @ (G @ sol.test.coefficients)) < 1e-10
         assert np.abs(sol.trial.coefficients - plain.coefficients).max() < 1e-10
 
     def test_orthogonality(self, setup):
         _, _, test, G, B, load = setup
-        sol = solve_saddle(SaddleFactorization(G, B), load, np.zeros(test.n_trial), test)
+        sol = solve_saddle(saddle_factor(G, B), load, np.zeros(test.n_trial), test)
         assert orthogonality_residual(B, sol.test) <= 1e-9 * (1.0 + np.abs(load).max())
 
     def test_reported_residuals(self, setup):
         _, _, test, G, B, load = setup
-        sol = solve_saddle(SaddleFactorization(G, B), load, np.zeros(test.n_trial), test)
+        sol = solve_saddle(saddle_factor(G, B), load, np.zeros(test.n_trial), test)
         assert_reported_residuals(sol, G, B, load)
 
     def test_minimizer_optimality_fd(self, setup):
         # perturbing the minimizer never decreases 1/2 ||l - B u||^2 in G^-1
         _, _, test, G, B, load = setup
-        sol = solve_saddle(SaddleFactorization(G, B), load, np.zeros(test.n_trial), test)
+        sol = solve_saddle(saddle_factor(G, B), load, np.zeros(test.n_trial), test)
         lu = spla.splu(sp.csc_matrix(G))
 
         def objective(u):
@@ -133,8 +138,8 @@ class TestSolveSaddle:
 
     def test_factorization_determinism(self, setup):
         _, _, test, G, B, load = setup
-        a = solve_saddle(SaddleFactorization(G, B), load, np.zeros(test.n_trial), test)
-        b = solve_saddle(SaddleFactorization(G, B), load, np.zeros(test.n_trial), test)
+        a = solve_saddle(saddle_factor(G, B), load, np.zeros(test.n_trial), test)
+        b = solve_saddle(saddle_factor(G, B), load, np.zeros(test.n_trial), test)
         assert np.array_equal(a.trial.coefficients, b.trial.coefficients)
         assert np.array_equal(a.test.coefficients, b.test.coefficients)
 
@@ -142,11 +147,11 @@ class TestSolveSaddle:
         G = sp.csr_matrix(np.zeros((2, 2)))
         B = sp.csr_matrix(np.zeros((2, 1)))
         with pytest.raises(SolverError):
-            SaddleFactorization(G, B)
+            saddle_factor(G, B)
 
     def test_regularized_factor_refined(self, setup):
         _, _, test, G, B, load = setup
-        factor = SaddleFactorization(G, B)
+        factor = saddle_factor(G, B)
         solve_saddle(factor, load, np.zeros(test.n_trial), test)
         # the O(delta) shift of the quasi-definite factor needs refining
         assert 1 <= factor.refine_steps <= bubblefem.solvers.REFINE_STEPS
@@ -157,7 +162,7 @@ class TestSolveSaddle:
         # a shift this large leaves refinement short of the gate after its steps
         monkeypatch.setattr(bubblefem.solvers, "DELTA_SCALE", 1.0)
         _, _, test, G, B, load = setup
-        factor = SaddleFactorization(G, B)
+        factor = saddle_factor(G, B)
         sol = solve_saddle(factor, load, np.zeros(test.n_trial), test)
         assert factor.refine_steps == bubblefem.solvers.REFINE_STEPS
         assert factor.fallbacks == 1
@@ -190,7 +195,7 @@ def graded_goal_setup():
 class TestGradedSaddle:
     def test_matches_pivoted_lu_of_K(self, graded_goal_setup):
         test, G, B, load = graded_goal_setup
-        factor = SaddleFactorization(G, B)
+        factor = saddle_factor(G, B)
         sol = solve_saddle(factor, load, np.zeros(test.n_trial), test)
         assert factor.fallbacks == 0
         assert sol.kkt_residual <= 1e-12
@@ -227,7 +232,7 @@ def adjoint_solves(G, B, B_full, q, test, factor=None):
     """The loop's adjoint solves: (nu*, w*) on the saddle ``factor`` (fresh
     by default), then eps* on G factored on K's ``test_order``; returns the
     SaddleSolution of (nu*, w*), eps* and G's RefinedFactor."""
-    factor = SaddleFactorization(G, B) if factor is None else factor
+    factor = saddle_factor(G, B) if factor is None else factor
     adj = solve_saddle(factor, np.zeros(test.dim), q[: test.n_trial], test)
     return (adj, *solve_adjoint(G, B_full, q, adj.test, factor.test_order))
 
@@ -262,7 +267,7 @@ class TestSolveAdjoint:
     def test_shared_factorization_identical(self, goal_setup):
         test, G, B, B_full, q_test = goal_setup
         # a factorization that already served another solve gives the fresh answer
-        factor = SaddleFactorization(G, B)
+        factor = saddle_factor(G, B)
         adjoint_solves(G, B, B_full, np.zeros(test.dim), test, factor)
         shared, shared_eps, _ = adjoint_solves(G, B, B_full, q_test, test, factor)
         fresh, fresh_eps, _ = adjoint_solves(G, B, B_full, q_test, test)
@@ -295,7 +300,7 @@ class TestSolveAdjoint:
 
     def test_saddle_factor_holds_no_gram_factor(self, goal_setup):
         test, G, B, *_ = goal_setup
-        factor = SaddleFactorization(G, B)
+        factor = saddle_factor(G, B)
         assert not hasattr(factor, "gram") and not hasattr(factor, "G")
 
 
@@ -430,12 +435,23 @@ class TestCipEnriched:
         assert r <= 1e-9 * (1.0 + np.abs(load).max())
 
 
+def assert_same_csr(A, B):
+    """A and B hold the same CSR arrays, dtypes included, bit for bit, and the
+    same sorted flag."""
+    assert A.format == B.format == "csr" and A.shape == B.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(A, name).dtype == getattr(B, name).dtype
+        assert np.array_equal(getattr(A, name), getattr(B, name))
+    assert A.has_sorted_indices == B.has_sorted_indices
+
+
 @pytest.mark.parametrize("p, k", [(1, 3), (2, 4), (3, 5)], ids=["p1k3", "p2k4", "p3k5"])
 @pytest.mark.parametrize("bench_name", ["experiment1", "experiment2"])
 def test_saddle_matrix_gathered_exactly(bench_name, p, k):
     """K_delta gathered from G and the trial block has the CSC arrays of the
     sp.bmat construction bit for bit, and the factor keeps it as K: the
-    same arrays with the trial block's diagonal zeroed."""
+    same arrays with the trial block's diagonal zeroed.  G reads back from
+    both unchanged."""
     import bubblefem
 
     tables, B_full, _ = enriched_system(getattr(bubblefem, bench_name)(), p, k, 2)
@@ -444,15 +460,66 @@ def test_saddle_matrix_gathered_exactly(bench_name, p, k):
     B = B_full[:, :n_trial]
     delta = bubblefem.solvers.DELTA_SCALE * G.diagonal().max()
     oracle = sp.bmat([[G, B], [B.T, -delta * sp.identity(n_trial)]], format="csc")
-    K = bubblefem.solvers._saddle_matrix(G, B, delta)
+    K = saddle_matrix(G, B)
     for name in ("indptr", "indices", "data"):
         assert getattr(K, name).dtype == getattr(oracle, name).dtype
         assert np.array_equal(getattr(K, name), getattr(oracle, name))
+    assert_same_csr(saddle_gram(K, G.indptr, G.indices), G)
     columns = np.repeat(np.arange(n_test + n_trial), np.diff(oracle.indptr))
     oracle.data[(oracle.indices == columns) & (columns >= n_test)] = 0.0
-    factor = SaddleFactorization(G, B)
+    factor = SaddleFactorization(K, n_test)
+    assert factor.A is K
     for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(factor.A, name), getattr(oracle, name))
+        assert np.array_equal(getattr(K, name), getattr(oracle, name))
+    assert_same_csr(saddle_gram(K, G.indptr, G.indices), G)
+
+
+def test_gram_without_its_exact_zeros_read_back():
+    """A G whose exact zeros were dropped, so that its rows skip some of the
+    pattern's slots (no benchmark loop assembles one), reads back from K
+    bit for bit."""
+    from bubblefem import experiment2
+
+    tables, B_full, _ = enriched_system(experiment2(), 2, 4, 1)
+    G = assemble_gram(tables).copy()  # the assembled G holds the pattern's read-only indices
+    i, j = 0, G.indices[G.indptr[0] : G.indptr[1]].max()
+    G[i, j] = G[j, i] = 0.0
+    G.eliminate_zeros()
+    assert G.nnz < len(tables.pattern.indices)
+    K = saddle_matrix(G, B_full[:, : tables.space.n_trial])
+    assert_same_csr(saddle_gram(K, G.indptr, G.indices), G)
+
+
+# the benchmark workloads' loops, without the saturation diagnostic
+WORKLOAD_LOOPS = {
+    "exp1-energy": ("experiment1", 0.01, dict(p=1, k=3, theta=0.5, max_dofs=2000)),
+    "exp2-goa": ("experiment2", None, dict(p=1, k=3, theta=0.2, mode="goa", max_dofs=2000)),
+    "uniform-p2k4": ("experiment1", 0.5, dict(p=2, k=4, mode="uniform", max_iters=2)),
+}
+
+
+@pytest.mark.parametrize("workload", WORKLOAD_LOOPS)
+def test_loop_reads_gram_back_from_K(monkeypatch, workload):
+    """On every iteration of each workload's loop, the last on its final mesh
+    included, the G the loop reads back from K once K's LU is gone has the
+    arrays of ``assemble_gram(tables)`` bit for bit; exp2's reaction floor
+    is mu_0 = 0."""
+    import bubblefem
+    import bubblefem.adapt
+
+    name, delta, config = WORKLOAD_LOOPS[workload]
+    bench = getattr(bubblefem, name)(*([] if delta is None else [delta]))
+    assembled, read_back = [], []
+    gram, read = bubblefem.adapt.assemble_gram, bubblefem.adapt.saddle_gram
+    monkeypatch.setattr(bubblefem.adapt, "assemble_gram",
+                        lambda tables: assembled.append(gram(tables)) or assembled[-1])
+    monkeypatch.setattr(bubblefem.adapt, "saddle_gram",
+                        lambda K, *structure: read_back.append(read(K, *structure)) or read_back[-1])
+    records = bubblefem.adaptive_loop(bench, bubblefem.LoopConfig(saturation=False, **config))
+    assert (bench.data.reaction_floor == 0.0) == (workload == "exp2-goa")
+    assert len(assembled) == len(read_back) == len(records)
+    for G, H in zip(assembled, read_back):
+        assert_same_csr(H, G)
 
 
 def test_assembly_transient_memory():
@@ -460,7 +527,7 @@ def test_assembly_transient_memory():
     p2k4 at n = 16 (2,625 test DoFs), the tables built beforehand.  The
     pattern peaks at 2.31 times the bytes of G + B_full (4.34 with J's
     COO concatenated in int64 and all facets' local matrices held), the
-    gather at 1.45 times K_delta's bytes above what was live (2.28 through
+    gather at 1.29 times K_delta's bytes above what was live (2.28 through
     ``sp.bmat``).  The bounds leave about 17 % on each."""
     import tracemalloc
     from dataclasses import replace
@@ -490,10 +557,9 @@ def test_assembly_transient_memory():
     _, pattern_peak = traced_peak(lambda: tables.pattern)
     G, B_full = assemble_gram(tables), assemble_stabilized(tables)
     B = B_full[:, : tables.space.n_trial]
-    delta = bubblefem.solvers.DELTA_SCALE * G.diagonal().max()
-    K, gather_peak = traced_peak(lambda: bubblefem.solvers._saddle_matrix(G, B, delta))
+    K, gather_peak = traced_peak(lambda: saddle_matrix(G, B))
     assert pattern_peak <= 2.7 * (size(G) + size(B_full))
-    assert gather_peak <= 1.7 * size(K)
+    assert gather_peak <= 1.5 * size(K)
 
 
 @pytest.mark.parametrize("p, k", [(1, 3), (2, 4)], ids=["p1k3", "p2k4"])
@@ -507,8 +573,8 @@ def test_enriched_solve_on_saddle_order(p, k):
     from bubblefem.solvers import _factorize
 
     tables, B_full, load = enriched_system(experiment1(0.01), p, k, 2)
-    order = SaddleFactorization(assemble_gram(tables),
-                                B_full[:, : tables.space.n_trial]).test_order
+    K = saddle_matrix(assemble_gram(tables), B_full[:, : tables.space.n_trial])
+    order = SaddleFactorization(K, tables.space.dim).test_order
     theta, factor = solve_cip_enriched(B_full, load, tables, order)
     assert factor.fallbacks == 0
     A = sp.csc_matrix(B_full)
@@ -533,7 +599,8 @@ def test_second_factor_permuted_in_one_pass(monkeypatch, operator):
 
     tables, B_full, _ = enriched_system(experiment2(), 1, 3, 2)
     G = assemble_gram(tables)
-    order = SaddleFactorization(G, B_full[:, : tables.space.n_trial]).test_order
+    K = saddle_matrix(G, B_full[:, : tables.space.n_trial])
+    order = SaddleFactorization(K, tables.space.dim).test_order
     A = {"B_full": B_full, "G": G}[operator]
     assert ((A != A.T).nnz > 0) == (operator == "B_full")
     received = []
@@ -555,7 +622,7 @@ def test_second_factor_permuted_in_one_pass(monkeypatch, operator):
 
 def _nan_saddle(request):
     _, _, test, G, B, load = request.getfixturevalue("setup")
-    solve_saddle(SaddleFactorization(G, B), np.r_[np.nan, load[1:]], np.zeros(test.n_trial), test)
+    solve_saddle(saddle_factor(G, B), np.r_[np.nan, load[1:]], np.zeros(test.n_trial), test)
 
 
 def _nan_adjoint(request):
