@@ -31,6 +31,7 @@ from .mesh import refine
 from .reference import MAX_QUAD_DEGREE
 from .solvers import (
     SaddleFactorization,
+    _release_freed_heap,
     saddle_gram,
     saddle_matrix,
     solve_adjoint,
@@ -263,9 +264,12 @@ def _solve_and_estimate(record, tables, qoi_region, last):
     counted and before the second factor (G's for eps* here, B_full's in
     ``_diagnose``).  On the ``last`` iteration, whose K factor is the run's
     memory peak, every cached table is freed before it too: the
-    coefficients, which only a next iteration would read, and the boundary,
+    coefficients, which only a next iteration would read, the boundary,
     interior and energy tables, which the estimates and error norms rebuild
-    once K's LU is gone."""
+    once K's LU is gone, and the error table's rows carried from the
+    previous tables, which the error norms recompute.  Then, on glibc only,
+    the pages of the freed heap go back to the OS (``_release_freed_heap``),
+    so that K's LU is built on top of the live arrays alone."""
     G = assemble_gram(tables)
     # the test space nests the trial space first: B is B_full's trial block
     B_full = assemble_stabilized(tables)
@@ -274,12 +278,14 @@ def _solve_and_estimate(record, tables, qoi_region, last):
     load = assemble_load(tables)
     q = None if qoi_region is None else assemble_qoi(tables, qoi_region)
     if last:
-        tables.drop("coefficients", "boundary", "interior", "energy_terms")
+        tables.drop("coefficients", "boundary", "interior", "energy_terms", "error")
     n_test, n_trial = tables.space.dim, tables.space.n_trial
     K = saddle_matrix(G, B_full[:, :n_trial])
     # G's index arrays are the pattern's, which B_full holds too; its data lives on in K
     structure = G.indptr, G.indices
     del G
+    if last:
+        _release_freed_heap()
     factor = SaddleFactorization(K, n_test)
     sol = solve_saddle(factor, load, np.zeros(n_trial), tables.space)
     adj = None if q is None else solve_saddle(factor, np.zeros(n_test), q[:n_trial], tables.space)

@@ -351,12 +351,19 @@ class FormTables:
         return arrays
 
     def drop(self, *names):
-        """Free the tables ``names``, cached properties, so the next
-        iteration's tables carry none of their rows.  A dropped table is
-        rebuilt in full on its next read.  ``energy_terms`` references the
-        ``boundary`` and ``interior`` tables' arrays, so those stay alive
-        until it is dropped too."""
+        """Free the tables ``names``, cached properties or the ``error``
+        table of ``error_terms``, with the rows carried for them from the
+        previous tables, so the next iteration's tables carry none of their
+        rows.  A dropped table is rebuilt in full on its next read.
+        ``energy_terms`` references the ``boundary`` and ``interior``
+        tables' arrays, so those stay alive until it is dropped too.  The
+        freed arrays' pages stay with the process's heap until it releases
+        them (``solvers._release_freed_heap``, on glibc only).  Raises
+        ValueError on a name that is no table of these tables."""
         for name in names:
+            if name != "error" and not isinstance(getattr(type(self), name, None), cached_property):
+                raise ValueError(f"FormTables has no table {name!r}")
+            self._carried.pop(name, None)
             self._tables.pop(name, None)
             self.__dict__.pop(name, None)
 

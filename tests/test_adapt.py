@@ -692,21 +692,15 @@ class TestAdaptiveLoop:
         adaptive_loop(experiment1(0.5), LoopConfig(max_iters=1, saturation=True))
         assert alive == [0, 0]
 
-    @pytest.mark.parametrize(
-        "bench, config",
-        [
-            (experiment1(0.5), LoopConfig(mode="uniform", p=2, k=4, max_iters=1)),
-            (experiment2(), LoopConfig(mode="goa", theta=0.2, max_iters=2)),
-        ],
-        ids=["exp1-uniform", "exp2-goa"],
-    )
-    def test_saddle_factor_holds_only_K(self, monkeypatch, bench, config):
-        # K_delta holds G's entries and B's trial block: while K is factored,
-        # G's data and the trial block passed to ``saddle_matrix`` are dead,
-        # and on the last iteration, the run's memory peak, so is every cached
-        # table of the tables: the coefficients, the boundary and interior
-        # tables and the energy terms; G is read back from K only once K's LU
-        # is dead.  Each is referenced weakly, so nothing here keeps it alive.
+    @staticmethod
+    def _track_saddle_peak(monkeypatch, bench, config):
+        """Run the loop with G's data, the trial block passed to
+        ``saddle_matrix``, the arrays the tables own and those they carry
+        from the previous tables, and K's LU referenced weakly, so nothing
+        here keeps them alive.  Returns the records and, per iteration, the
+        number of carried arrays, the live counts (operators, table arrays)
+        at each K factor and at each release of the freed heap, and the live
+        LU count when G is read back."""
         import weakref
 
         import bubblefem.adapt
@@ -719,10 +713,15 @@ class TestAdaptiveLoop:
             def __getattr__(self, name):
                 return getattr(self._wrapped, name)
 
-        operators, tables_arrays, lus, at_factor, at_read_back = [], [], [], [], []
+        operators, tables_arrays, lus = [], [], []
+        seen = dict(carried=[], factor=[], release=[], read_back=[])
         gram, saddle_matrix = bubblefem.adapt.assemble_gram, bubblefem.adapt.saddle_matrix
         assemble_load, saddle_gram = bubblefem.adapt.assemble_load, bubblefem.adapt.saddle_gram
         factorize = bubblefem.solvers._factorize
+        release = bubblefem.adapt._release_freed_heap
+
+        def alive(refs):
+            return sum(ref() is not None for ref in refs)
 
         def tracked_gram(tables):
             G = gram(tables)
@@ -736,34 +735,70 @@ class TestAdaptiveLoop:
         def tracked_load(tables):
             # the arrays the tables own, not the space's DoFs or the shared basis
             shared = {id(tables.space.cell_dofs), id(tables.volume_basis)}
+            carried = [a for _, arrays, _ in tables._carried.values() for a in arrays]
             owned = [*tables.coefficients, *tables.boundary, tables.interior[0],
                      tables.interior[1], *(a for terms in tables.energy_terms for a in terms)]
-            tables_arrays[:] = [weakref.ref(a) for a in owned if id(a) not in shared]
+            tables_arrays[:] = [weakref.ref(a) for a in owned + carried if id(a) not in shared]
+            seen["carried"].append(len(carried))
             return assemble_load(tables)
 
         def tracked_factorize(matrix, label, symmetric=False, order=None):
             if label == "saddle system":
-                at_factor.append((sum(ref() is not None for ref in operators),
-                                  sum(ref() is not None for ref in tables_arrays)))
+                seen["factor"].append((alive(operators), alive(tables_arrays)))
                 lus.append(weakref.ref(proxy := Proxy(factorize(matrix, label, symmetric, order))))
                 return proxy
             return factorize(matrix, label, symmetric, order)
 
+        def tracked_release():
+            seen["release"].append((len(seen["factor"]), alive(operators), alive(tables_arrays)))
+            release()
+
         def tracked_saddle_gram(K, indptr, indices):
-            at_read_back.append(sum(ref() is not None for ref in lus))
+            seen["read_back"].append(alive(lus))
             return saddle_gram(K, indptr, indices)
 
         monkeypatch.setattr(bubblefem.adapt, "assemble_gram", tracked_gram)
         monkeypatch.setattr(bubblefem.adapt, "saddle_matrix", tracked_saddle_matrix)
         monkeypatch.setattr(bubblefem.adapt, "assemble_load", tracked_load)
+        monkeypatch.setattr(bubblefem.adapt, "_release_freed_heap", tracked_release)
         monkeypatch.setattr(bubblefem.adapt, "saddle_gram", tracked_saddle_gram)
         monkeypatch.setattr(bubblefem.solvers, "_factorize", tracked_factorize)
-        records = adaptive_loop(bench, config)
-        assert len(at_factor) == len(at_read_back) == len(records) == config.max_iters + 1
-        assert all(alive == 0 for alive, _ in at_factor)
+        return adaptive_loop(bench, config), seen
+
+    saddle_peak_runs = pytest.mark.parametrize(
+        "bench, config",
+        [
+            (experiment1(0.5), LoopConfig(mode="uniform", p=2, k=4, max_iters=1)),
+            (experiment2(), LoopConfig(mode="goa", theta=0.2, max_iters=2)),
+        ],
+        ids=["exp1-uniform", "exp2-goa"],
+    )
+
+    @saddle_peak_runs
+    def test_saddle_factor_holds_only_K(self, monkeypatch, bench, config):
+        # K_delta holds G's entries and B's trial block: while K is factored,
+        # G's data and the trial block passed to ``saddle_matrix`` are dead,
+        # and on the last iteration, the run's memory peak, so is every table
+        # array: the coefficients, the boundary and interior tables, the
+        # energy terms and the rows carried from the previous tables (exp2's
+        # error table); G is read back from K only once K's LU is dead
+        records, seen = self._track_saddle_peak(monkeypatch, bench, config)
+        assert len(seen["factor"]) == len(seen["read_back"]) == len(records) == config.max_iters + 1
+        assert all(alive == 0 for alive, _ in seen["factor"])
         # the tables live on through the factors before the last
-        assert all(held > 0 for _, held in at_factor[:-1]) and at_factor[-1][1] == 0
-        assert at_read_back == [0] * len(records)
+        assert all(held > 0 for _, held in seen["factor"][:-1]) and seen["factor"][-1][1] == 0
+        assert seen["read_back"] == [0] * len(records)
+        if config.mode == "goa":
+            assert seen["carried"][-1] > 0
+
+    @saddle_peak_runs
+    def test_freed_heap_released_once_before_last_factor(self, monkeypatch, bench, config):
+        # the freed heap goes back to the OS once per run: on the last
+        # iteration, after G's data, the trial block and the dropped tables
+        # are dead and before its K factor, the run's memory peak
+        records, seen = self._track_saddle_peak(monkeypatch, bench, config)
+        assert seen["release"] == [(len(records) - 1, 0, 0)]
+        assert len(seen["factor"]) == len(records)
 
     @pytest.mark.parametrize(
         "bench, config, second",

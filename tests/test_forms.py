@@ -1033,6 +1033,30 @@ class TestCarriedTables:
                          "inflow_data": [every_boundary_point], "exact": [every_boundary_point]}
         self.assert_bitwise_equal(carried, self.build(FormTables(space, data), exact))
 
+    def test_dropped_tables_discard_their_carried_rows(self):
+        """``drop`` discards the rows carried for a table from the previous
+        tables, so the table is rebuilt on every cell, bit for bit; a name
+        that is no table raises."""
+        data, exact, kind = self.problem()
+        data, exact, calls = self.counted(data, exact)
+        space = build_space(self.refined("interior cell")[1], kind)
+        previous = FormTables(space, data)
+        self.build(previous, exact)
+        tables = FormTables(space, data, previous=previous)
+        assert set(tables._carried) == {"coefficients", "interior", "error"}
+        tables.drop("coefficients", "interior", "error")
+        assert tables._carried == {}
+        for seen in calls.values():
+            seen.clear()
+        carried = self.build(tables, exact)
+        nq_error = len(triangle_rule(volume_degree(space) + 2).weights)
+        assert calls["reaction"] == [len(space.mesh.cells) * len(tables.volume_rule.weights)]
+        assert len(space.mesh.cells) * nq_error in calls["exact"]
+        self.assert_bitwise_equal(carried, self.build(FormTables(space, data), exact))
+        for name in ("nonesuch", "volume_basis", "space"):
+            with pytest.raises(ValueError, match=f"no table '{name}'"):
+                tables.drop(name)
+
     @pytest.mark.parametrize("other", ["problem data", "degree", "space kind", "mesh",
                                        "exact solution"])
     def test_other_previous_tables_contribute_nothing(self, other):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -646,3 +648,54 @@ def test_non_finite_solve_names_its_operator(request, solve, operator):
     # RefinedFactor.refined_solve is the one finiteness check of every system
     with pytest.raises(SolverError, match=f"^{operator} has a non-finite solution or residual$"):
         solve(request)
+
+
+@pytest.fixture
+def fresh_trim_lookup():
+    """``solvers._malloc_trim`` looked up anew in the test and after it."""
+    bubblefem.solvers._malloc_trim.cache_clear()
+    yield
+    bubblefem.solvers._malloc_trim.cache_clear()
+
+
+def test_loop_runs_without_malloc_trim(monkeypatch, fresh_trim_lookup):
+    # where the C library has no malloc_trim, releasing the freed heap is a
+    # no-op and the loop's records are those of a run with it
+    import ctypes
+
+    import bubblefem
+
+    config = bubblefem.LoopConfig(mode="goa", p=1, k=3, theta=0.2, max_iters=2)
+    expected = bubblefem.adaptive_loop(bubblefem.experiment2(), config)
+
+    def no_library(name, *args, **kwargs):
+        raise OSError(f"{name}: no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    bubblefem.solvers._malloc_trim.cache_clear()
+    assert bubblefem.solvers._malloc_trim() is None
+    records = bubblefem.adaptive_loop(bubblefem.experiment2(), config)
+    assert repr(records) == repr(expected)
+
+
+def _resident_bytes():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_release_returns_freed_heap_holes(fresh_trim_lookup):
+    # arrays below glibc's mmap threshold live on the heap; freed between
+    # survivors, they leave holes that free() keeps resident and that
+    # _release_freed_heap hands back to the OS
+    if bubblefem.solvers._malloc_trim() is None:
+        pytest.skip("the C library has no malloc_trim")
+    count, size = 800, 32 * 1024  # 25 MiB in 32 KiB arrays, well below the threshold
+    chunks = [(np.ones(size // 8), np.ones(64)) for _ in range(count)]
+    survivors = [small for _, small in chunks]
+    del chunks
+    before = _resident_bytes()
+    bubblefem.solvers._release_freed_heap()
+    released = before - _resident_bytes()
+    assert released > count * size // 2, f"released {released} bytes"
+    del survivors
